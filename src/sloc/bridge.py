@@ -269,6 +269,9 @@ def girsanov_energy(
     d = targets.dim_of(base)
     closed_form = isinstance(base, (targets.GaussianMeasure, targets.GaussianMixture))
     energies = np.empty(n_paths)
+    taus = tau_grid.times[:-1]
+    plan = targets.tilt_plan(base, taus / (1.0 - taus)) if closed_form else None
+    dts = tau_grid.dts
 
     def run_chunk(lo: int, hi: int) -> None:
         dw = np.stack(
@@ -277,11 +280,11 @@ def girsanov_energy(
         v = np.zeros((hi - lo, d))
         acc = np.zeros(hi - lo)
         for k in range(tau_grid.steps):
-            tau = float(tau_grid.times[k])
-            dt = float(tau_grid.dts[k])
+            tau = float(taus[k])
+            dt = float(dts[k])
             one_m = 1.0 - tau
             if closed_form:
-                m = targets.posterior_mean_batch(base, v / one_m, tau / one_m)
+                m = targets.posterior_mean_batch(base, v / one_m, plan(k))
                 u = (m - v) / one_m
             else:
                 u = np.stack([drift(row, tau) for row in v])

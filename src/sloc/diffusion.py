@@ -17,7 +17,6 @@ import numpy as np
 
 from . import targets
 from .sde import (
-    OU_TO_BACKWARD,
     SALT_INIT,
     NonFiniteStateError,
     SamplePath,
@@ -83,9 +82,13 @@ def tweedie_score(
     return (s * post.mean - y) / v
 
 
-def _score_batch(base: TargetMeasure, x: np.ndarray, s: float, v: float) -> np.ndarray:
-    mean = targets.posterior_mean_batch(base, (s / v) * x, s * s / v)
-    return (s * mean - x) / v
+def _backward_drift(x: np.ndarray, m: np.ndarray, u: float) -> np.ndarray:
+    """Backward-SDE drift at ``(u, x)`` from the posterior mean ``m`` of the
+    exact tilt ``(sqrt(u (u + 1)) x, u)``: the score is ``(s m - x) / v`` with
+    the OU parameters ``s = sqrt(u / (u + 1))`` and ``v = 1 / (u + 1)``."""
+    uu = u * (u + 1.0)
+    score = (u + 1.0) * (math.sqrt(u / (u + 1.0)) * m - x)
+    return x / (2.0 * uu) + score / uu
 
 
 def backward_sde_run(
@@ -110,15 +113,12 @@ def backward_sde_run(
     x = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal(d)
     states = [BackwardState(float(u_grid.times[0]), x)]
     dw = noise.increments()
+    dus = u_grid.dts
     for k in range(u_grid.steps):
         u = float(u_grid.times[k])
-        du = float(u_grid.dts[k])
-        t_ou = float(OU_TO_BACKWARD.inverse(u))
-        s, v = ou_marginal_params(t_ou)
-        score = tweedie_score(base, NoisyChannelSpec(s, v), x, budget, rng)
         uu = u * (u + 1.0)
-        drift = x / (2.0 * uu) + score / uu
-        x = x + drift * du + dw[k] / math.sqrt(uu)
+        m = posterior_moments(tilt(base, math.sqrt(uu) * x, u), budget, rng=rng).mean
+        x = x + _backward_drift(x, m, u) * dus[k] + dw[k] / math.sqrt(uu)
         if not np.all(np.isfinite(x)):
             raise NonFiniteStateError(k + 1, float(u_grid.times[k + 1]))
         states.append(BackwardState(float(u_grid.times[k + 1]), x))
@@ -144,6 +144,8 @@ def backward_sde_ensemble(
     wanted = sorted(set(float(s) for s in snapshot_times) | {float(u_grid.times[-1])})
     idx = {u_grid.index_of(s): s for s in wanted}
     out = {s: np.empty((n_paths, d)) for s in wanted}
+    plan = targets.tilt_plan(base, u_grid.times[:-1])
+    dus = u_grid.dts
 
     def run_chunk(lo: int, hi: int) -> None:
         x = np.stack(
@@ -156,12 +158,9 @@ def backward_sde_ensemble(
             out[idx[0]][lo:hi] = x
         for k in range(u_grid.steps):
             u = float(u_grid.times[k])
-            du = float(u_grid.dts[k])
-            t_ou = float(OU_TO_BACKWARD.inverse(u))
-            s, v = ou_marginal_params(t_ou)
             uu = u * (u + 1.0)
-            drift = x / (2.0 * uu) + _score_batch(base, x, s, v) / uu
-            x = x + drift * du + dw[:, k, :] / math.sqrt(uu)
+            m = targets.posterior_mean_batch(base, math.sqrt(uu) * x, plan(k))
+            x = x + _backward_drift(x, m, u) * dus[k] + dw[:, k, :] / math.sqrt(uu)
             if k + 1 in idx:
                 out[idx[k + 1]][lo:hi] = x
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import targets
 from .sde import (
@@ -29,7 +28,7 @@ from .sde import (
     map_chunks,
     wiener_increment_array,
 )
-from .targets import TargetMeasure, TiltedMeasure, posterior_moments, tilt
+from .targets import TargetMeasure, TiltedMeasure, _log_normalize, posterior_moments, tilt
 
 DEFAULT_ESS_FLOOR = 10.0
 
@@ -139,6 +138,8 @@ def tilt_sde_ensemble(
     wanted = sorted(set(float(s) for s in snapshot_times) | {float(grid.times[-1])})
     idx = {grid.index_of(s): s for s in wanted}
     out = {s: np.empty((n_paths, d)) for s in wanted}
+    plan = targets.tilt_plan(base, grid.times[:-1])
+    dts = grid.dts
 
     def run_chunk(lo: int, hi: int) -> None:
         dw = np.stack(
@@ -148,9 +149,8 @@ def tilt_sde_ensemble(
         if 0 in idx:
             out[idx[0]][lo:hi] = c
         for k in range(grid.steps):
-            t = float(grid.times[k])
-            m = targets.posterior_mean_batch(base, c, t)
-            c = c + m * grid.dts[k] + dw[:, k, :]
+            m = targets.posterior_mean_batch(base, c, plan(k))
+            c = c + m * dts[k] + dw[:, k, :]
             if k + 1 in idx:
                 out[idx[k + 1]][lo:hi] = c
 
@@ -199,6 +199,20 @@ def channel_ensemble(
     return out
 
 
+def _reweight(points: np.ndarray, log_w: np.ndarray, w: np.ndarray, dw: np.ndarray, dt: float):
+    """One Ito-exponential reweighting of clouds ``points (..., n, d)`` with
+    normalized log-weights ``log_w`` and weights ``w``; returns the new
+    normalized log-weights and weights and the log of the pre-renormalization
+    mass.  ``particle_sl_run`` and ``particle_ensemble`` share it, so a single
+    run is a row of the ensemble."""
+    centered = points - np.einsum("...n,...nd->...d", w, points)[..., None, :]
+    log_w = log_w + np.einsum("...nd,...d->...n", centered, dw)
+    log_w -= (0.5 * dt) * np.einsum("...nd,...nd->...n", centered, centered)
+    step_mass, w = _log_normalize(log_w)
+    log_w -= step_mass[..., None]
+    return log_w, w, step_mass
+
+
 def particle_sl_run(
     base: TargetMeasure,
     n_particles: int,
@@ -221,20 +235,15 @@ def particle_sl_run(
     init_rng = generator(noise.seed, noise.stream_id, SALT_INIT)
     points = targets.sample_base(base, n_particles, init_rng)
     log_w = np.full(n_particles, -math.log(n_particles))
+    w = np.full(n_particles, 1.0 / n_particles)
     log_mass = 0.0
     clouds = [ParticleCloud(points, log_w, log_mass)]
     dw = noise.increments()
+    dts = grid.dts
     for k in range(grid.steps):
-        dt = float(grid.dts[k])
-        w = np.exp(log_w)
-        mean = w @ points
-        centered = points - mean
-        inc = centered @ dw[k] - 0.5 * np.sum(centered**2, axis=1) * dt
-        log_w = log_w + inc
-        step_mass = float(logsumexp(log_w))
-        log_mass += step_mass
-        log_w = log_w - step_mass
-        ess = 1.0 / float(np.sum(np.exp(2.0 * log_w)))
+        log_w, w, step_mass = _reweight(points, log_w, w, dw[k], float(dts[k]))
+        log_mass += float(step_mass)
+        ess = 1.0 / float(np.sum(w**2))
         if ess < ess_floor:
             raise WeightCollapseError(ess, ess_floor, float(grid.times[k + 1]))
         clouds.append(ParticleCloud(points, log_w, log_mass))
@@ -262,18 +271,12 @@ def particle_ensemble(
     )
     dw = np.stack([wiener_increment_array(grid, d, seed, r) for r in range(n_runs)])
     log_w = np.full((n_runs, n_particles), -math.log(n_particles))
+    w = np.full((n_runs, n_particles), 1.0 / n_particles)
     log_mass = np.zeros(n_runs)
+    dts = grid.dts
     for k in range(grid.steps):
-        dt = float(grid.dts[k])
-        w = np.exp(log_w)
-        mean = np.einsum("rn,rnd->rd", w, points)
-        centered = points - mean[:, None, :]
-        inc = np.einsum("rnd,rd->rn", centered, dw[:, k, :])
-        inc -= 0.5 * np.sum(centered**2, axis=2) * dt
-        log_w = log_w + inc
-        step_mass = logsumexp(log_w, axis=1)
+        log_w, w, step_mass = _reweight(points, log_w, w, dw[:, k, :], float(dts[k]))
         log_mass += step_mass
-        log_w = log_w - step_mass[:, None]
     return points, log_w, log_mass
 
 

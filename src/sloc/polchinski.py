@@ -202,6 +202,9 @@ def polchinski_ensemble(
     wanted = sorted(set(float(s) for s in snapshot_times) | {float(tau_grid.times[-1])})
     idx = {tau_grid.index_of(s): s for s in wanted}
     out = {s: np.empty((n_paths, d)) for s in wanted}
+    taus = tau_grid.times[:-1]
+    plan = targets.tilt_plan(base, taus / (1.0 - taus))
+    dts = tau_grid.dts
 
     def run_chunk(lo: int, hi: int) -> None:
         dw = np.stack(
@@ -211,10 +214,9 @@ def polchinski_ensemble(
         if 0 in idx:
             out[idx[0]][lo:hi] = v
         for k in range(tau_grid.steps):
-            tau = float(tau_grid.times[k])
-            one_m = 1.0 - tau
-            m = targets.posterior_mean_batch(base, v / one_m, tau / one_m)
-            v = v + (m - v) / one_m * tau_grid.dts[k] + dw[:, k, :]
+            one_m = 1.0 - float(taus[k])
+            m = targets.posterior_mean_batch(base, v / one_m, plan(k))
+            v = v + (m - v) / one_m * dts[k] + dw[:, k, :]
             if k + 1 in idx:
                 out[idx[k + 1]][lo:hi] = v
 

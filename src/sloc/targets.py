@@ -300,17 +300,17 @@ def sample_base(base: TargetMeasure, n: int, rng: np.random.Generator) -> np.nda
         z = rng.standard_normal((n, base.dim))
         return base.mean + z @ base.chol.T
     if isinstance(base, GaussianMixture):
-        idx = _categorical(base.weights, n, rng)
-        z = rng.standard_normal((n, base.dim))
-        draws = base.means[idx] + np.einsum("nab,nb->na", base._chols[idx], z)
-        return draws
+        return _mixture_draws(base.weights, base.means, base._chols, n, rng)
     return sample(tilt(base, np.zeros(base.dim), 0.0), n, rng)
 
 
-def _categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(n), side="right")
+def _mixture_draws(weights, means, chols, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws from the mixture of ``N(means[j], chols[j] chols[j]')``; weights
+    ``(n, J)`` and means ``(n, J, d)`` give each draw its own mixture."""
+    idx = (rng.random(n)[:, None] >= np.cumsum(weights, axis=-1)[..., :-1]).sum(axis=1)
+    picked = means[idx] if means.ndim == 2 else means[np.arange(n), idx]
+    z = rng.standard_normal((n, means.shape[-1]))
+    return picked + np.einsum("nab,nb->na", chols[idx], z)
 
 
 @dataclass(frozen=True)
@@ -414,13 +414,6 @@ def _tilt_params_raw(
     return post_mean, post_cov, log_z
 
 
-def _gaussian_tilt_params(
-    g: GaussianMeasure, c: np.ndarray, reg_mat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Posterior mean, covariance, and log-partition of a tilted Gaussian."""
-    return _tilt_params_raw(g.mean, g.cov, g.precision, c, reg_mat)
-
-
 def _mixture_tilt_params(
     mix: GaussianMixture, c: np.ndarray, reg_mat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -437,17 +430,15 @@ def _mixture_tilt_params(
         means[k], covs[k], log_zs[k] = _tilt_params_raw(
             mix.means[k], mix.covs[k], mix._precisions[k], c, reg_mat
         )
-    log_w = np.log(mix.weights) + log_zs
-    log_z = float(logsumexp(log_w))
-    w_post = np.exp(log_w - log_z)
-    return w_post, means, covs, log_z
+    log_z, w_post = _log_normalize(np.log(mix.weights) + log_zs)
+    return w_post, means, covs, float(log_z)
 
 
 def log_partition(m: TiltedMeasure) -> float:
     """Exact ``log int exp(<c,x> - 0.5 x'Rx) base(dx)``; Gaussian/mixture only."""
     reg_mat = m.reg_matrix()
     if isinstance(m.base, GaussianMeasure):
-        return _gaussian_tilt_params(m.base, m.c, reg_mat)[2]
+        return _tilt_params_raw(m.base.mean, m.base.cov, m.base.precision, m.c, reg_mat)[2]
     if isinstance(m.base, GaussianMixture):
         return _mixture_tilt_params(m.base, m.c, reg_mat)[3]
     raise TypeError("log_partition has closed form only for Gaussian or mixture bases")
@@ -576,7 +567,7 @@ def posterior_moments(
     """
     reg_mat = m.reg_matrix()
     if isinstance(m.base, GaussianMeasure):
-        mean, cov, _ = _gaussian_tilt_params(m.base, m.c, reg_mat)
+        mean, cov, _ = _tilt_params_raw(m.base.mean, m.base.cov, m.base.precision, m.c, reg_mat)
         return Moments(mean, cov, 0.0)
     if isinstance(m.base, GaussianMixture):
         w, means, covs, _ = _mixture_tilt_params(m.base, m.c, reg_mat)
@@ -605,89 +596,109 @@ def sample(
         raise ValueError("sample count must be nonnegative")
     reg_mat = m.reg_matrix()
     if isinstance(m.base, GaussianMeasure):
-        mean, cov, _ = _gaussian_tilt_params(m.base, m.c, reg_mat)
+        mean, cov, _ = _tilt_params_raw(m.base.mean, m.base.cov, m.base.precision, m.c, reg_mat)
         chol = np.sqrt(cov) if m.dim == 1 else np.linalg.cholesky(cov)
         return mean + rng.standard_normal((n, m.dim)) @ chol.T
     if isinstance(m.base, GaussianMixture):
         w, means, covs, _ = _mixture_tilt_params(m.base, m.c, reg_mat)
-        idx = _categorical(w, n, rng)
-        if m.dim == 1:
-            chols = np.sqrt(covs)
-        else:
-            chols = np.stack([np.linalg.cholesky(cov) for cov in covs])
-        z = rng.standard_normal((n, m.dim))
-        return means[idx] + np.einsum("nab,nb->na", chols[idx], z)
+        chols = np.sqrt(covs) if m.dim == 1 else np.linalg.cholesky(covs)
+        return _mixture_draws(w, means, chols, n, rng)
     return _generic_rejection_sample(m, n, rng, max_tries)
 
 
-# Batch helpers over many tilt vectors at a shared scalar regularizer.  These
-# back the vectorized path-ensemble drivers; they intentionally cover only the
-# closed-form families.
+def _log_normalize(log_w: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted log-sum-exp along ``axis`` and the weights ``exp(log_w - max) / sum``."""
+    top = log_w.max(axis=axis, keepdims=True)
+    e = log_w - top
+    np.exp(e, out=e)
+    total = e.sum(axis=axis, keepdims=True)
+    e *= 1.0 / total
+    return np.squeeze(top + np.log(total), axis=axis), e
 
 
-def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, t: float) -> np.ndarray:
-    """Posterior means of ``tilt(base, c_i, t)`` for rows ``c_i`` of ``tilts``."""
-    c = np.atleast_2d(np.asarray(tilts, dtype=float))
-    d = dim_of(base)
+class TiltStep(NamedTuple):
+    """Path-independent posterior algebra at one scalar regularizer ``reg``.
+
+    For mixture component j (a Gaussian base is one component) with
+    precision P, mean mu, covariance S and weight w: ``inv[j]`` is
+    ``(P + reg I)^-1``, ``offset[j]`` is ``(P + reg I)^-1 P mu``, ``shift[j]``
+    is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + reg S) / 2``,
+    each with a trailing unit axis that broadcasts over a batch laid out as (d, n).
+    """
+
+    reg: float
+    inv: np.ndarray
+    offset: np.ndarray
+    shift: np.ndarray
+    const: np.ndarray
+
+    def posterior(self, tilts) -> tuple[np.ndarray, np.ndarray | None]:
+        """Component posterior means ``(J, d, n)`` and weights ``(J, n)``, or
+        ``None`` when J = 1, for the rows of ``tilts``.  Sums run elementwise
+        in a fixed order, never through BLAS, so no row depends on another."""
+        ct = np.atleast_2d(np.asarray(tilts, dtype=float)).T
+        d = self.shift.shape[1]
+        if ct.shape[0] != d:
+            raise ValueError(f"tilt vectors have {ct.shape[0]} columns, the base has dimension {d}")
+        means = ct[0] * self.inv[:, :, 0] + self.offset
+        for e in range(1, d):
+            means += ct[e] * self.inv[:, :, e]
+        if means.shape[0] == 1:
+            return means, None
+        prod = (ct + self.shift) * means
+        log_w = prod[:, 0]
+        for e in range(1, d):
+            log_w = log_w + prod[:, e]
+        return means, _log_normalize(0.5 * log_w + self.const, axis=0)[1]
+
+
+def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
+    """Everything the batched tilt kernel needs that does not depend on the
+    tilt vectors, for ``base`` at each scalar regularizer in ``regs`` (capped
+    at ``REG_CAP`` as ``tilt`` caps it), as a map from the index into ``regs``
+    to that point's ``TiltStep``.  Gaussian and mixture bases only."""
     if isinstance(base, GaussianMeasure):
-        a = base.precision + t * np.eye(d)
-        b = c + base.precision @ base.mean
-        return np.linalg.solve(a, b.T).T
-    if isinstance(base, GaussianMixture):
-        w, means, _ = _mixture_mean_batch(base, c, t)
-        return np.einsum("nj,jnd->nd", w, means)
-    raise TypeError("batch posterior means need a Gaussian or mixture base")
+        log_w, mu, cov, prec = np.zeros(1), base.mean[None], base.cov[None], base.precision[None]
+    elif isinstance(base, GaussianMixture):
+        log_w, mu, cov, prec = np.log(base.weights), base.means, base.covs, base._precisions
+    else:
+        raise TypeError("the batched tilt kernel needs a Gaussian or mixture base")
+    t = np.atleast_1d(np.asarray(regs, dtype=float))
+    if t.ndim != 1 or not np.isfinite(t).all() or (t < 0.0).any():
+        raise ValueError("scalar regularizers must be finite and nonnegative")
+    t = np.minimum(t, REG_CAP)[:, None, None, None]
+    eye = np.eye(mu.shape[1])
+    inv = np.linalg.inv(prec + t * eye)[..., None]
+    shift = np.einsum("jab,jb->ja", prec, mu)
+    offset = np.einsum("kjabx,jb->kjax", inv, shift)
+    const = log_w - 0.5 * np.einsum("ja,ja->j", mu, shift) - 0.5 * np.linalg.slogdet(eye + t * cov)[1]
+    t, shift, const = t.ravel(), shift[..., None], const[..., None]
+    return lambda k: TiltStep(float(t[k]), inv[k], offset[k], shift, const[k])
 
 
-def _mixture_mean_batch(
-    mix: GaussianMixture, c: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior component weights (n, J), means (J, n, d), covs (J, d, d)."""
-    d = mix.dim
-    n = c.shape[0]
-    j = mix.n_components
-    eye = np.eye(d)
-    means = np.empty((j, n, d))
-    covs = np.empty((j, d, d))
-    log_w = np.empty((n, j))
-    for k in range(j):
-        prec = mix._precisions[k]
-        a = prec + t * eye
-        b = c + prec @ mix.means[k]
-        means[k] = np.linalg.solve(a, b.T).T
-        covs[k] = np.linalg.solve(a, eye)
-        _, logdet = np.linalg.slogdet(eye + mix.covs[k] * t)
-        quad = 0.5 * np.einsum("nd,nd->n", b, means[k])
-        const = 0.5 * float(mix.means[k] @ (prec @ mix.means[k]))
-        log_w[:, k] = math.log(mix.weights[k]) + quad - const - 0.5 * logdet
-    log_w -= logsumexp(log_w, axis=1, keepdims=True)
-    return np.exp(log_w), means, covs
+def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, t: float | TiltStep) -> np.ndarray:
+    """Posterior means of ``tilt(base, c_i, t)`` for rows ``c_i`` of ``tilts``.
+
+    ``t`` is a scalar regularizer, or a step ``tilt_plan(base, regs)(k)``,
+    which skips all path-independent work.
+    """
+    step = t if isinstance(t, TiltStep) else tilt_plan(base, [t])(0)
+    means, w = step.posterior(tilts)
+    if w is None:
+        return means[0].T
+    return np.add.reduce(w[:, None, :] * means, axis=0).T
 
 
 def sample_tilted_batch(
     base: TargetMeasure, tilts: np.ndarray, t: float, rng: np.random.Generator
 ) -> np.ndarray:
     """One exact draw from each ``tilt(base, c_i, t)``; Gaussian/mixture only."""
-    c = np.atleast_2d(np.asarray(tilts, dtype=float))
-    n = c.shape[0]
-    d = dim_of(base)
-    if isinstance(base, GaussianMeasure):
-        a = base.precision + t * np.eye(d)
-        cov = np.linalg.solve(a, np.eye(d))
-        chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-        means = np.linalg.solve(a, (c + base.precision @ base.mean).T).T
-        return means + rng.standard_normal((n, d)) @ chol.T
-    if isinstance(base, GaussianMixture):
-        w, means, covs = _mixture_mean_batch(base, c, t)
-        cum = np.cumsum(w, axis=1)
-        cum[:, -1] = 1.0
-        u = rng.random(n)
-        idx = (u[:, None] > cum).sum(axis=1)
-        chols = np.stack([np.linalg.cholesky(0.5 * (cv + cv.T)) for cv in covs])
-        picked = means[idx, np.arange(n)]
-        z = rng.standard_normal((n, d))
-        return picked + np.einsum("nab,nb->na", chols[idx], z)
-    raise TypeError("batch tilted sampling needs a Gaussian or mixture base")
+    step = tilt_plan(base, [t])(0)
+    means, w = step.posterior(tilts)
+    chols = np.linalg.cholesky(step.inv[..., 0])
+    if w is None:
+        return means[0].T + rng.standard_normal(means[0].T.shape) @ chols[0].T
+    return _mixture_draws(w.T, means.transpose(2, 0, 1), chols, w.shape[1], rng)
 
 
 # JSON construction and the builtin potential zoo.

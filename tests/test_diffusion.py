@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sloc import diffusion, localize
+from sloc import diffusion, localize, targets
 from sloc.diagnostics import ks_two_sample
 from sloc.diffusion import (
     BackwardState,
@@ -15,7 +15,7 @@ from sloc.diffusion import (
     tweedie_score,
 )
 from sloc.sde import OU_TO_BACKWARD, TimeGrid, wiener_increments
-from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
+from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential, tilt
 
 from oracles import gaussian_pdf, grid_1d, mixture_pdf
 
@@ -135,6 +135,44 @@ class TestBackwardSde:
             noise = wiener_increments(grid, 1, 5, stream)
             states = backward_sde_run(std_normal(), grid, noise)
             assert states[-1].x[0] == pytest.approx(snaps[1.0][stream, 0], abs=1e-12)
+
+
+class TestExactBackwardTilt:
+    """Both backward drivers tilt by ``(sqrt(u (u + 1)) x, u)`` exactly, with
+    no round trip through OU time (which was off by 8.9e-5 at u = 1e12)."""
+
+    U = 1e12
+
+    def test_single_path(self, monkeypatch):
+        seen = []
+
+        def spy(base, c, reg):
+            seen.append((np.array(c, dtype=float), reg))
+            return tilt(base, c, reg)
+
+        monkeypatch.setattr(diffusion, "tilt", spy)
+        grid = TimeGrid([self.U, 2.0 * self.U])
+        states = backward_sde_run(std_normal(), grid, wiener_increments(grid, 1, 9, 0))
+        c, reg = seen[0]
+        assert reg == self.U
+        exact = math.sqrt(self.U * (self.U + 1.0)) * states[0].x
+        assert np.abs(c - exact).max() <= 1e-15 * np.abs(exact).max()
+
+    def test_ensemble(self, monkeypatch):
+        seen = []
+        original = targets.posterior_mean_batch
+
+        def spy(base, tilts, t):
+            seen.append((np.array(tilts), t.reg))
+            return original(base, tilts, t)
+
+        monkeypatch.setattr(targets, "posterior_mean_batch", spy)
+        grid = TimeGrid([self.U, 2.0 * self.U])
+        start = backward_sde_ensemble(std_normal(), grid, seed=9, n_paths=3, snapshot_times=(self.U,))[self.U]
+        c, reg = seen[0]
+        assert reg == self.U
+        exact = math.sqrt(self.U * (self.U + 1.0)) * start
+        assert np.abs(c - exact).max() <= 1e-15 * np.abs(exact).max()
 
 
 class TestRescale:

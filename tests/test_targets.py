@@ -325,6 +325,61 @@ def test_scalar_and_matrix_reg_agree(c, t, mean, var):
     )
 
 
+def solve_reference(base: GaussianMixture, c: np.ndarray, t: float):
+    """Posterior weights (n, J) and component means (J, n, d) of the tilts
+    ``tilt(base, c_i, t)``, one ``np.linalg.solve`` per component."""
+    eye = np.eye(base.dim)
+    means, log_w = [], []
+    for w, mu, cov in zip(base.weights, base.means, base.covs):
+        prec = np.linalg.inv(cov)
+        b = c + prec @ mu
+        m = np.linalg.solve(prec + t * eye, b.T).T
+        logdet = np.linalg.slogdet(eye + t * cov)[1]
+        means.append(m)
+        log_w.append(math.log(w) + 0.5 * np.sum(b * m, axis=1) - 0.5 * mu @ prec @ mu - 0.5 * logdet)
+    log_w = np.stack(log_w, axis=1)
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True), np.stack(means)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    j=st.integers(1, 3),
+    t=st.sampled_from([0.0, 1e-3, 1.0, 1e6, 1e12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_kernel_matches_solve_reference(d, j, t, seed):
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((j, d, d))
+    w = g.uniform(0.2, 1.0, j)
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    base = GaussianMixture(w, 2.0 * g.standard_normal((j, d)), a @ a.transpose(0, 2, 1) + 0.2 * np.eye(d))
+    c = 3.0 * g.standard_normal((50, d))
+    step = targets.tilt_plan(base, [0.5, t])(1)
+    assert step.reg == t
+    means, weights = step.posterior(c)
+    ref_w, ref_means = solve_reference(base, c, t)
+    scale = np.abs(ref_means).max()
+    assert np.abs(means.transpose(0, 2, 1) - ref_means).max() <= 1e-10 * scale
+    ref_mean = np.einsum("nj,jnd->nd", ref_w, ref_means)
+    assert np.abs(targets.posterior_mean_batch(base, c, step) - ref_mean).max() <= 1e-10 * scale
+    if j > 1:
+        assert np.all(np.isfinite(weights))
+        assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(weights.T - ref_w).max() <= 1e-10
+
+
+def test_plan_rejects_bad_regularizers_and_bases():
+    with pytest.raises(ValueError, match="nonnegative"):
+        targets.tilt_plan(std_normal(), [0.5, -1.0])
+    with pytest.raises(TypeError, match="Gaussian or mixture"):
+        targets.tilt_plan(quartic_potential(dim=1), [0.5])
+    with pytest.raises(ValueError, match="columns"):
+        targets.posterior_mean_batch(std_normal(), np.zeros((4, 2)), 0.5)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(0.3, 2.0))
 def test_identity_tilt_is_pointwise_identity(mean, var):
