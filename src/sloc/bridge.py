@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO, Union
 
@@ -22,7 +23,7 @@ from scipy.special import logsumexp
 
 from . import targets
 from .polchinski import polchinski_ensemble, polchinski_run, renorm_potential
-from .sde import SamplePath, TimeGrid, map_chunks, wiener_increment_array
+from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
 from .targets import TargetMeasure
 
 
@@ -266,50 +267,32 @@ def girsanov_energy(
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the drift grid must start at 0 and stay below 1")
     base = drift.base
-    d = targets.dim_of(base)
+    d = base.dim
+    taus, dts = tau_grid.times[:-1], tau_grid.dts
     closed_form = isinstance(base, (targets.GaussianMeasure, targets.GaussianMixture))
-    energies = np.empty(n_paths)
-    taus = tau_grid.times[:-1]
-    plan = targets.tilt_plan(base, taus / (1.0 - taus)) if closed_form else None
-    dts = tau_grid.dts
+    mean = targets._tilt_means(base, taus / (1.0 - taus)) if closed_form else None
 
-    def run_chunk(lo: int, hi: int) -> None:
-        dw = np.stack(
-            [wiener_increment_array(tau_grid, d, seed, s) for s in range(lo, hi)]
-        )
-        v = np.zeros((hi - lo, d))
-        acc = np.zeros(hi - lo)
-        for k in range(tau_grid.steps):
-            tau = float(taus[k])
-            dt = float(dts[k])
-            one_m = 1.0 - tau
-            if closed_form:
-                m = targets.posterior_mean_batch(base, v / one_m, plan(k))
-                u = (m - v) / one_m
-            else:
-                u = np.stack([drift(row, tau) for row in v])
-            acc += 0.5 * np.sum(u**2, axis=1) * dt
-            v = v + u * dt + dw[:, k, :]
-        energies[lo:hi] = acc
+    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        v, one_m = x[:, :d], 1.0 - float(taus[k])
+        if closed_form:
+            u = (mean(k, v / one_m) - v) / one_m
+        else:
+            u = np.stack([drift(row, float(taus[k])) for row in v])
+        energy = x[:, d] + 0.5 * np.sum(u**2, axis=1) * dts[k]
+        return np.column_stack([v + u * dts[k] + dw, energy])
 
-    map_chunks(run_chunk, n_paths, chunk, workers)
-    mean = float(energies.mean())
+    noise = partial(wiener_increment_array, tau_grid, d, seed)
+    end = _integrate(tau_grid, np.zeros((n_paths, d + 1)), step, noise, (), chunk, workers)
+    energies = end[float(tau_grid.times[-1])][:, d]
+    estimate = float(energies.mean())
     stderr = float(energies.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
-    return mean, stderr
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return estimate, stderr
 
 
 def write_coupling_csv(coupling: DiscreteCoupling, out: Union[str, Path, IO[str]]) -> None:
     """Dense coupling export: row i of the CSV is gamma[i, :]."""
     lines = [",".join(_fmt(v) for v in row) for row in coupling.gamma]
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit("\n".join(lines) + "\n", out)
 
 
 def write_sinkhorn_trace_json(result: SinkhornResult, out: Union[str, Path, IO[str]]) -> None:
@@ -318,10 +301,4 @@ def write_sinkhorn_trace_json(result: SinkhornResult, out: Union[str, Path, IO[s
         {"iteration": i + 1, "residual": float(r)}
         for i, r in enumerate(result.residual_trace)
     ]
-    payload = json.dumps(
-        {"converged": result.converged, "trace": records}, indent=2, sort_keys=True
-    )
-    if hasattr(out, "write"):
-        out.write(payload)
-    else:
-        Path(out).write_text(payload)
+    _emit(json.dumps({"converged": result.converged, "trace": records}, indent=2, sort_keys=True), out)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bridge, localize, polchinski, rgd, suites, targets
-from .sde import TimeGrid, wiener_increments, write_paths_csv
+from .sde import TimeGrid, _fmt, wiener_increments, write_paths_csv
 
 DEFAULT_TARGET = {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
 
@@ -206,7 +206,7 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
 
     runs = {}
     for stream in range(n_traj):
-        noise = wiener_increments(grid, targets.dim_of(cfg.target), cfg.seed, stream)
+        noise = wiener_increments(grid, cfg.target.dim, cfg.seed, stream)
         runs[stream] = localize.tilt_sde_run(cfg.target, grid, noise, budget=cfg.samples)
     localize.write_trajectory_csv(runs, out_dir / "tilt_trajectories.csv")
 
@@ -239,11 +239,8 @@ def _run_lsi_tables(cfg: ExperimentConfig, report: suites.Report) -> None:
     etas = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
     lines = ["eta,lsi_lower_bound,per_step_kl_factor"]
     for eta in etas:
-        bound = rgd.lsi_lower_bound(cfg.alpha, eta)
-        lines.append(
-            f"{format(eta, '.17g')},{format(bound, '.17g')},"
-            f"{format(1.0 / (1.0 + cfg.alpha * eta) ** 2, '.17g')}"
-        )
+        factor = 1.0 / (1.0 + cfg.alpha * eta) ** 2
+        lines.append(",".join(_fmt(v) for v in (eta, rgd.lsi_lower_bound(cfg.alpha, eta), factor)))
     (out_dir / "lsi_bounds.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -254,7 +251,7 @@ def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
     target = cfg.target
     if not isinstance(target, (targets.GaussianMeasure, targets.GaussianMixture)):
         target = targets.GaussianMeasure([0.0], [[1.0]])
-    d = targets.dim_of(target)
+    d = target.dim
     from .sde import generator
 
     chain_cfg = rgd.RgdConfig(cfg.eta, target, steps=50)

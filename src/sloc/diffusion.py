@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -18,11 +19,10 @@ import numpy as np
 from . import targets
 from .sde import (
     SALT_INIT,
-    NonFiniteStateError,
     SamplePath,
     TimeGrid,
+    _integrate,
     generator,
-    map_chunks,
     wiener_increment_array,
 )
 from .targets import TargetMeasure, posterior_moments, tilt
@@ -82,13 +82,23 @@ def tweedie_score(
     return (s * post.mean - y) / v
 
 
-def _backward_drift(x: np.ndarray, m: np.ndarray, u: float) -> np.ndarray:
-    """Backward-SDE drift at ``(u, x)`` from the posterior mean ``m`` of the
-    exact tilt ``(sqrt(u (u + 1)) x, u)``: the score is ``(s m - x) / v`` with
-    the OU parameters ``s = sqrt(u / (u + 1))`` and ``v = 1 / (u + 1)``."""
-    uu = u * (u + 1.0)
-    score = (u + 1.0) * (math.sqrt(u / (u + 1.0)) * m - x)
-    return x / (2.0 * uu) + score / uu
+def _backward_step(base: TargetMeasure, u_grid: TimeGrid, budget: int | None = None, rng=None):
+    """Engine step of the backward SDE; the grid must avoid u = 0.  The
+    posterior mean ``m`` at ``(u, x)`` is that of the exact tilt
+    ``(sqrt(u (u + 1)) x, u)``, and the score is ``(s m - x) / v`` with the OU
+    parameters ``s = sqrt(u / (u + 1))`` and ``v = 1 / (u + 1)``."""
+    if u_grid.times[0] <= 0.0:
+        raise ValueError("the backward grid must be clipped away from u = 0")
+    us, dus = u_grid.times, u_grid.dts
+    mean = targets._tilt_means(base, us[:-1], budget, rng)
+
+    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        u = float(us[k])
+        uu = u * (u + 1.0)
+        score = (u + 1.0) * (math.sqrt(u / (u + 1.0)) * mean(k, math.sqrt(uu) * x) - x)
+        return x + (x / (2.0 * uu) + score / uu) * dus[k] + dw / math.sqrt(uu)
+
+    return step
 
 
 def backward_sde_run(
@@ -103,26 +113,14 @@ def backward_sde_run(
     dx = [x / (2u(u+1)) + score / (u(u+1))] du + dW / sqrt(u(u+1)); the grid
     must be clipped away from u = 0 where the drift is singular.  For large
     final u the terminal law approximates the base up to a residual Gaussian
-    smoothing of variance 1 / (u_max + 1).
+    smoothing of variance 1 / (u_max + 1).  The run is the n=1 case of
+    ``backward_sde_ensemble`` on the noise path's increments.
     """
-    if u_grid.times[0] <= 0.0:
-        raise ValueError("the backward grid must be clipped away from u = 0")
     if not np.array_equal(noise.grid.times, u_grid.times):
         raise ValueError("noise path must live on the integration grid")
-    d = targets.dim_of(base)
-    x = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal(d)
-    states = [BackwardState(float(u_grid.times[0]), x)]
-    dw = noise.increments()
-    dus = u_grid.dts
-    for k in range(u_grid.steps):
-        u = float(u_grid.times[k])
-        uu = u * (u + 1.0)
-        m = posterior_moments(tilt(base, math.sqrt(uu) * x, u), budget, rng=rng).mean
-        x = x + _backward_drift(x, m, u) * dus[k] + dw[k] / math.sqrt(uu)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(k + 1, float(u_grid.times[k + 1]))
-        states.append(BackwardState(float(u_grid.times[k + 1]), x))
-    return states
+    x0 = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal((1, base.dim))
+    snaps = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), noise.increments())
+    return [BackwardState(u, x[0]) for u, x in snaps.items()]
 
 
 def backward_sde_ensemble(
@@ -138,34 +136,10 @@ def backward_sde_ensemble(
 
     Vectorized over paths for Gaussian/mixture bases; stream ids 0..n_paths-1.
     """
-    if u_grid.times[0] <= 0.0:
-        raise ValueError("the backward grid must be clipped away from u = 0")
-    d = targets.dim_of(base)
-    wanted = sorted(set(float(s) for s in snapshot_times) | {float(u_grid.times[-1])})
-    idx = {u_grid.index_of(s): s for s in wanted}
-    out = {s: np.empty((n_paths, d)) for s in wanted}
-    plan = targets.tilt_plan(base, u_grid.times[:-1])
-    dus = u_grid.dts
-
-    def run_chunk(lo: int, hi: int) -> None:
-        x = np.stack(
-            [generator(seed, s, SALT_INIT).standard_normal(d) for s in range(lo, hi)]
-        )
-        dw = np.stack(
-            [wiener_increment_array(u_grid, d, seed, s) for s in range(lo, hi)]
-        )
-        if 0 in idx:
-            out[idx[0]][lo:hi] = x
-        for k in range(u_grid.steps):
-            u = float(u_grid.times[k])
-            uu = u * (u + 1.0)
-            m = targets.posterior_mean_batch(base, math.sqrt(uu) * x, plan(k))
-            x = x + _backward_drift(x, m, u) * dus[k] + dw[:, k, :] / math.sqrt(uu)
-            if k + 1 in idx:
-                out[idx[k + 1]][lo:hi] = x
-
-    map_chunks(run_chunk, n_paths, chunk, workers)
-    return out
+    d = base.dim
+    x0 = np.stack([generator(seed, s, SALT_INIT).standard_normal(d) for s in range(n_paths)])
+    noise = partial(wiener_increment_array, u_grid, d, seed)
+    return _integrate(u_grid, x0, _backward_step(base, u_grid), noise, snapshot_times, chunk, workers)
 
 
 def rescale_to_tilt(state: BackwardState) -> tuple[float, np.ndarray]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO, Mapping, Sequence, Union
 
@@ -24,11 +25,13 @@ from .sde import (
     SALT_INIT,
     SamplePath,
     TimeGrid,
+    _emit,
+    _fmt,
+    _integrate,
     generator,
-    map_chunks,
     wiener_increment_array,
 )
-from .targets import TargetMeasure, TiltedMeasure, _log_normalize, posterior_moments, tilt
+from .targets import TargetMeasure, TiltedMeasure, _log_normalize, posterior_moments, tilt  # noqa: F401
 
 DEFAULT_ESS_FLOOR = 10.0
 
@@ -81,6 +84,20 @@ class ParticleCloud:
         return 1.0 / float(np.sum(self.weights**2))
 
 
+def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, rng=None):
+    """Regularizers, start row and engine step of the tilt SDE on states ``[c, m]``.
+    The regularizer accumulates as ``t += dt``, so identity-control runs match bitwise."""
+    d, dts = base.dim, grid.dts
+    t = np.cumsum(np.concatenate([grid.times[:1], dts]))
+    mean = targets._tilt_means(base, t, budget, rng)
+
+    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        c = x[:, :d] + x[:, d:] * dts[k] + dw
+        return np.hstack([c, mean(k + 1, c)])
+
+    return t, np.hstack([np.zeros((1, d)), mean(0, np.zeros((1, d)))]), step
+
+
 def tilt_sde_run(
     base: TargetMeasure,
     grid: TimeGrid,
@@ -93,29 +110,19 @@ def tilt_sde_run(
     The grid must start at 0 (where c = 0).  The scalar regularizer is
     accumulated as t += dt so that a control-matrix run with identity
     matrices reproduces this one bitwise.  ``budget`` is the per-step
-    importance-sampling budget for generic bases.
+    importance-sampling budget for generic bases.  The run is the n=1 case
+    of ``tilt_sde_ensemble`` on the noise path's increments.
     """
     if not np.array_equal(noise.grid.times, grid.times):
         raise ValueError("noise path must live on the integration grid")
     if grid.times[0] != 0.0:
         raise ValueError("the tilt process starts at time 0")
-    if isinstance(base, targets.GenericPotential) and base.strong_convexity < 0.0:
-        raise ValueError("generic bases need a nonnegative convexity certificate")
-    d = targets.dim_of(base)
+    d = base.dim
     if noise.dim != d:
         raise ValueError("noise dimension does not match the base")
-    dw = noise.increments()
-    t = float(grid.times[0])
-    c = np.zeros(d)
-    m = posterior_moments(tilt(base, c, t), budget, rng=rng).mean
-    states = [SLState(t, c, t, m)]
-    for k in range(grid.steps):
-        dt = float(grid.dts[k])
-        c = c + m * dt + dw[k]
-        t = t + dt
-        m = posterior_moments(tilt(base, c, t), budget, rng=rng).mean
-        states.append(SLState(t, c, t, m))
-    return states
+    t, x0, step = _tilt_step(base, grid, budget, rng)
+    snaps = _integrate(grid, x0, step, noise.increments())
+    return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, snaps.values())]
 
 
 def tilt_sde_ensemble(
@@ -134,28 +141,11 @@ def tilt_sde_ensemble(
     ``(n_paths, d)`` array.  Only closed-form (Gaussian/mixture) bases are
     supported here.
     """
-    d = targets.dim_of(base)
-    wanted = sorted(set(float(s) for s in snapshot_times) | {float(grid.times[-1])})
-    idx = {grid.index_of(s): s for s in wanted}
-    out = {s: np.empty((n_paths, d)) for s in wanted}
-    plan = targets.tilt_plan(base, grid.times[:-1])
-    dts = grid.dts
-
-    def run_chunk(lo: int, hi: int) -> None:
-        dw = np.stack(
-            [wiener_increment_array(grid, d, seed, s) for s in range(lo, hi)]
-        )
-        c = np.zeros((hi - lo, d))
-        if 0 in idx:
-            out[idx[0]][lo:hi] = c
-        for k in range(grid.steps):
-            m = targets.posterior_mean_batch(base, c, plan(k))
-            c = c + m * dts[k] + dw[:, k, :]
-            if k + 1 in idx:
-                out[idx[k + 1]][lo:hi] = c
-
-    map_chunks(run_chunk, n_paths, chunk, workers)
-    return out
+    d = base.dim
+    _, x0, step = _tilt_step(base, grid)
+    noise = partial(wiener_increment_array, grid, d, seed)
+    snaps = _integrate(grid, np.repeat(x0, n_paths, axis=0), step, noise, snapshot_times, chunk, workers)
+    return {s: x[:, :d].copy() for s, x in snaps.items()}
 
 
 def channel_path(
@@ -167,7 +157,7 @@ def channel_path(
     draw uses the stream's dedicated counter block, the observation noise the
     stream's noise block, so the pair is reproducible per (seed, stream).
     """
-    d = targets.dim_of(base)
+    d = base.dim
     x = targets.sample_base(base, 1, generator(seed, stream_id, SALT_INIT))[0]
     states = np.empty((len(grid), d))
     t0 = float(grid.times[0])
@@ -184,7 +174,7 @@ def channel_ensemble(
     base: TargetMeasure, times: Sequence[float], seed: int, n_paths: int
 ) -> dict[float, np.ndarray]:
     """Exact channel marginals ``c_t = t x + B_t`` at the requested times."""
-    d = targets.dim_of(base)
+    d = base.dim
     ts = sorted(float(t) for t in times)
     out = {t: np.empty((n_paths, d)) for t in ts}
     for s in range(n_paths):
@@ -229,7 +219,7 @@ def particle_sl_run(
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
-    d = targets.dim_of(base)
+    d = base.dim
     if noise.dim != d:
         raise ValueError("noise dimension does not match the base")
     init_rng = generator(noise.seed, noise.stream_id, SALT_INIT)
@@ -262,7 +252,7 @@ def particle_ensemble(
     Returns ``(points (R, n, d), log_weights (R, n), log_mass (R,))`` at the
     grid's final time.  Run r uses stream id r, matching ``particle_sl_run``.
     """
-    d = targets.dim_of(base)
+    d = base.dim
     points = np.stack(
         [
             targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT))
@@ -292,9 +282,10 @@ def anisotropic_step(
     """One Euler step of the control-matrix dynamics.
 
     ``dc = C C' m dt + C dW`` and ``dReg = C C' dt``; the state must hold its
-    regularizer as a matrix.  With ``C = I`` every float operation reduces to
-    the isotropic ``tilt_sde_run`` step, so the two runs agree bitwise on a
-    shared noise path.
+    regularizer as a matrix.  Closed-form bases take the mean from a
+    one-point matrix plan of the kernel that ``tilt_sde_run`` steps through,
+    so with ``C = I`` every float operation reduces to the isotropic step and
+    the two runs agree bitwise on a shared noise path.
     """
     if np.ndim(state.reg) != 2:
         raise ValueError("anisotropic stepping requires a matrix regularizer")
@@ -308,7 +299,7 @@ def anisotropic_step(
     cc = control @ control.T
     c_new = state.c + (cc @ state.m) * dt + control @ dw
     reg_new = np.asarray(state.reg) + cc * dt
-    m_new = posterior_moments(tilt(base, c_new, reg_new), budget, rng=rng).mean
+    m_new = targets._tilt_means(base, reg_new[None], budget, rng)(0, c_new[None])[0]
     return SLState(state.t + dt, c_new, reg_new, m_new)
 
 
@@ -316,11 +307,10 @@ def initial_anisotropic_state(
     base: TargetMeasure, budget: int = 0, rng: np.random.Generator | None = None
 ) -> SLState:
     """Starting state (t=0, c=0, zero matrix regularizer) with its cached mean."""
-    d = targets.dim_of(base)
+    d = base.dim
     c = np.zeros(d)
     reg = np.zeros((d, d))
-    m = posterior_moments(tilt(base, c, reg), budget, rng=rng).mean
-    return SLState(0.0, c, reg, m)
+    return SLState(0.0, c, reg, targets._tilt_means(base, reg[None], budget, rng)(0, c[None])[0])
 
 
 def write_particle_json(cloud: ParticleCloud, out) -> None:
@@ -335,14 +325,7 @@ def write_particle_json(cloud: ParticleCloud, out) -> None:
         indent=2,
         sort_keys=True,
     )
-    if hasattr(out, "write"):
-        out.write(payload)
-    else:
-        Path(out).write_text(payload)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    _emit(payload, out)
 
 
 def write_trajectory_csv(
@@ -367,8 +350,4 @@ def write_trajectory_csv(
             row += [_fmt(v) for v in state.c]
             row += [_fmt(v) for v in state.m]
             lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit("\n".join(lines) + "\n", out)

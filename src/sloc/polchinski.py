@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO, Sequence, Union
 
@@ -27,24 +28,17 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import targets
-from .sde import (
-    NonFiniteStateError,
-    SamplePath,
-    TimeGrid,
-    map_chunks,
-    wiener_increment_array,
-)
+from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
 from .targets import (
     GaussianMeasure,
     GaussianMixture,
     GenericPotential,
     TargetMeasure,
     TiltedMeasure,
+    log_partition,
     posterior_moments,
     tilt,
 )
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def fluctuation_measure(base: TargetMeasure, tau: float, v) -> TiltedMeasure:
@@ -54,41 +48,6 @@ def fluctuation_measure(base: TargetMeasure, tau: float, v) -> TiltedMeasure:
         raise ValueError("tau must lie in [0, 1)")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     return tilt(base, v / (1.0 - tau), tau / (1.0 - tau))
-
-
-def _renorm_value_closed(base: TargetMeasure, tau: float, x: np.ndarray) -> float:
-    """Closed-form V_tau for Gaussian and mixture bases (normalized constant)."""
-    if isinstance(base, GaussianMeasure):
-        weights = np.ones(1)
-        means = base.mean[None, :]
-        precisions = base.precision[None, :, :]
-        covs = base.cov[None, :, :]
-    elif isinstance(base, GaussianMixture):
-        weights = base.weights
-        means = base.means
-        precisions = base._precisions
-        covs = base.covs
-    else:
-        raise TypeError("closed-form renormalized potential needs a Gaussian or mixture base")
-    d = x.size
-    one_m = 1.0 - tau
-    eye = np.eye(d)
-    terms = np.empty(weights.size)
-    for j in range(weights.size):
-        a = precisions[j] + (tau / one_m) * eye
-        b = x / one_m + precisions[j] @ means[j]
-        mean_a = np.linalg.solve(a, b)
-        _, logdet_a = np.linalg.slogdet(a)
-        _, logdet_c = np.linalg.slogdet(covs[j])
-        terms[j] = (
-            math.log(weights[j])
-            - 0.5 * d * _LOG_2PI
-            - 0.5 * (d * math.log(one_m) + logdet_c + logdet_a)
-            + 0.5 * float(b @ mean_a)
-            - float(x @ x) / (2.0 * one_m)
-            - 0.5 * float(means[j] @ (precisions[j] @ means[j]))
-        )
-    return -float(logsumexp(terms))
 
 
 def _renorm_value_mc(
@@ -119,37 +78,34 @@ def renorm_potential(
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    fluct = fluctuation_measure(base, tau, x)
     if isinstance(base, (GaussianMeasure, GaussianMixture)):
-        value = _renorm_value_closed(base, tau, x)
+        # E exp(-V_1(x + z)) is the fluctuation measure's partition function
+        # times exp(-|x|^2 / (2 (1 - tau))) / (2 pi (1 - tau))^(d / 2).
+        one_m = 1.0 - tau
+        gauss = 0.5 * (x.size * math.log(2.0 * math.pi * one_m) + float(x @ x) / one_m)
+        value = gauss - log_partition(fluct)
     else:
         if rng is None:
             rng = np.random.Generator(np.random.Philox(key=0x7E90))
         value = _renorm_value_mc(base, tau, x, budget, rng)
-    m = posterior_moments(fluctuation_measure(base, tau, x), budget, rng=rng).mean
+    m = posterior_moments(fluct, budget, rng=rng).mean
     grad = (x - m) / (1.0 - tau)
     return value, grad
 
 
-@dataclass(frozen=True)
-class RenormPotential:
-    """Renormalized potential of a base measure at a fixed flow time."""
+def _flow_step(base: TargetMeasure, tau_grid: TimeGrid, budget: int | None = None, rng=None):
+    """Engine step of the flow SDE; the grid must start at 0 and stay below 1."""
+    if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
+        raise ValueError("the flow grid must start at 0 and stay below 1")
+    taus, dts = tau_grid.times[:-1], tau_grid.dts
+    mean = targets._tilt_means(base, taus / (1.0 - taus), budget, rng)
 
-    base: TargetMeasure
-    tau: float
-    budget: int = 0
+    def step(k: int, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        one_m = 1.0 - float(taus[k])
+        return v + (mean(k, v / one_m) - v) / one_m * dts[k] + dw
 
-    def __post_init__(self):
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must lie in [0, 1)")
-
-    def value_and_grad(self, x, rng: np.random.Generator | None = None):
-        return renorm_potential(self.base, self.tau, x, self.budget, rng)
-
-    def value(self, x, rng: np.random.Generator | None = None) -> float:
-        return self.value_and_grad(x, rng)[0]
-
-    def grad(self, x, rng: np.random.Generator | None = None) -> np.ndarray:
-        return self.value_and_grad(x, rng)[1]
+    return step
 
 
 def polchinski_run(
@@ -163,27 +119,14 @@ def polchinski_run(
 
     The drift magnitude grows like 1/(1 - tau) near the endpoint, so grids
     must be clipped below tau = 1 (the identification tests all run at
-    tau <= 0.5 where clipping is irrelevant).
+    tau <= 0.5 where clipping is irrelevant).  The run is the n=1 case of
+    ``polchinski_ensemble`` on the noise path's increments.
     """
-    if tau_grid.times[0] != 0.0:
-        raise ValueError("the flow starts at tau = 0")
-    if tau_grid.times[-1] >= 1.0:
-        raise ValueError("the flow grid must be clipped below tau = 1")
     if not np.array_equal(noise.grid.times, tau_grid.times):
         raise ValueError("noise path must live on the integration grid")
-    d = targets.dim_of(base)
-    v = np.zeros(d)
-    out = np.empty((len(tau_grid), d))
-    out[0] = v
-    dw = noise.increments()
-    for k in range(tau_grid.steps):
-        tau = float(tau_grid.times[k])
-        m = posterior_moments(fluctuation_measure(base, tau, v), budget, rng=rng).mean
-        v = v + (m - v) / (1.0 - tau) * tau_grid.dts[k] + dw[k]
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteStateError(k + 1, float(tau_grid.times[k + 1]))
-        out[k + 1] = v
-    return SamplePath(tau_grid, out, noise.seed, noise.stream_id)
+    step = _flow_step(base, tau_grid, budget, rng)
+    snaps = _integrate(tau_grid, np.zeros((1, base.dim)), step, noise.increments())
+    return SamplePath(tau_grid, np.concatenate(list(snaps.values())), noise.seed, noise.stream_id)
 
 
 def polchinski_ensemble(
@@ -196,32 +139,9 @@ def polchinski_ensemble(
     workers: int = 1,
 ) -> dict[float, np.ndarray]:
     """Flow states at requested grid times across an ensemble (closed-form bases)."""
-    if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
-        raise ValueError("the flow grid must start at 0 and stay below 1")
-    d = targets.dim_of(base)
-    wanted = sorted(set(float(s) for s in snapshot_times) | {float(tau_grid.times[-1])})
-    idx = {tau_grid.index_of(s): s for s in wanted}
-    out = {s: np.empty((n_paths, d)) for s in wanted}
-    taus = tau_grid.times[:-1]
-    plan = targets.tilt_plan(base, taus / (1.0 - taus))
-    dts = tau_grid.dts
-
-    def run_chunk(lo: int, hi: int) -> None:
-        dw = np.stack(
-            [wiener_increment_array(tau_grid, d, seed, s) for s in range(lo, hi)]
-        )
-        v = np.zeros((hi - lo, d))
-        if 0 in idx:
-            out[idx[0]][lo:hi] = v
-        for k in range(tau_grid.steps):
-            one_m = 1.0 - float(taus[k])
-            m = targets.posterior_mean_batch(base, v / one_m, plan(k))
-            v = v + (m - v) / one_m * dts[k] + dw[:, k, :]
-            if k + 1 in idx:
-                out[idx[k + 1]][lo:hi] = v
-
-    map_chunks(run_chunk, n_paths, chunk, workers)
-    return out
+    step = _flow_step(base, tau_grid)
+    noise = partial(wiener_increment_array, tau_grid, base.dim, seed)
+    return _integrate(tau_grid, np.zeros((n_paths, base.dim)), step, noise, snapshot_times, chunk, workers)
 
 
 @dataclass(frozen=True)
@@ -269,10 +189,6 @@ def stability_factor(alpha: float, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_schedule_csv(
     schedule: LsiSchedule, taus: Sequence[float], out: Union[str, Path, IO[str]]
 ) -> None:
@@ -291,8 +207,4 @@ def write_schedule_csv(
                 )
             )
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit("\n".join(lines) + "\n", out)

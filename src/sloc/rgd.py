@@ -20,6 +20,7 @@ import numpy as np
 
 from . import targets
 from .diagnostics import gaussian_kl
+from .sde import _emit, _fmt
 from .targets import (
     GaussianMeasure,
     GaussianMixture,
@@ -297,10 +298,6 @@ def heat_flow_contraction_mc(
     return kl1 / kl0, kl1_se / kl0
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_chain_csv(
     trace: np.ndarray, out: Union[str, Path, IO[str]], kls: Sequence[float] | None = None
 ) -> None:
@@ -316,8 +313,4 @@ def write_chain_csv(
         if kls is not None:
             cells.append(_fmt(kls[i]))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit("\n".join(lines) + "\n", out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Union
+from typing import IO, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -66,16 +66,18 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
+        t = np.atleast_1d(np.array(self.times, dtype=float))
         if t.size < 1 or not np.all(np.isfinite(t)):
             raise ValueError("grid needs at least one finite time")
         if t[0] < 0.0:
             raise ValueError("grid times must be nonnegative")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        dts = np.diff(t)
+        if not np.all(dts > 0.0):
             raise ValueError("grid times must be strictly increasing")
-        t = t.copy()
         t.setflags(write=False)
+        dts.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "_dts", dts)
 
     @classmethod
     def uniform(cls, start: float, stop: float, steps: int) -> "TimeGrid":
@@ -93,7 +95,8 @@ class TimeGrid:
 
     @property
     def dts(self) -> np.ndarray:
-        return np.diff(self.times)
+        """Step sizes ``times[k + 1] - times[k]``, computed once, read-only."""
+        return self._dts
 
     @property
     def steps(self) -> int:
@@ -189,17 +192,15 @@ def euler_maruyama(spec: DriftDiffusionSpec, grid: TimeGrid, noise: SamplePath) 
     """
     if not np.array_equal(noise.grid.times, grid.times):
         raise ValueError("noise path must live on the integration grid")
-    d = noise.dim
-    x = draw_initial(spec.initial, noise.seed, noise.stream_id)
-    if x.size != d:
+    x0 = draw_initial(spec.initial, noise.seed, noise.stream_id)
+    if x0.size != noise.dim:
         raise ValueError("initial condition dimension does not match the noise")
-    dw = noise.increments()
-    out = np.empty((len(grid), d))
-    out[0] = x
     checked_scale = False
-    for k in range(grid.steps):
+
+    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        nonlocal checked_scale
         t = grid.times[k]
-        drift = np.asarray(spec.drift(x, t), dtype=float)
+        drift = np.asarray(spec.drift(x[0], t), dtype=float)
         scale = spec.diffusion_scale(t)
         if np.ndim(scale) == 2:
             scale = np.asarray(scale, dtype=float)
@@ -208,14 +209,55 @@ def euler_maruyama(spec: DriftDiffusionSpec, grid: TimeGrid, noise: SamplePath) 
                 if np.abs(scale - scale.T).max() > 1e-10 or eigs.min() < -1e-12:
                     raise ValueError("matrix diffusion scale must be symmetric PSD")
                 checked_scale = True
-            kick = scale @ dw[k]
-        else:
-            kick = float(scale) * dw[k]
-        x = x + drift * grid.dts[k] + kick
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(k + 1, float(grid.times[k + 1]))
-        out[k + 1] = x
-    return SamplePath(grid, out, noise.seed, noise.stream_id)
+            return x + drift * grid.dts[k] + scale @ dw[0]
+        return x + drift * grid.dts[k] + float(scale) * dw[0]
+
+    states = _integrate(grid, x0[None], step, noise.increments())
+    return SamplePath(grid, np.concatenate(list(states.values())), noise.seed, noise.stream_id)
+
+
+def _integrate(
+    grid: TimeGrid,
+    x0: np.ndarray,
+    step: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    noise: Union[np.ndarray, Callable[[int], np.ndarray]],
+    snapshot_times: Sequence[float] | None = None,
+    chunk: int = 4096,
+    workers: int = 1,
+) -> dict[float, np.ndarray]:
+    """The Euler stepping engine behind every path process.
+
+    Row ``s`` of ``x0 (n, w)`` starts path ``s``; ``step(k, x, dw)`` advances
+    rows ``x`` over grid interval ``k`` on their increments ``dw (rows, d)``.
+    ``noise`` is one path's increments ``(steps, d)`` (then ``n = 1``) or a map
+    from stream id to increments, drawn per chunk of ``map_chunks``.  Returns
+    the states at ``snapshot_times`` and the grid's end, keyed by requested
+    time, or at every grid point, keyed by grid time, when that is None.  A
+    kept state that is not finite raises ``NonFiniteStateError``; a non-finite
+    state stays so under every drift here, so keeping every point finds the
+    exact step.
+    """
+    if snapshot_times is None:
+        wanted = {float(t): k for k, t in enumerate(grid.times)}
+    else:
+        times = sorted(set(float(s) for s in snapshot_times) | {float(grid.times[-1])})
+        wanted = {s: grid.index_of(s) for s in times}
+    keep = {k: np.empty(x0.shape) for k in wanted.values()}
+
+    def run_chunk(lo: int, hi: int) -> None:
+        dw = noise[None] if isinstance(noise, np.ndarray) else np.stack([noise(s) for s in range(lo, hi)])
+        x = x0[lo:hi]
+        if 0 in keep:
+            keep[0][lo:hi] = x
+        for k in range(grid.steps):
+            x = step(k, x, dw[:, k])
+            if k + 1 in keep:
+                if not np.isfinite(x).all():
+                    raise NonFiniteStateError(k + 1, float(grid.times[k + 1]))
+                keep[k + 1][lo:hi] = x
+
+    map_chunks(run_chunk, x0.shape[0], chunk, workers)
+    return {s: keep[k] for s, k in wanted.items()}
 
 
 @dataclass(frozen=True)
@@ -285,7 +327,16 @@ def time_change_grid(grid: TimeGrid, tmap: TimeChangeMap, direction: str = "forw
 
 
 def _fmt(x: float) -> str:
+    """Seventeen significant digits, which round-trip a double; shared by every writer."""
     return format(float(x), ".17g")
+
+
+def _emit(text: str, out: Union[str, Path, IO[str]]) -> None:
+    """Write ``text`` to a stream, or to a file at a path."""
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        Path(out).write_text(text)
 
 
 def write_paths_csv(paths: Iterable[SamplePath], out: Union[str, Path, IO[str]]) -> None:
@@ -301,8 +352,4 @@ def write_paths_csv(paths: Iterable[SamplePath], out: Union[str, Path, IO[str]])
             lines.append(
                 ",".join([str(path.stream_id), _fmt(t)] + [_fmt(v) for v in row])
             )
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit("\n".join(lines) + "\n", out)

@@ -272,10 +272,6 @@ class GenericPotential:
 TargetMeasure = Union[GaussianMeasure, GaussianMixture, GenericPotential]
 
 
-def dim_of(base: TargetMeasure) -> int:
-    return base.dim
-
-
 def base_log_density(base: TargetMeasure, x) -> np.ndarray:
     """Log-density of the base measure.
 
@@ -328,7 +324,7 @@ class TiltedMeasure:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        d = dim_of(self.base)
+        d = self.base.dim
         if c.shape != (d,):
             raise ValueError(f"tilt vector shape {c.shape} does not match dimension {d}")
         object.__setattr__(self, "c", _readonly(c))
@@ -349,7 +345,7 @@ class TiltedMeasure:
 
     @property
     def dim(self) -> int:
-        return dim_of(self.base)
+        return self.base.dim
 
     @property
     def reg_is_scalar(self) -> bool:
@@ -617,16 +613,17 @@ def _log_normalize(log_w: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.nd
 
 
 class TiltStep(NamedTuple):
-    """Path-independent posterior algebra at one scalar regularizer ``reg``.
+    """Path-independent posterior algebra at one regularizer ``reg``, a scalar
+    ``t`` (meaning ``t I``) or a PSD matrix ``R``.
 
     For mixture component j (a Gaussian base is one component) with
     precision P, mean mu, covariance S and weight w: ``inv[j]`` is
-    ``(P + reg I)^-1``, ``offset[j]`` is ``(P + reg I)^-1 P mu``, ``shift[j]``
-    is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + reg S) / 2``,
+    ``(P + R)^-1``, ``offset[j]`` is ``(P + R)^-1 P mu``, ``shift[j]``
+    is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + R S) / 2``,
     each with a trailing unit axis that broadcasts over a batch laid out as (d, n).
     """
 
-    reg: float
+    reg: Union[float, np.ndarray]
     inv: np.ndarray
     offset: np.ndarray
     shift: np.ndarray
@@ -654,26 +651,38 @@ class TiltStep(NamedTuple):
 
 def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
     """Everything the batched tilt kernel needs that does not depend on the
-    tilt vectors, for ``base`` at each scalar regularizer in ``regs`` (capped
-    at ``REG_CAP`` as ``tilt`` caps it), as a map from the index into ``regs``
-    to that point's ``TiltStep``.  Gaussian and mixture bases only."""
+    tilt vectors, for ``base`` at each regularizer in ``regs``, as a map from
+    the index into ``regs`` to that point's ``TiltStep``.  ``regs`` holds
+    scalars (capped at ``REG_CAP`` as ``tilt`` caps them) or ``(d, d)``
+    symmetric PSD matrices.  Gaussian and mixture bases only."""
     if isinstance(base, GaussianMeasure):
         log_w, mu, cov, prec = np.zeros(1), base.mean[None], base.cov[None], base.precision[None]
     elif isinstance(base, GaussianMixture):
         log_w, mu, cov, prec = np.log(base.weights), base.means, base.covs, base._precisions
     else:
         raise TypeError("the batched tilt kernel needs a Gaussian or mixture base")
-    t = np.atleast_1d(np.asarray(regs, dtype=float))
-    if t.ndim != 1 or not np.isfinite(t).all() or (t < 0.0).any():
-        raise ValueError("scalar regularizers must be finite and nonnegative")
-    t = np.minimum(t, REG_CAP)[:, None, None, None]
-    eye = np.eye(mu.shape[1])
-    inv = np.linalg.inv(prec + t * eye)[..., None]
+    d = mu.shape[1]
+    eye = np.eye(d)
+    t = np.asarray(regs, dtype=float)
+    if t.ndim == 3:
+        if t.shape[1:] != (d, d):
+            raise ValueError(f"matrix regularizer shape {t.shape[1:]} does not match dimension {d}")
+        for r in t:
+            _check_spd(r, "regularizer", semidefinite=True)
+        reg = t
+    else:
+        t = np.atleast_1d(t)
+        if t.ndim != 1 or not np.isfinite(t).all() or (t < 0.0).any():
+            raise ValueError("scalar regularizers must be finite and nonnegative")
+        t = np.minimum(t, REG_CAP)
+        reg = t[:, None, None] * eye
+    reg = reg[:, None]
+    inv = np.linalg.inv(prec + reg)[..., None]
     shift = np.einsum("jab,jb->ja", prec, mu)
     offset = np.einsum("kjabx,jb->kjax", inv, shift)
-    const = log_w - 0.5 * np.einsum("ja,ja->j", mu, shift) - 0.5 * np.linalg.slogdet(eye + t * cov)[1]
-    t, shift, const = t.ravel(), shift[..., None], const[..., None]
-    return lambda k: TiltStep(float(t[k]), inv[k], offset[k], shift, const[k])
+    const = log_w - 0.5 * np.einsum("ja,ja->j", mu, shift) - 0.5 * np.linalg.slogdet(eye + reg @ cov)[1]
+    shift, const = shift[..., None], const[..., None]
+    return lambda k: TiltStep(t[k], inv[k], offset[k], shift, const[k])
 
 
 def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, t: float | TiltStep) -> np.ndarray:
@@ -687,6 +696,18 @@ def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, t: float | Tilt
     if w is None:
         return means[0].T
     return np.add.reduce(w[:, None, :] * means, axis=0).T
+
+
+def _tilt_means(base: TargetMeasure, regs, budget: int | None = None, rng: np.random.Generator | None = None):
+    """``(k, tilts) ->`` posterior means of ``tilt(base, c_i, regs[k])`` over rows
+    ``c_i``: one ``tilt_plan`` for closed-form bases; given a ``budget``, a generic
+    base goes row by row through ``posterior_moments`` with that budget and ``rng``."""
+    if budget is None or not isinstance(base, GenericPotential):
+        plan = tilt_plan(base, regs)
+        return lambda k, tilts: posterior_mean_batch(base, tilts, plan(k))
+    return lambda k, tilts: np.stack(
+        [posterior_moments(tilt(base, c, regs[k]), budget, rng=rng).mean for c in tilts]
+    )
 
 
 def sample_tilted_batch(

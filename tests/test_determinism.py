@@ -3,16 +3,17 @@
 Every ensemble path is a pure function of ``(seed, stream id)``: neither the
 chunk size nor the worker count may change a single bit, for a one-dimensional
 Gaussian base or for a three-dimensional mixture with unequal covariances.
-A single-path particle run is a row of the particle ensemble.
+A single-path run is a row of its ensemble, and both fail on a non-finite state.
 """
 import numpy as np
 import pytest
 
+from sloc import bridge, diffusion, localize, polchinski, sde
 from sloc.bridge import FollmerDrift, girsanov_energy
-from sloc.diffusion import backward_sde_ensemble
-from sloc.localize import particle_ensemble, particle_sl_run, tilt_sde_ensemble
-from sloc.polchinski import polchinski_ensemble
-from sloc.sde import TimeGrid, wiener_increments
+from sloc.diffusion import backward_sde_ensemble, backward_sde_run
+from sloc.localize import particle_ensemble, particle_sl_run, tilt_sde_ensemble, tilt_sde_run
+from sloc.polchinski import polchinski_ensemble, polchinski_run
+from sloc.sde import NonFiniteStateError, TimeGrid, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture
 
 N_PATHS = 64
@@ -68,3 +69,90 @@ def test_particle_run_is_a_row_of_the_ensemble(name):
         assert np.array_equal(cloud.points, points[r])
         assert np.abs(cloud.log_weights - log_w[r]).max() <= 1e-12 * (1.0 + np.abs(log_w[r]).max())
         assert abs(cloud.log_mass - log_mass[r]) <= 1e-12 * (1.0 + abs(log_mass[r]))
+
+
+SINGLE_GRIDS = {
+    # After the jump from 0.2 to 0.9 the accumulated regularizer t += dt is an
+    # ulp off the grid times, so both runs must accumulate it the same way.
+    "tilt": (TimeGrid(np.concatenate([[0.0, 0.2], np.linspace(0.9, 3.0, 8)])), (0.9, 3.0)),
+    "backward": (TimeGrid.geometric(1e-3, 1.0, 60).including(0.5), (0.5, 1.0)),
+    "flow": (TimeGrid.uniform(0.0, 0.5, 60), (0.25, 0.5)),
+}
+
+
+def single_run(name, base, grid, noise) -> np.ndarray:
+    """All states of one single-path run, shape (len(grid), d)."""
+    if name == "tilt":
+        return np.array([state.c for state in tilt_sde_run(base, grid, noise)])
+    if name == "backward":
+        return np.array([state.x for state in backward_sde_run(base, grid, noise)])
+    return polchinski_run(base, grid, noise).states
+
+
+def ensemble_run(name, base, grid, seed, n_paths, snapshot_times) -> dict:
+    driver = {"tilt": tilt_sde_ensemble, "backward": backward_sde_ensemble, "flow": polchinski_ensemble}[name]
+    return driver(base, grid, seed, n_paths, snapshot_times)
+
+
+def patch_noise(monkeypatch, transform) -> None:
+    """Route every module's Wiener increments through ``transform(dw, stream_id)``."""
+    original = sde.wiener_increment_array
+
+    def patched(grid, d, seed, stream_id):
+        return transform(original(grid, d, seed, stream_id), stream_id)
+
+    for module in (sde, localize, diffusion, polchinski, bridge):
+        monkeypatch.setattr(module, "wiener_increment_array", patched)
+
+
+@pytest.mark.parametrize("base_name", sorted(BASES))
+@pytest.mark.parametrize("name", sorted(SINGLE_GRIDS))
+def test_single_path_run_is_bitwise_an_ensemble_row(monkeypatch, name, base_name):
+    # Dyadic increments survive the cumsum/diff round trip of a SamplePath
+    # exactly, so the single run sees the ensemble's increments bit for bit.
+    patch_noise(monkeypatch, lambda dw, s: np.round(dw * 2.0**10) / 2.0**10)
+    base = BASES[base_name]
+    grid, times = SINGLE_GRIDS[name]
+    snaps = ensemble_run(name, base, grid, 31, 4, times)
+    for s in range(4):
+        states = single_run(name, base, grid, wiener_increments(grid, base.dim, 31, s))
+        for t in times:
+            assert np.array_equal(states[grid.index_of(t)], snaps[t][s]), (t, s)
+
+
+BAD_STREAM, BAD_STEP = 2, 5
+
+
+def inf_in_one_stream(dw, stream_id):
+    if stream_id == BAD_STREAM:
+        dw = dw.copy()
+        dw[BAD_STEP, 0] = np.inf
+    return dw
+
+
+@pytest.mark.parametrize("base_name", sorted(BASES))
+@pytest.mark.parametrize("name", sorted(SINGLE_GRIDS))
+def test_non_finite_state_raises(monkeypatch, name, base_name):
+    patch_noise(monkeypatch, inf_in_one_stream)
+    base, grid = BASES[base_name], SINGLE_GRIDS[name][0]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteStateError):
+            ensemble_run(name, base, grid, 32, 4, ())
+        with pytest.raises(NonFiniteStateError) as err:
+            single_run(name, base, grid, wiener_increments(grid, base.dim, 32, BAD_STREAM))
+    assert err.value.step == BAD_STEP + 1
+    assert err.value.t == grid.times[BAD_STEP + 1]
+
+
+@pytest.mark.parametrize("base_name", sorted(BASES))
+def test_non_finite_energy_raises(monkeypatch, base_name):
+    patch_noise(monkeypatch, inf_in_one_stream)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+        girsanov_energy(FollmerDrift(BASES[base_name]), TimeGrid.uniform(0.0, 0.9, 60), 4, 33)
+
+
+def test_snapshot_times_on_one_grid_point_share_its_state():
+    grid = TimeGrid.uniform(0.0, 1.0, 10)
+    snaps = tilt_sde_ensemble(BASES["std-normal"], grid, 34, 3, (0.5, 0.5 + 1e-13))
+    assert np.array_equal(snaps[0.5], snaps[0.5 + 1e-13])
+    assert np.all(snaps[0.5] != 0.0)

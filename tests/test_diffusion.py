@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sloc import diffusion, localize, targets
+from sloc import localize, targets
 from sloc.diagnostics import ks_two_sample
 from sloc.diffusion import (
     BackwardState,
@@ -15,7 +15,7 @@ from sloc.diffusion import (
     tweedie_score,
 )
 from sloc.sde import OU_TO_BACKWARD, TimeGrid, wiener_increments
-from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential, tilt
+from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
 
 from oracles import gaussian_pdf, grid_1d, mixture_pdf
 
@@ -145,12 +145,13 @@ class TestExactBackwardTilt:
 
     def test_single_path(self, monkeypatch):
         seen = []
+        original = targets.posterior_mean_batch
 
-        def spy(base, c, reg):
-            seen.append((np.array(c, dtype=float), reg))
-            return tilt(base, c, reg)
+        def spy(base, tilts, t):
+            seen.append((np.array(tilts), t.reg))
+            return original(base, tilts, t)
 
-        monkeypatch.setattr(diffusion, "tilt", spy)
+        monkeypatch.setattr(targets, "posterior_mean_batch", spy)
         grid = TimeGrid([self.U, 2.0 * self.U])
         states = backward_sde_run(std_normal(), grid, wiener_increments(grid, 1, 9, 0))
         c, reg = seen[0]

@@ -8,7 +8,6 @@ from sloc import localize, polchinski, targets
 from sloc.diagnostics import entropy_plugin, ks_two_sample
 from sloc.polchinski import (
     LsiSchedule,
-    RenormPotential,
     fluctuation_measure,
     lsi_schedule,
     polchinski_ensemble,
@@ -104,7 +103,7 @@ class TestRenormPotential:
         with pytest.raises(ValueError):
             renorm_potential(std_normal(), 1.0, [0.0])
         with pytest.raises(ValueError):
-            RenormPotential(std_normal(), 1.2)
+            renorm_potential(std_normal(), 1.2, [0.0])
 
 
 class TestFluctuationMeasure:

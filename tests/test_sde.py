@@ -40,6 +40,12 @@ class TestTimeGrid:
         assert len(grid) == 5
         assert np.allclose(grid.dts, 0.25)
 
+    def test_dts_is_one_read_only_array(self):
+        grid = TimeGrid.geometric(1e-3, 1.0, 1000)
+        assert grid.dts is grid.dts
+        assert not grid.dts.flags.writeable
+        assert np.array_equal(grid.dts, np.diff(grid.times))
+
     def test_including_inserts_snapshot(self):
         grid = TimeGrid.geometric(1e-3, 1.0, 50).including(0.5)
         assert grid.index_of(0.5) >= 0
