@@ -1,8 +1,9 @@
 """Static endpoint bridges on finite supports and the drift-based sampler.
 
 The static problem picks, among couplings of two discrete marginals, the one
-closest in KL to a reference endpoint matrix; Sinkhorn scaling solves it in
-log-domain.  With a quadratic-cost reference built from the heat kernel, the
+closest in KL to a reference endpoint matrix; Sinkhorn scaling solves it,
+with large log-potentials absorbed into the kernel to keep the scalings in
+range.  With a quadratic-cost reference built from the heat kernel, the
 entropic-transport objective differs from the KL objective only by a constant
 depending on the marginals.  The continuous sampler from a point mass to the
 base shares its drift with the renormalization flow: the optimal drift is
@@ -19,12 +20,17 @@ from pathlib import Path
 from typing import IO, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import targets
-from .polchinski import polchinski_ensemble, polchinski_run, renorm_potential
+from .polchinski import (  # noqa: F401
+    _MC_KEY, fluctuation_measure, polchinski_ensemble, polchinski_run, renorm_potential,
+)
 from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
-from .targets import TargetMeasure
+from .targets import TargetMeasure, posterior_moments
+
+#: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
+#: ``[1 / _ABSORB, _ABSORB]``.
+_ABSORB = 1e30
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,15 @@ class DiscreteMeasure:
 
 
 def squared_distances(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarray:
-    diff = mu.points[:, None, :] - pi.points[None, :, :]
-    return np.sum(diff**2, axis=2)
+    """``|x_i - y_j|^2`` for every pair of atoms, summed one coordinate at a time."""
+    if mu.dim != pi.dim:
+        raise ValueError("the supports must have the same dimension")
+    x, y = mu.points, pi.points
+    out = np.square(np.subtract.outer(x[:, 0], y[:, 0]))
+    for k in range(1, mu.dim):
+        diff = np.subtract.outer(x[:, k], y[:, k])
+        out += np.square(diff, out=diff)
+    return out
 
 
 def heat_kernel_reference(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarray:
@@ -73,9 +86,9 @@ def heat_kernel_reference(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarra
     Gaussian heat kernel ``k = exp(-0.5 |x - y|^2)``, i.e. rows are heat-kernel
     transitions out of the atoms of ``mu``.
     """
-    logk = -0.5 * squared_distances(mu, pi)
-    logrow = logk - logsumexp(logk, axis=1, keepdims=True)
-    return mu.weights[:, None] * np.exp(logrow)
+    _, rows = targets._log_normalize(-0.5 * squared_distances(mu, pi), axis=1)
+    rows *= mu.weights[:, None]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -120,10 +133,21 @@ def sinkhorn(
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> SinkhornResult:
-    """Alternate log-domain scaling until the marginal residual drops below tol.
+    """Alternate scalings until the marginal residual drops below tol.
+
+    Stabilized scaling (Schmitzer, arXiv:1610.06519): the kernel
+    ``K = R exp(alpha + beta')`` carries absorbed log-potentials and each
+    iteration sets ``u = a / (K v)`` and ``v = b / (K' u)``, two matrix-vector
+    products.  When an entry of ``u`` or ``v`` leaves ``[1 / _ABSORB,
+    _ABSORB]``, their logs are folded into ``alpha`` and ``beta`` and ``K`` is
+    rebuilt, so the scalings stay in floating-point range.  The coupling is
+    ``u K v'`` and ``f, g = exp(alpha) u, exp(beta) v``.
 
     The residual is the larger of the L1 row and column marginal violations.
-    Non-convergence within ``max_iter`` is flagged, not raised.
+    Each iteration reads it off its products (column sums ``v K'u``, row sums
+    ``u K v`` from the product the next iteration starts with); the returned
+    ``residual``, and the trace's last entry, are recomputed from the returned
+    coupling.  Non-convergence within ``max_iter`` is flagged, not raised.
     """
     r = np.asarray(ref_kernel, dtype=float)
     if r.shape != (mu.n, pi.n):
@@ -132,31 +156,41 @@ def sinkhorn(
         raise ValueError("reference kernel must have strictly positive entries")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    log_r = np.log(r)
-    log_a = np.log(mu.weights)
-    log_b = np.log(pi.weights)
-    log_f = np.zeros(mu.n)
-    log_g = np.zeros(pi.n)
+    a, b = mu.weights, pi.weights
+    alpha, beta = np.zeros(mu.n), np.zeros(pi.n)
+    kernel = r
+    u, v = np.ones(mu.n), np.ones(pi.n)
+    kv = kernel @ v
     trace = []
     iterations = 0
-    residual = math.inf
     for iterations in range(1, max_iter + 1):
-        log_f = log_a - logsumexp(log_r + log_g[None, :], axis=1)
-        log_g = log_b - logsumexp(log_r + log_f[:, None], axis=0)
-        log_gamma = log_r + log_f[:, None] + log_g[None, :]
-        gamma = np.exp(log_gamma)
-        row = float(np.abs(gamma.sum(axis=1) - mu.weights).sum())
-        col = float(np.abs(gamma.sum(axis=0) - pi.weights).sum())
-        residual = max(row, col)
+        u = a / kv
+        ktu = u @ kernel
+        v = b / ktu
+        kv = kernel @ v
+        residual = max(float(np.abs(u * kv - a).sum()), float(np.abs(v * ktu - b).sum()))
         trace.append(residual)
         if residual <= tol:
             break
-    coupling = DiscreteCoupling(np.exp(log_r + log_f[:, None] + log_g[None, :]),
-                                mu.weights, pi.weights)
+        if _out_of_range(u) or _out_of_range(v):
+            alpha += np.log(u)
+            beta += np.log(v)
+            kernel = np.log(r)
+            kernel += alpha[:, None]
+            kernel += beta
+            np.exp(kernel, out=kernel)
+            u, v = np.ones(mu.n), np.ones(pi.n)
+            kv = kernel @ v
+    gamma = kernel * u[:, None]
+    gamma *= v
+    coupling = DiscreteCoupling(gamma, a, b)
+    residual = coupling.marginal_residual()
+    if trace:
+        trace[-1] = residual
     return SinkhornResult(
         coupling=coupling,
-        f=np.exp(log_f),
-        g=np.exp(log_g),
+        f=np.exp(alpha) * u,
+        g=np.exp(beta) * v,
         iterations=iterations,
         residual=residual,
         converged=residual <= tol,
@@ -164,14 +198,18 @@ def sinkhorn(
     )
 
 
+def _out_of_range(scaling: np.ndarray) -> bool:
+    return scaling.max() > _ABSORB or scaling.min() * _ABSORB < 1.0
+
+
 def _kl_terms(gamma: np.ndarray, ref: np.ndarray) -> float:
     """sum gamma * log(gamma / ref) with 0 log 0 = 0; +inf where gamma > 0, ref = 0."""
-    out = 0.0
     pos = gamma > 0.0
     if np.any(pos & (ref <= 0.0)):
         return math.inf
-    out = float(np.sum(gamma[pos] * (np.log(gamma[pos]) - np.log(ref[pos]))))
-    return out
+    if not pos.all():
+        gamma, ref = gamma[pos], ref[pos]
+    return float(np.sum(gamma * (np.log(gamma) - np.log(ref))))
 
 
 def objective_pair(
@@ -218,16 +256,21 @@ def schrodinger_residual(
 class FollmerDrift:
     """Optimal drift from a point mass to the base under a Wiener reference.
 
-    Equal to minus the renormalized-potential gradient; the sampler below
-    shares this drift with the flow SDE rather than reimplementing it.
+    Equal to minus the renormalized-potential gradient, ``(m_tau - v) / (1 - tau)``
+    with ``m_tau`` the fluctuation-measure mean; only that mean is computed.
+    The sampler below shares this drift with the flow SDE rather than
+    reimplementing it.
     """
 
     base: TargetMeasure
     budget: int = 0
 
     def __call__(self, v, tau: float, rng: np.random.Generator | None = None) -> np.ndarray:
-        _, grad = renorm_potential(self.base, tau, v, self.budget, rng)
-        return -grad
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        if rng is None:
+            rng = np.random.Generator(np.random.Philox(key=_MC_KEY))
+        m = posterior_moments(fluctuation_measure(self.base, tau, v), self.budget, rng=rng).mean
+        return (m - v) / (1.0 - tau)
 
 
 def follmer_sample(

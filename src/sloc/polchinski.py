@@ -40,6 +40,10 @@ from .targets import (
     tilt,
 )
 
+#: Key of the generator a generic base's Monte Carlo estimates use when the
+#: caller passes none.
+_MC_KEY = 0x7E90
+
 
 def fluctuation_measure(base: TargetMeasure, tau: float, v) -> TiltedMeasure:
     """The measure seen from flow state ``v`` at time ``tau``:
@@ -87,7 +91,7 @@ def renorm_potential(
         value = gauss - log_partition(fluct)
     else:
         if rng is None:
-            rng = np.random.Generator(np.random.Philox(key=0x7E90))
+            rng = np.random.Generator(np.random.Philox(key=_MC_KEY))
         value = _renorm_value_mc(base, tau, x, budget, rng)
     m = posterior_moments(fluct, budget, rng=rng).mean
     grad = (x - m) / (1.0 - tau)

@@ -6,7 +6,10 @@ posterior/partition machinery.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import logsumexp
 
 
 def grid_1d(half_width: float = 12.0, n: int = 40001) -> np.ndarray:
@@ -69,3 +72,29 @@ def quad_moments_2d(unnormalized, xg: np.ndarray, yg: np.ndarray):
         ]
     )
     return m, cov
+
+
+def log_domain_sinkhorn(a, b, ref_kernel, tol: float, max_iter: int = 100_000, dtype=np.float64):
+    """Sinkhorn scaling in log domain, every iteration forming the coupling.
+
+    Returns ``(f, g, gamma, iterations, residual)`` with ``gamma = R f g'``
+    and the residual the larger L1 marginal violation of ``gamma``.  With
+    ``dtype=np.longdouble`` it runs in extended precision where the platform
+    has it.
+    """
+    a, b = np.asarray(a, dtype), np.asarray(b, dtype)
+    log_r = np.log(np.asarray(ref_kernel, dtype))
+    log_a, log_b = np.log(a), np.log(b)
+    log_f, log_g = np.zeros(len(a), dtype), np.zeros(len(b), dtype)
+    iterations, residual = 0, math.inf
+    for iterations in range(1, max_iter + 1):
+        log_f = log_a - logsumexp(log_r + log_g[None, :], axis=1)
+        log_g = log_b - logsumexp(log_r + log_f[:, None], axis=0)
+        gamma = np.exp(log_r + log_f[:, None] + log_g[None, :])
+        row = float(np.abs(gamma.sum(axis=1) - a).sum())
+        col = float(np.abs(gamma.sum(axis=0) - b).sum())
+        residual = max(row, col)
+        if residual <= tol:
+            break
+    gamma = np.exp(log_r + log_f[:, None] + log_g[None, :])
+    return np.exp(log_f), np.exp(log_g), gamma, iterations, residual

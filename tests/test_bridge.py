@@ -25,7 +25,17 @@ from sloc.diagnostics import ks_two_sample, moment_check
 from sloc.sde import TimeGrid, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture
 
-from oracles import grid_1d, mixture_pdf, quad_raw_moments_1d
+from oracles import grid_1d, log_domain_sinkhorn, mixture_pdf, quad_raw_moments_1d
+
+
+def solve(mu, pi, ref, **kwargs):
+    """``sinkhorn`` with the checks every result must pass: its residual is
+    the one recomputed from its coupling, and it converged exactly when that
+    residual is within tol."""
+    res = sinkhorn(mu, pi, ref, **kwargs)
+    assert res.residual == res.coupling.marginal_residual()
+    assert res.converged == (res.residual <= kwargs.get("tol", 1e-10))
+    return res
 
 
 def uniform_two_points():
@@ -46,6 +56,18 @@ def random_instance(rng, n, m, d=2):
     return mu, pi
 
 
+def lattice_support(rng, n, half, offset):
+    """A randomly shifted Fibonacci lattice in a box, with smooth weights."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    i = np.arange(n)
+    unit = (np.stack([(i + 0.5) / n, (i * golden) % 1.0], axis=1) + rng.random(2)) % 1.0
+    pts = half * (2.0 * unit - 1.0) + offset
+    w = 1.0 + 0.5 * np.cos(pts[:, 0] + 0.5 * pts[:, 1])
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    return DiscreteMeasure(pts, w)
+
+
 class TestDiscreteMeasure:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -61,13 +83,27 @@ class TestDiscreteMeasure:
         ref = heat_kernel_reference(mu, pi)
         assert np.abs(ref.sum(axis=1) - mu.weights).max() <= 1e-14
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_squared_distances_bitwise_equal_broadcast_form(self, d):
+        rng = np.random.default_rng(30 + d)
+        mu, pi = random_instance(rng, 17, 23, d=d)
+        broadcast = np.sum((mu.points[:, None, :] - pi.points[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(squared_distances(mu, pi), broadcast)
+
+    def test_squared_distances_rejects_mixed_dimensions(self):
+        rng = np.random.default_rng(33)
+        mu, _ = random_instance(rng, 3, 4, d=1)
+        _, pi = random_instance(rng, 3, 4, d=2)
+        with pytest.raises(ValueError, match="dimension"):
+            squared_distances(mu, pi)
+
 
 class TestSinkhorn:
     def test_single_atom_converges_immediately(self):
         mu = DiscreteMeasure(np.array([[0.0]]), np.array([1.0]))
         pi = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.array([0.2, 0.5, 0.3]))
         ref = heat_kernel_reference(mu, pi)
-        res = sinkhorn(mu, pi, ref, tol=1e-12)
+        res = solve(mu, pi, ref, tol=1e-12)
         assert res.iterations <= 2
         assert np.abs(res.coupling.gamma - np.outer(mu.weights, pi.weights)).max() <= 1e-12
 
@@ -75,7 +111,7 @@ class TestSinkhorn:
         rng = np.random.default_rng(1)
         mu, pi = random_instance(rng, 3, 5)
         ref = np.outer(mu.weights, pi.weights)
-        res = sinkhorn(mu, pi, ref, tol=1e-12)
+        res = solve(mu, pi, ref, tol=1e-12)
         ssb, _ = objective_pair(res.coupling, mu, pi, ref)
         assert abs(ssb) <= 1e-12
         assert np.abs(res.coupling.gamma - ref).max() <= 1e-12
@@ -84,7 +120,7 @@ class TestSinkhorn:
         rng = np.random.default_rng(2)
         mu, pi = random_instance(rng, 5, 4)
         ref = heat_kernel_reference(mu, pi)
-        res = sinkhorn(mu, pi, ref, tol=1e-11)
+        res = solve(mu, pi, ref, tol=1e-11)
         rebuilt = ref * np.outer(res.f, res.g)
         rel = np.abs(rebuilt - res.coupling.gamma) / np.maximum(res.coupling.gamma, 1e-300)
         assert rel.max() <= 1e-12
@@ -93,7 +129,7 @@ class TestSinkhorn:
         rng = np.random.default_rng(3)
         mu, pi = random_instance(rng, 6, 7)
         ref = heat_kernel_reference(mu, pi) * np.exp(0.3 * rng.standard_normal((6, 7)))
-        res = sinkhorn(mu, pi, ref, tol=1e-12)
+        res = solve(mu, pi, ref, tol=1e-12)
         trace = res.residual_trace
         assert np.all(np.diff(trace) <= 1e-12)
 
@@ -109,9 +145,104 @@ class TestSinkhorn:
         rng = np.random.default_rng(4)
         mu, pi = random_instance(rng, 5, 6)
         ref = heat_kernel_reference(mu, pi) * np.exp(rng.standard_normal((5, 6)))
-        res = sinkhorn(mu, pi, ref, tol=1e-14, max_iter=1)
+        res = solve(mu, pi, ref, tol=1e-14, max_iter=1)
         assert not res.converged
         assert res.residual > 1e-14
+
+
+class TestSinkhornAgainstLogDomain:
+    """The scaling loop against the log-domain oracle in ``oracles``."""
+
+    @staticmethod
+    def scaled_kernel():
+        # Rows and columns scaled down to 1e-149 each, so entries span 1e-295
+        # to 1 and the first iteration's scalings are near 1e149.
+        rng = np.random.default_rng(20)
+        rows = 10.0 ** (-149.0 * np.linspace(0.0, 1.0, 30))
+        cols = 10.0 ** (-149.0 * rng.random(40))
+        r = np.outer(rows, cols) * np.exp(rng.standard_normal((30, 40)))
+        a, b = rng.uniform(0.5, 1.5, 30), rng.uniform(0.5, 1.5, 40)
+        mu = DiscreteMeasure(np.zeros((30, 1)), a / a.sum())
+        return mu, DiscreteMeasure(np.zeros((40, 1)), b / b.sum()), r / r.max()
+
+    @staticmethod
+    def local_kernel():
+        # A heat kernel at small time on [0, 1]: entries from 2e-300 to 1,
+        # scalings beyond 1e50 and about 2900 slow iterations.
+        x, y = np.linspace(0.0, 1.0, 30), np.linspace(0.0, 1.0, 40)
+        a, b = np.exp(-x), np.exp(y)
+        mu, pi = DiscreteMeasure(x, a / a.sum()), DiscreteMeasure(y, b / b.sum())
+        return mu, pi, np.exp(-690.0 * np.subtract.outer(x, y) ** 2)
+
+    @staticmethod
+    def absorbing_solve(monkeypatch, mu, pi, r, absorb):
+        """``solve`` at tol 1e-10, failing unless the kernel absorbed the scalings."""
+        from sloc import bridge
+
+        if absorb is not None:
+            monkeypatch.setattr(bridge, "_ABSORB", absorb)
+        absorbed = []
+        out_of_range = bridge._out_of_range
+        monkeypatch.setattr(bridge, "_out_of_range", lambda s: absorbed.append(out_of_range(s)) or absorbed[-1])
+        res = solve(mu, pi, r, tol=1e-10)
+        assert any(absorbed) and res.converged
+        return res
+
+    @pytest.mark.parametrize("absorb", [None, 1e3])
+    def test_absorbing_kernel_matches_oracle(self, monkeypatch, absorb):
+        mu, pi, r = self.scaled_kernel()
+        assert r.min() < 1e-290 and r.max() == 1.0
+        res = self.absorbing_solve(monkeypatch, mu, pi, r, absorb)
+        f, g, gamma, iterations, _ = log_domain_sinkhorn(mu.weights, pi.weights, r, tol=1e-10)
+        assert abs(res.iterations - iterations) <= 1
+        np.testing.assert_allclose(res.f, f, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.g, g, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.coupling.gamma, gamma, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("absorb", [None, 1e3])
+    def test_slow_absorbing_kernel_is_accurate(self, monkeypatch, absorb):
+        # Over ~2900 iterations the double-precision log-domain loop drifts
+        # about 1e-12 from an extended-precision run of itself; the scaling
+        # loop stays within about 2e-14, so it is checked against that run.
+        mu, pi, r = self.local_kernel()
+        assert r.min() < 1e-299 and r.max() == 1.0
+        res = self.absorbing_solve(monkeypatch, mu, pi, r, absorb)
+        iterations = log_domain_sinkhorn(mu.weights, pi.weights, r, tol=1e-10)[3]
+        assert abs(res.iterations - iterations) <= 1
+        f, g, gamma, _, _ = log_domain_sinkhorn(
+            mu.weights, pi.weights, r, tol=0.0, max_iter=res.iterations, dtype=np.longdouble
+        )
+        np.testing.assert_allclose(res.f, f, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(res.g, g, rtol=1e-13, atol=0.0)
+        normal = gamma >= np.finfo(float).tiny
+        np.testing.assert_allclose(res.coupling.gamma[normal], gamma[normal], rtol=1e-12, atol=0.0)
+
+    def test_hard_lattice_takes_the_oracle_iterations(self):
+        rng = np.random.default_rng(42)
+        mu = lattice_support(rng, 200, 4.0, 0.0)
+        pi = lattice_support(rng, 200, 4.0, 2.5)
+        ref = heat_kernel_reference(mu, pi)
+        res = solve(mu, pi, ref, tol=1e-10)
+        f, g, gamma, iterations, _ = log_domain_sinkhorn(mu.weights, pi.weights, ref, tol=1e-10)
+        assert res.converged
+        assert res.iterations == iterations > 100
+        assert np.abs(res.coupling.gamma - gamma).max() <= 1e-15
+
+    def test_trace_ends_at_the_returned_residual(self):
+        rng = np.random.default_rng(21)
+        mu, pi = random_instance(rng, 6, 9)
+        res = solve(mu, pi, heat_kernel_reference(mu, pi), tol=1e-12)
+        assert res.residual_trace.size == res.iterations
+        assert res.residual_trace[-1] == res.residual
+
+    def test_reference_kernel_is_not_modified(self):
+        rng = np.random.default_rng(22)
+        mu, pi = random_instance(rng, 5, 7)
+        ref = heat_kernel_reference(mu, pi)
+        kept = ref.copy()
+        solve(mu, pi, ref, tol=1e-12)
+        assert np.array_equal(ref, kept)
 
 
 class TestObjectives:
@@ -122,7 +253,7 @@ class TestObjectives:
         diffs = []
         for _ in range(20):
             perturbed = ref * np.exp(0.5 * rng.standard_normal(ref.shape))
-            res = sinkhorn(mu, pi, perturbed, tol=1e-13)
+            res = solve(mu, pi, perturbed, tol=1e-13)
             ssb, eot = objective_pair(res.coupling, mu, pi, ref)
             diffs.append(eot - ssb)
         assert np.ptp(diffs) <= 1e-10
@@ -146,7 +277,7 @@ class TestObjectives:
     def test_brute_force_grid_agreement(self):
         mu, pi = uniform_two_points()
         ref = heat_kernel_reference(mu, pi)
-        res = sinkhorn(mu, pi, ref, tol=1e-12)
+        res = solve(mu, pi, ref, tol=1e-12)
         p = np.linspace(0.0, 0.5, 1_000_001)
         entries = np.stack([p, 0.5 - p, 0.5 - p, p], axis=1)
         refs = ref.ravel()
@@ -163,21 +294,21 @@ class TestSchrodingerSystem:
         rng = np.random.default_rng(6)
         mu, pi = random_instance(rng, 4, 6, d=1)
         ref = heat_kernel_reference(mu, pi)
-        res = sinkhorn(mu, pi, ref, tol=1e-10)
+        res = solve(mu, pi, ref, tol=1e-10)
         assert schrodinger_residual(res, mu, pi, ref) <= 1e-8
 
     def test_single_atom_residual_zero(self):
         mu = DiscreteMeasure(np.array([[0.0]]), np.array([1.0]))
         pi = DiscreteMeasure(np.array([[0.5], [1.5]]), np.array([0.4, 0.6]))
         ref = heat_kernel_reference(mu, pi)
-        res = sinkhorn(mu, pi, ref, tol=1e-12)
+        res = solve(mu, pi, ref, tol=1e-12)
         assert schrodinger_residual(res, mu, pi, ref) <= 1e-12
 
     def test_one_iteration_leaves_defect(self):
         rng = np.random.default_rng(7)
         mu, pi = random_instance(rng, 5, 3)
         ref = heat_kernel_reference(mu, pi) * np.exp(rng.standard_normal((5, 3)))
-        res = sinkhorn(mu, pi, ref, tol=1e-14, max_iter=1)
+        res = solve(mu, pi, ref, tol=1e-14, max_iter=1)
         assert not res.converged
         assert schrodinger_residual(res, mu, pi, ref) > 1e-14
 
@@ -200,7 +331,7 @@ class TestSchrodingerSystem:
         target_w /= target_w.sum()
         target_w[-1] = 1.0 - target_w[:-1].sum()
         pi = DiscreteMeasure(np.arange(n2)[:, None].astype(float), target_w)
-        res = sinkhorn(mu, pi, endpoint, tol=1e-13)
+        res = solve(mu, pi, endpoint, tol=1e-13)
 
         g_mid = b @ res.g  # transition-weighted late scaling at the middle time
         # Joint (mid, end) law of the optimizer: sum_i f_i r0_i a[i,k] b[k,j] g_j.
@@ -251,6 +382,22 @@ class TestFollmerSampler:
             _, grad = polchinski.renorm_potential(base, tau, [v])
             assert np.abs(drift([v], tau) + grad).max() <= 1e-10
 
+    def test_generic_drift_spends_only_the_moment_budget(self):
+        from sloc.targets import GenericPotential
+
+        calls = []
+
+        def potential(x):
+            calls.append(1)
+            return 0.5 * float(x @ x) + 0.1 * float(np.sum(x**4))
+
+        quartic = GenericPotential(1, potential, lambda x: x + 0.4 * x**3, 1.0, 40.0)
+        calls.clear()
+        drift = FollmerDrift(quartic, budget=200)(0.3, 0.4)
+        # One call at the envelope's mode and one per importance draw.
+        assert len(calls) == 201
+        assert np.all(np.isfinite(drift))
+
 
 class TestGirsanovEnergy:
     def test_zero_for_standard_normal(self):
@@ -285,7 +432,7 @@ class TestGirsanovEnergy:
 def test_coupling_csv_and_trace_json():
     mu, pi = uniform_two_points()
     ref = heat_kernel_reference(mu, pi)
-    res = sinkhorn(mu, pi, ref, tol=1e-12)
+    res = solve(mu, pi, ref, tol=1e-12)
     buf = io.StringIO()
     write_coupling_csv(res.coupling, buf)
     rows = buf.getvalue().strip().split("\n")
