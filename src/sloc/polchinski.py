@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import IO, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import targets
 from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
@@ -64,7 +63,7 @@ def _renorm_value_mc(
     v1 = np.asarray(
         [float(base.potential(p)) - 0.5 * float(p @ p) for p in pts]
     )
-    return -(float(logsumexp(-v1)) - math.log(budget))
+    return -(float(targets._log_normalize(-v1)[0]) - math.log(budget))
 
 
 def renorm_potential(

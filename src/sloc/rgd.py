@@ -121,8 +121,9 @@ def chain_law_propagate(
     """Exact law propagation of the chain for Gaussian target and start.
 
     Stage one adds ``eta I`` to the covariance; stage two applies the Gaussian
-    posterior map.  Returns the laws (including the start) and the KL
-    divergence to the target at each of them.
+    posterior map, read off the one-point tilt kernel at ``t = 1 / eta``.
+    Returns the laws (including the start) and the KL divergence to the
+    target at each of them.
     """
     if not eta > 0.0:
         raise ValueError("step size must be positive")
@@ -130,11 +131,8 @@ def chain_law_propagate(
     if init.dim != d:
         raise ValueError("dimension mismatch")
     eye = np.eye(d)
-    a = target.precision + eye / eta
-    gain = np.linalg.solve(a, eye) / eta
-    post_cov = np.linalg.solve(a, eye)
-    post_cov = 0.5 * (post_cov + post_cov.T)
-    offset = np.linalg.solve(a, target.precision @ target.mean)
+    post = posterior_moments(tilt(target, np.zeros(d), 1.0 / eta))
+    gain, post_cov, offset = post.cov / eta, post.cov, post.mean
     laws = [ChainLaw(init.mean, init.cov)]
     kls = [gaussian_kl(init, target)]
     mean, cov = init.mean, init.cov

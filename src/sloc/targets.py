@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 SYM_RTOL = 1e-12
 REG_CAP = 1e12
@@ -119,6 +118,11 @@ class GaussianMeasure:
         return _readonly(np.linalg.cholesky(self.cov))
 
     @cached_property
+    def _mixture(self) -> "GaussianMixture":
+        """This Gaussian as the one-component mixture, whose tilt algebra it uses."""
+        return GaussianMixture(np.ones(1), self.mean[None], self.cov[None])
+
+    @cached_property
     def _log_norm(self) -> float:
         _, logdet = np.linalg.slogdet(self.cov)
         return -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet)
@@ -199,6 +203,17 @@ class GaussianMixture:
         return _readonly(np.stack([np.linalg.cholesky(c) for c in self.covs]))
 
     @cached_property
+    def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per component with weight w, mean mu and precision P: ``s`` and ``V`` of
+        ``cov = V diag(s) V'``, ``V' mu``, ``P mu = V diag(1 / s) V' mu`` and
+        ``log w - mu' P mu / 2``."""
+        evals, evecs = np.linalg.eigh(self.covs)
+        rot = np.einsum("jba,jb->ja", evecs, self.means)
+        shift = np.einsum("jab,jb->ja", evecs, rot / evals)
+        const = np.log(self.weights) - 0.5 * np.einsum("ja,ja->j", self.means, shift)
+        return tuple(_readonly(a) for a in (evals, evecs, rot, shift, const))
+
+    @cached_property
     def _log_norms(self) -> np.ndarray:
         logdets = np.asarray([np.linalg.slogdet(c)[1] for c in self.covs])
         out = -0.5 * (self.dim * math.log(2.0 * math.pi) + logdets)
@@ -219,7 +234,7 @@ class GaussianMixture:
         diff = x[..., None, :] - self.means
         q = np.einsum("...ji,jik,...jk->...j", diff, self._precisions, diff)
         comp = -0.5 * q + self._log_norms + np.log(self.weights)
-        return logsumexp(comp, axis=-1)
+        return _log_normalize(comp)[0]
 
 
 @dataclass(frozen=True)
@@ -356,6 +371,16 @@ class TiltedMeasure:
             return float(self.reg) * np.eye(self.dim)
         return np.asarray(self.reg)
 
+    @cached_property
+    def _closed_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Posterior component weights ``(J,)``, means ``(J, d)`` and covariances
+        ``(J, d, d)``, and the log-partition, from a one-point ``TiltStep``;
+        Gaussian and mixture bases, computed once per measure."""
+        step = _plan_step(self.base, self.reg)
+        means = step._means(self.c)
+        log_z, w = _log_normalize(step._log_masses(self.c, means))
+        return w, means, step.inv, float(log_z)
+
 
 def tilt(base: TargetMeasure, c, reg) -> TiltedMeasure:
     """Tilt ``base`` by ``exp(<c, x> - 0.5 x' R x)`` (renormalized).
@@ -381,63 +406,9 @@ class Moments(NamedTuple):
     stderr: float
 
 
-def _tilt_params_raw(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    precision: np.ndarray,
-    c: np.ndarray,
-    reg_mat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    d = mean.size
-    if d == 1:
-        # Scalar fast path; solve/slogdet overhead dominates at this size.
-        a = precision[0, 0] + reg_mat[0, 0]
-        b = precision[0, 0] * mean[0] + c[0]
-        post_mean = b / a
-        log_z = (
-            0.5 * b * post_mean
-            - 0.5 * precision[0, 0] * mean[0] ** 2
-            - 0.5 * math.log(1.0 + cov[0, 0] * reg_mat[0, 0])
-        )
-        return np.array([post_mean]), np.array([[1.0 / a]]), float(log_z)
-    a = precision + reg_mat
-    b = precision @ mean + c
-    post_mean = np.linalg.solve(a, b)
-    post_cov = np.linalg.solve(a, np.eye(d))
-    post_cov = 0.5 * (post_cov + post_cov.T)
-    _, logdet = np.linalg.slogdet(np.eye(d) + cov @ reg_mat)
-    log_z = 0.5 * float(b @ post_mean) - 0.5 * float(mean @ (precision @ mean)) - 0.5 * logdet
-    return post_mean, post_cov, log_z
-
-
-def _mixture_tilt_params(
-    mix: GaussianMixture, c: np.ndarray, reg_mat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Tilted mixture decomposition: posterior weights, means, covs, log-partition.
-
-    Component weights are renormalized in log space to stay finite for large
-    regularizers.
-    """
-    j = mix.n_components
-    means = np.empty((j, mix.dim))
-    covs = np.empty((j, mix.dim, mix.dim))
-    log_zs = np.empty(j)
-    for k in range(j):
-        means[k], covs[k], log_zs[k] = _tilt_params_raw(
-            mix.means[k], mix.covs[k], mix._precisions[k], c, reg_mat
-        )
-    log_z, w_post = _log_normalize(np.log(mix.weights) + log_zs)
-    return w_post, means, covs, float(log_z)
-
-
 def log_partition(m: TiltedMeasure) -> float:
     """Exact ``log int exp(<c,x> - 0.5 x'Rx) base(dx)``; Gaussian/mixture only."""
-    reg_mat = m.reg_matrix()
-    if isinstance(m.base, GaussianMeasure):
-        return _tilt_params_raw(m.base.mean, m.base.cov, m.base.precision, m.c, reg_mat)[2]
-    if isinstance(m.base, GaussianMixture):
-        return _mixture_tilt_params(m.base, m.c, reg_mat)[3]
-    raise TypeError("log_partition has closed form only for Gaussian or mixture bases")
+    return m._closed_form[3]
 
 
 def _generic_curvature(m: TiltedMeasure) -> float:
@@ -534,9 +505,7 @@ def _generic_is_moments(
     draws = center + rng.standard_normal((budget, d)) / math.sqrt(g)
     log_q = -0.5 * g * np.sum((draws - center) ** 2, axis=1)
     log_u = np.asarray([total_potential(row) for row in draws])
-    log_w = -log_u - log_q
-    log_w -= logsumexp(log_w)
-    w = np.exp(log_w)
+    _, w = _log_normalize(-log_u - log_q)
     ess = 1.0 / float(np.sum(w**2))
     if ess < ess_floor:
         raise EffectiveSampleSizeError(ess, ess_floor)
@@ -561,17 +530,13 @@ def posterior_moments(
     proposal with ``budget`` draws; the reported stderr is the largest
     coordinatewise standard error of the mean.
     """
-    reg_mat = m.reg_matrix()
-    if isinstance(m.base, GaussianMeasure):
-        mean, cov, _ = _tilt_params_raw(m.base.mean, m.base.cov, m.base.precision, m.c, reg_mat)
-        return Moments(mean, cov, 0.0)
-    if isinstance(m.base, GaussianMixture):
-        w, means, covs, _ = _mixture_tilt_params(m.base, m.c, reg_mat)
-        mean = w @ means
-        second = np.einsum("j,jab->ab", w, covs) + np.einsum("j,ja,jb->ab", w, means, means)
-        cov = second - np.outer(mean, mean)
-        return Moments(mean, 0.5 * (cov + cov.T), 0.0)
-    return _generic_is_moments(m, budget, rng, ess_floor)
+    if isinstance(m.base, GenericPotential):
+        return _generic_is_moments(m, budget, rng, ess_floor)
+    w, means, covs, _ = m._closed_form
+    mean = w @ means
+    spread = means - mean
+    cov = np.einsum("j,jab->ab", w, covs + spread[:, :, None] * spread[:, None, :])
+    return Moments(mean, 0.5 * (cov + cov.T), 0.0)
 
 
 def sample(
@@ -590,16 +555,13 @@ def sample(
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    reg_mat = m.reg_matrix()
-    if isinstance(m.base, GaussianMeasure):
-        mean, cov, _ = _tilt_params_raw(m.base.mean, m.base.cov, m.base.precision, m.c, reg_mat)
-        chol = np.sqrt(cov) if m.dim == 1 else np.linalg.cholesky(cov)
-        return mean + rng.standard_normal((n, m.dim)) @ chol.T
-    if isinstance(m.base, GaussianMixture):
-        w, means, covs, _ = _mixture_tilt_params(m.base, m.c, reg_mat)
-        chols = np.sqrt(covs) if m.dim == 1 else np.linalg.cholesky(covs)
-        return _mixture_draws(w, means, chols, n, rng)
-    return _generic_rejection_sample(m, n, rng, max_tries)
+    if isinstance(m.base, GenericPotential):
+        return _generic_rejection_sample(m, n, rng, max_tries)
+    w, means, covs, _ = m._closed_form
+    chols = np.linalg.cholesky(covs)
+    if w.size == 1:
+        return means[0] + rng.standard_normal((n, m.dim)) @ chols[0].T
+    return _mixture_draws(w, means, chols, n, rng)
 
 
 def _log_normalize(log_w: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +582,11 @@ class TiltStep(NamedTuple):
     precision P, mean mu, covariance S and weight w: ``inv[j]`` is
     ``(P + R)^-1``, ``offset[j]`` is ``(P + R)^-1 P mu``, ``shift[j]``
     is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + R S) / 2``,
-    each with a trailing unit axis that broadcasts over a batch laid out as (d, n).
+    each with a trailing unit axis that broadcasts over a batch laid out as (d, n)
+    in a ``tilt_plan`` step, and without it in the one-point step of a tilted measure.
+    A scalar ``t``, or a matrix exactly equal to ``t I``, reads them elementwise
+    off the base's cached eigendecomposition ``S = V diag(s) V'``; any other
+    matrix goes through ``inv`` and ``slogdet``.
     """
 
     reg: Union[float, np.ndarray]
@@ -628,6 +594,21 @@ class TiltStep(NamedTuple):
     offset: np.ndarray
     shift: np.ndarray
     const: np.ndarray
+
+    def _means(self, ct: np.ndarray) -> np.ndarray:
+        """Component posterior means ``(J, d, ...)`` of tilt columns ``ct`` ``(d, ...)``."""
+        means = ct[0] * self.inv[:, :, 0] + self.offset
+        for e in range(1, ct.shape[0]):
+            means += ct[e] * self.inv[:, :, e]
+        return means
+
+    def _log_masses(self, ct: np.ndarray, means: np.ndarray) -> np.ndarray:
+        """Unnormalized component log-masses ``(J, ...)``, ``const + (c + P mu)' m / 2``."""
+        prod = (ct + self.shift) * means
+        log_w = prod[:, 0]
+        for e in range(1, ct.shape[0]):
+            log_w = log_w + prod[:, e]
+        return 0.5 * log_w + self.const
 
     def posterior(self, tilts) -> tuple[np.ndarray, np.ndarray | None]:
         """Component posterior means ``(J, d, n)`` and weights ``(J, n)``, or
@@ -637,16 +618,42 @@ class TiltStep(NamedTuple):
         d = self.shift.shape[1]
         if ct.shape[0] != d:
             raise ValueError(f"tilt vectors have {ct.shape[0]} columns, the base has dimension {d}")
-        means = ct[0] * self.inv[:, :, 0] + self.offset
-        for e in range(1, d):
-            means += ct[e] * self.inv[:, :, e]
+        means = self._means(ct)
         if means.shape[0] == 1:
             return means, None
-        prod = (ct + self.shift) * means
-        log_w = prod[:, 0]
-        for e in range(1, d):
-            log_w = log_w + prod[:, e]
-        return means, _log_normalize(0.5 * log_w + self.const, axis=0)[1]
+        return means, _log_normalize(self._log_masses(ct, means), axis=0)[1]
+
+
+def _plan_step(base: GaussianMeasure | GaussianMixture, reg) -> TiltStep:
+    """``TiltStep`` of ``base`` with leading axes ``(...)`` at validated
+    regularizers ``reg``: scalars ``(...)`` or matrices ``(..., d, d)``.
+    Scalars, and matrices exactly equal to ``t I``, read
+    ``V diag(s / (1 + t s)) V'``, ``V diag(1 / (1 + t s)) V' mu`` and
+    ``sum log1p(t s)`` off ``_spectral``; other matrices take ``inv`` and
+    ``slogdet``."""
+    if not isinstance(base, (GaussianMeasure, GaussianMixture)):
+        raise TypeError("the Gaussian-tilt kernel needs a Gaussian or mixture base")
+    mix = base._mixture if isinstance(base, GaussianMeasure) else base
+    evals, evecs, rot, shift, const0 = mix._spectral
+    if getattr(reg, "ndim", 0) > 1:
+        t = reg[..., 0, 0]
+        eye = np.eye(mix.dim)
+        iso = (reg == np.multiply.outer(t, eye)).all(axis=(-2, -1))
+        if iso.all():
+            return _plan_step(mix, t)._replace(reg=reg)
+        mats = np.expand_dims(reg, -3)
+        inv = np.linalg.inv(mix._precisions + mats)
+        offset = np.einsum("...jab,jb->...ja", inv, shift)
+        const = const0 - 0.5 * np.linalg.slogdet(eye + mats @ mix.covs)[1]
+        if iso.any():
+            part = _plan_step(mix, t[iso])
+            inv[iso], offset[iso], const[iso] = part.inv, part.offset, part.const
+        return TiltStep(reg, inv, offset, shift, const)
+    ts = np.multiply.outer(reg, evals)
+    den = 1.0 + ts
+    inv = np.einsum("jab,...jb,jcb->...jac", evecs, evals / den, evecs)
+    offset = np.einsum("jab,...jb->...ja", evecs, rot / den)
+    return TiltStep(reg, inv, offset, shift, const0 - 0.5 * np.log1p(ts).sum(axis=-1))
 
 
 def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
@@ -654,34 +661,21 @@ def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
     tilt vectors, for ``base`` at each regularizer in ``regs``, as a map from
     the index into ``regs`` to that point's ``TiltStep``.  ``regs`` holds
     scalars (capped at ``REG_CAP`` as ``tilt`` caps them) or ``(d, d)``
-    symmetric PSD matrices.  Gaussian and mixture bases only."""
-    if isinstance(base, GaussianMeasure):
-        log_w, mu, cov, prec = np.zeros(1), base.mean[None], base.cov[None], base.precision[None]
-    elif isinstance(base, GaussianMixture):
-        log_w, mu, cov, prec = np.log(base.weights), base.means, base.covs, base._precisions
-    else:
-        raise TypeError("the batched tilt kernel needs a Gaussian or mixture base")
-    d = mu.shape[1]
-    eye = np.eye(d)
+    symmetric PSD matrices (uncapped, as ``tilt`` leaves them); see ``TiltStep``
+    for which take the eigenbasis formulas.  Gaussian and mixture bases only."""
+    d = base.dim
     t = np.asarray(regs, dtype=float)
     if t.ndim == 3:
         if t.shape[1:] != (d, d):
             raise ValueError(f"matrix regularizer shape {t.shape[1:]} does not match dimension {d}")
         for r in t:
             _check_spd(r, "regularizer", semidefinite=True)
-        reg = t
     else:
         t = np.atleast_1d(t)
         if t.ndim != 1 or not np.isfinite(t).all() or (t < 0.0).any():
             raise ValueError("scalar regularizers must be finite and nonnegative")
         t = np.minimum(t, REG_CAP)
-        reg = t[:, None, None] * eye
-    reg = reg[:, None]
-    inv = np.linalg.inv(prec + reg)[..., None]
-    shift = np.einsum("jab,jb->ja", prec, mu)
-    offset = np.einsum("kjabx,jb->kjax", inv, shift)
-    const = log_w - 0.5 * np.einsum("ja,ja->j", mu, shift) - 0.5 * np.linalg.slogdet(eye + reg @ cov)[1]
-    shift, const = shift[..., None], const[..., None]
+    _, inv, offset, shift, const = (a[..., None] for a in _plan_step(base, t))
     return lambda k: TiltStep(t[k], inv[k], offset[k], shift, const[k])
 
 

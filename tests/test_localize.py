@@ -192,8 +192,17 @@ class TestParticles:
 
 
 class TestAnisotropic:
-    def test_identity_control_bitwise_equals_isotropic(self):
-        base = GaussianMeasure(np.zeros(2), np.eye(2))
+    @pytest.mark.parametrize(
+        "base",
+        [
+            GaussianMeasure(np.zeros(2), np.eye(2)),
+            GaussianMixture.from_components(
+                [(0.4, [-1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]]), (0.6, [1.2, -0.3], [[0.6, -0.1], [-0.1, 1.5]])]
+            ),
+        ],
+        ids=["gauss", "mixture"],
+    )
+    def test_identity_control_bitwise_equals_isotropic(self, base):
         grid = TimeGrid.uniform(0.0, 1.0, 50)
         noise = wiener_increments(grid, 2, seed=15, stream_id=0)
         iso = tilt_sde_run(base, grid, noise)

@@ -325,21 +325,27 @@ def test_scalar_and_matrix_reg_agree(c, t, mean, var):
     )
 
 
-def solve_reference(base: GaussianMixture, c: np.ndarray, t: float):
-    """Posterior weights (n, J) and component means (J, n, d) of the tilts
-    ``tilt(base, c_i, t)``, one ``np.linalg.solve`` per component."""
+def solve_reference(base: GaussianMixture, c: np.ndarray, reg):
+    """Posterior weights (n, J), component means (J, n, d), component
+    covariances (J, d, d) and log-partitions (n,) of the tilts
+    ``tilt(base, c_i, reg)``, for a scalar or matrix ``reg``, by
+    ``np.linalg.solve`` and ``slogdet`` per component."""
     eye = np.eye(base.dim)
-    means, log_w = [], []
+    r = reg * eye if np.ndim(reg) == 0 else np.asarray(reg)
+    means, covs, log_w = [], [], []
     for w, mu, cov in zip(base.weights, base.means, base.covs):
         prec = np.linalg.inv(cov)
         b = c + prec @ mu
-        m = np.linalg.solve(prec + t * eye, b.T).T
-        logdet = np.linalg.slogdet(eye + t * cov)[1]
+        m = np.linalg.solve(prec + r, b.T).T
+        logdet = np.linalg.slogdet(eye + r @ cov)[1]
         means.append(m)
+        covs.append(np.linalg.solve(prec + r, eye))
         log_w.append(math.log(w) + 0.5 * np.sum(b * m, axis=1) - 0.5 * mu @ prec @ mu - 0.5 * logdet)
     log_w = np.stack(log_w, axis=1)
-    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True), np.stack(means)
+    top = log_w.max(axis=1, keepdims=True)
+    w = np.exp(log_w - top)
+    total = w.sum(axis=1, keepdims=True)
+    return w / total, np.stack(means), np.stack(covs), (top + np.log(total))[:, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,18 +363,76 @@ def test_plan_kernel_matches_solve_reference(d, j, t, seed):
     w[-1] = 1.0 - w[:-1].sum()
     base = GaussianMixture(w, 2.0 * g.standard_normal((j, d)), a @ a.transpose(0, 2, 1) + 0.2 * np.eye(d))
     c = 3.0 * g.standard_normal((50, d))
-    step = targets.tilt_plan(base, [0.5, t])(1)
-    assert step.reg == t
-    means, weights = step.posterior(c)
-    ref_w, ref_means = solve_reference(base, c, t)
-    scale = np.abs(ref_means).max()
-    assert np.abs(means.transpose(0, 2, 1) - ref_means).max() <= 1e-10 * scale
-    ref_mean = np.einsum("nj,jnd->nd", ref_w, ref_means)
-    assert np.abs(targets.posterior_mean_batch(base, c, step) - ref_mean).max() <= 1e-10 * scale
-    if j > 1:
-        assert np.all(np.isfinite(weights))
-        assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
-        assert np.abs(weights.T - ref_w).max() <= 1e-10
+    r = g.standard_normal((d, d))
+    mat = r @ r.T
+    for reg, step in ((t, targets.tilt_plan(base, [0.5, t])(1)), (mat, targets.tilt_plan(base, mat[None])(0))):
+        assert np.array_equal(step.reg, reg)
+        means, weights = step.posterior(c)
+        ref_w, ref_means, _, _ = solve_reference(base, c, reg)
+        scale = np.abs(ref_means).max()
+        assert np.abs(means.transpose(0, 2, 1) - ref_means).max() <= 1e-10 * scale
+        ref_mean = np.einsum("nj,jnd->nd", ref_w, ref_means)
+        assert np.abs(targets.posterior_mean_batch(base, c, step) - ref_mean).max() <= 1e-10 * scale
+        if j > 1:
+            assert np.all(np.isfinite(weights))
+            assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.abs(weights.T - ref_w).max() <= 1e-10
+        # The n = 1 closed forms read the same kernel.  Rows scaled by the
+        # regularizer keep the posterior means of order one as the covariances
+        # shrink, so a covariance formed as a difference of second moments fails.
+        rows = c[:3] * max(1.0, float(np.max(reg)))
+        ref_w, ref_means, ref_covs, ref_log_z = solve_reference(base, rows, reg)
+        ref_mean = np.einsum("nj,jnd->nd", ref_w, ref_means)
+        for i, row in enumerate(rows):
+            m = tilt(base, row, reg)
+            mom = posterior_moments(m)
+            spread = ref_means[:, i] - ref_mean[i]
+            ref_cov = np.einsum("j,jab->ab", ref_w[i], ref_covs + spread[:, :, None] * spread[:, None, :])
+            assert np.abs(mom.mean - ref_mean[i]).max() <= 1e-10 * np.abs(ref_means).max()
+            assert np.abs(mom.cov - ref_cov).max() <= 1e-10 * np.abs(ref_cov).max()
+            assert abs(log_partition(m) - ref_log_z[i]) <= 1e-10 * max(1.0, abs(ref_log_z[i]))
+
+
+def test_scalar_regularizers_reach_no_inverse_or_determinant(monkeypatch):
+    # Scalars, and matrices equal to t I, read the cached eigenbasis only.
+    def banned(*args, **kwargs):
+        raise AssertionError("inv, solve or slogdet reached by a scalar regularizer")
+
+    bases = [
+        GaussianMeasure([0.3], [[1.7]]),
+        two_mixture(),
+        GaussianMixture.from_components(
+            [(0.3, [0.0, 1.0], [[1.0, 0.4], [0.4, 0.7]]), (0.7, [1.0, -1.0], np.eye(2))]
+        ),
+    ]
+    for name in ("inv", "solve", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    for base in bases:
+        d = base.dim
+        for reg in (0.7, 0.7 * np.eye(d)):
+            m = tilt(base, np.full(d, 0.4), reg)
+            posterior_moments(m)
+            log_partition(m)
+            sample(m, 3, rng(0))
+        targets.sample_tilted_batch(base, np.zeros((2, d)), 0.7, rng(1))
+        targets.posterior_mean_batch(base, np.zeros((2, d)), targets.tilt_plan(base, [0.0, 0.5])(1))
+        targets.posterior_mean_batch(base, np.zeros((2, d)), targets.tilt_plan(base, [0.5 * np.eye(d)])(0))
+
+
+def test_matrices_equal_to_t_identity_take_the_scalar_formula():
+    base = GaussianMixture.from_components(
+        [(0.4, [-1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]]), (0.6, [1.2, -0.3], [[0.6, -0.1], [-0.1, 1.5]])]
+    )
+    eye = np.eye(2)
+    mats = targets.tilt_plan(base, [0.5 * eye, [[1.0, 0.2], [0.2, 0.4]], 0.7 * eye])
+    scalars = targets.tilt_plan(base, [0.5, 0.7])
+    for k, j in ((0, 0), (2, 1)):
+        for name in ("inv", "offset", "const"):
+            assert np.array_equal(getattr(mats(k), name), getattr(scalars(j), name))
+    a, b = tilt(base, [0.3, -1.1], 0.5 * eye), tilt(base, [0.3, -1.1], 0.5)
+    assert np.array_equal(posterior_moments(a).mean, posterior_moments(b).mean)
+    assert np.array_equal(posterior_moments(a).cov, posterior_moments(b).cov)
+    assert log_partition(a) == log_partition(b)
 
 
 def test_plan_rejects_bad_regularizers_and_bases():
