@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from .targets import GaussianMeasure
 
@@ -53,6 +52,8 @@ def ks_two_sample(a, b) -> TwoSampleResult:
     b = np.ravel(np.asarray(b, dtype=float))
     if a.size < MIN_KS_SAMPLES or b.size < MIN_KS_SAMPLES:
         raise ValueError(f"need at least {MIN_KS_SAMPLES} samples on each side")
+    from scipy import stats  # deferred, so that importing sloc does not load scipy
+
     res = stats.ks_2samp(a, b, method="asymp")
     return TwoSampleResult(float(res.statistic), float(res.pvalue), a.size, b.size)
 

@@ -60,9 +60,7 @@ def _renorm_value_mc(
         raise ValueError("a positive budget is required for a generic base")
     z = math.sqrt(1.0 - tau) * rng.standard_normal((budget, base.dim))
     pts = x + z
-    v1 = np.asarray(
-        [float(base.potential(p)) - 0.5 * float(p @ p) for p in pts]
-    )
+    v1 = base.potential_rows(pts) - 0.5 * np.sum(pts * pts, axis=1)
     return -(float(targets._log_normalize(-v1)[0]) - math.log(budget))
 
 

@@ -26,7 +26,6 @@ from .targets import (
     GaussianMixture,
     GenericPotential,
     TargetMeasure,
-    log_partition,
     posterior_moments,
     tilt,
 )
@@ -76,14 +75,18 @@ def rgd_chain(x0, cfg: RgdConfig, rng: np.random.Generator) -> np.ndarray:
 def rgd_transition_batch(
     x, cfg: RgdConfig, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``n`` independent one-step transitions from the same state, vectorized.
+    """``n`` independent one-step transitions, vectorized: all from the state
+    ``x (d,)``, or row ``i`` from ``x[i]`` when ``x`` is ``(n, d)``.
 
-    Gaussian and mixture targets only (the exact inner sampler vectorizes).
+    Every target family: the restricted stage is one
+    ``targets.sample_tilted_batch`` call, exact for Gaussian and mixture
+    targets and one rejection kernel over all rows for a generic potential,
+    with ``cfg.max_tries`` proposals per row at most.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     eta = cfg.step_size
-    y = x + math.sqrt(eta) * rng.standard_normal((n, x.size))
-    return targets.sample_tilted_batch(cfg.target, y / eta, 1.0 / eta, rng)
+    y = x + math.sqrt(eta) * rng.standard_normal((n, x.shape[-1]))
+    return targets.sample_tilted_batch(cfg.target, y / eta, 1.0 / eta, rng, max_tries=cfg.max_tries)
 
 
 def channel_transition_batch(
@@ -208,15 +211,13 @@ def entropic_stability_probe(
     if not isinstance(target, (GaussianMeasure, GaussianMixture)):
         raise TypeError("stability probes need a Gaussian or mixture target")
     ys = np.atleast_2d(np.asarray(probe_tilts, dtype=float))
-    b0 = posterior_moments(tilt(target, np.zeros(ys.shape[1]), 0.0)).mean
-    lhs = np.empty(ys.shape[0])
-    rhs = np.empty(ys.shape[0])
-    for i, y in enumerate(ys):
-        tilted = tilt(target, y, 0.0)
-        b_y = posterior_moments(tilted).mean
-        kl = float(y @ b_y) - log_partition(tilted)
-        lhs[i] = 0.5 * float(np.sum((b_y - b0) ** 2))
-        rhs[i] = alpha_claim * kl
+    means, log_z = targets.tilt_plan(target, [0.0])(0).mean_and_log_partition(
+        np.vstack([np.zeros(ys.shape[1]), ys])
+    )
+    b0, b_y, log_z = means[0], means[1:], log_z[1:]
+    kl = np.sum(ys * b_y, axis=1) - log_z
+    lhs = 0.5 * np.sum((b_y - b0) ** 2, axis=1)
+    rhs = alpha_claim * kl
     sharp = None
     if isinstance(target, GaussianMeasure):
         sharp = float(np.linalg.eigvalsh(target.cov).max())
@@ -229,6 +230,24 @@ def _quadrature_grid(half_width: float, n_points: int) -> np.ndarray:
 
 def _trapz(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.trapezoid(y, x))
+
+
+def _transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndarray, eta: float) -> np.ndarray:
+    """Density of one chain step from ``p0`` on the uniform grid ``xs``:
+    ``mu1(x') = pi(x') int nu(y) k(x' - y) / Z(y) dy`` with ``k`` the
+    ``N(0, eta)`` density, ``nu = k * p0`` the blurred start and ``Z = k * pi``
+    the restricted-stage normalizer.  Each integral against ``k`` is one
+    ``np.convolve`` with ``k`` at the ``2 n - 1`` grid offsets."""
+    dx = xs[1] - xs[0]
+    offsets = dx * np.arange(1 - xs.size, xs.size)
+    k = np.exp(-0.5 * offsets**2 / eta) / math.sqrt(2.0 * math.pi * eta) * dx
+
+    def smooth(v: np.ndarray) -> np.ndarray:
+        return np.convolve(v, k, mode="valid")
+
+    nu = smooth(p0)
+    z_post = smooth(pi_density)
+    return pi_density * smooth(nu / z_post)
 
 
 def heat_flow_contraction_mc(
@@ -246,9 +265,12 @@ def heat_flow_contraction_mc(
 
     Gaussian targets defer to the exact law propagation (stderr 0).  For a
     one-dimensional generic target the transition density is computed by
-    quadrature and the output KL is estimated by plug-in Monte Carlo over
-    ``n_paths`` simulated transitions (exact log-densities, batch-means
-    stderr); the input KL is a deterministic quadrature value.
+    quadrature on ``n_points`` grid points, with the Gaussian integrals as
+    convolutions in O(n_points) memory, and the output KL is estimated by
+    plug-in Monte Carlo over ``n_paths`` transitions drawn together by
+    ``rgd_transition_batch`` (exact log-densities, batch-means stderr); the
+    input KL is a deterministic quadrature value.  Potentials are evaluated on
+    the grid and on the draws in one ``potential_rows`` call each.
     """
     if isinstance(target, GaussianMeasure):
         _, kls = chain_law_propagate(init, target, eta, 1)
@@ -259,7 +281,7 @@ def heat_flow_contraction_mc(
         raise ValueError("the starting law must be one-dimensional")
 
     xs = _quadrature_grid(half_width, n_points)
-    log_pi_un = -np.asarray([float(target.potential(np.array([x]))) for x in xs])
+    log_pi_un = -target.potential_rows(xs[:, None])
     log_z_pi = math.log(_trapz(np.exp(log_pi_un), xs))
     log_pi = log_pi_un - log_z_pi
     pi_density = np.exp(log_pi)
@@ -267,15 +289,7 @@ def heat_flow_contraction_mc(
     p0 = np.exp(init.log_density(xs[:, None]))
     kl0 = _trapz(p0 * (init.log_density(xs[:, None]) - log_pi), xs)
 
-    # Transition-smoothed density: mu1(x') = pi(x') * int nu(y) K(x', y) / Z(y) dy
-    # with nu the blurred start and Z(y) the restricted-stage normalizer.
-    kernel = np.exp(-0.5 * (xs[:, None] - xs[None, :]) ** 2 / eta) / math.sqrt(
-        2.0 * math.pi * eta
-    )
-    dx = xs[1] - xs[0]
-    nu = kernel @ p0 * dx
-    z_post = kernel @ pi_density * dx
-    mu1 = pi_density * (kernel @ (nu / z_post) * dx)
+    mu1 = _transition_density(xs, pi_density, p0, eta)
     mass = _trapz(mu1, xs)
     if abs(mass - 1.0) > 1e-6:
         raise RuntimeError(f"quadrature grid too narrow: transition mass {mass:.8f}")
@@ -283,10 +297,9 @@ def heat_flow_contraction_mc(
 
     rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0xC0]))
     x0 = init.mean[0] + math.sqrt(init.cov[0, 0]) * rng.standard_normal(n_paths)
-    cfg = RgdConfig(eta, target)
-    x1 = np.asarray([rgd_step(np.array([x]), cfg, rng)[0] for x in x0])
-    log_mu1_at = np.interp(x1, xs, log_mu1)
-    log_pi_at = -np.asarray([float(target.potential(np.array([x]))) for x in x1]) - log_z_pi
+    x1 = rgd_transition_batch(x0[:, None], RgdConfig(eta, target), n_paths, rng)
+    log_mu1_at = np.interp(x1[:, 0], xs, log_mu1)
+    log_pi_at = -target.potential_rows(x1) - log_z_pi
     contrib = log_mu1_at - log_pi_at
     kl1 = float(contrib.mean())
     nb = min(n_batches, n_paths)

@@ -184,23 +184,34 @@ class DriftDiffusionSpec:
     initial: Union[np.ndarray, GaussianMeasure]
 
 
-def euler_maruyama(spec: DriftDiffusionSpec, grid: TimeGrid, noise: SamplePath) -> SamplePath:
-    """Explicit Euler-Maruyama driven by the provided noise path.
+def euler_maruyama(
+    spec: DriftDiffusionSpec, grid: TimeGrid, noise: Union[SamplePath, Sequence[SamplePath]]
+) -> Union[SamplePath, list[SamplePath]]:
+    """Explicit Euler-Maruyama driven by one noise path, or by each path of a
+    sequence at once, returning one path or a list in the same order.
 
-    The noise path must live on the integration grid with matching dimension.
-    Raises ``NonFiniteStateError`` (with the step index) if a state blows up.
+    The drift is called on the states of all paths together, rows ``(n, d)``,
+    and must act row by row; one path is the ``n = 1`` case, so it equals
+    its row of a batch bitwise.  Every noise path must live on the
+    integration grid with matching dimension.  Raises ``NonFiniteStateError``
+    (with the step index) if a state blows up.
     """
-    if not np.array_equal(noise.grid.times, grid.times):
+    paths = [noise] if isinstance(noise, SamplePath) else list(noise)
+    if not paths:
+        raise ValueError("no noise paths to integrate")
+    if any(not np.array_equal(p.grid.times, grid.times) for p in paths):
         raise ValueError("noise path must live on the integration grid")
-    x0 = draw_initial(spec.initial, noise.seed, noise.stream_id)
-    if x0.size != noise.dim:
+    d = paths[0].dim
+    x0 = [draw_initial(spec.initial, p.seed, p.stream_id) for p in paths]
+    if any(p.dim != d or x.size != d for p, x in zip(paths, x0)):
         raise ValueError("initial condition dimension does not match the noise")
+    increments = [p.increments() for p in paths]
     checked_scale = False
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         nonlocal checked_scale
         t = grid.times[k]
-        drift = np.asarray(spec.drift(x[0], t), dtype=float)
+        drift = np.asarray(spec.drift(x, t), dtype=float)
         scale = spec.diffusion_scale(t)
         if np.ndim(scale) == 2:
             scale = np.asarray(scale, dtype=float)
@@ -209,11 +220,12 @@ def euler_maruyama(spec: DriftDiffusionSpec, grid: TimeGrid, noise: SamplePath) 
                 if np.abs(scale - scale.T).max() > 1e-10 or eigs.min() < -1e-12:
                     raise ValueError("matrix diffusion scale must be symmetric PSD")
                 checked_scale = True
-            return x + drift * grid.dts[k] + scale @ dw[0]
-        return x + drift * grid.dts[k] + float(scale) * dw[0]
+            return x + drift * grid.dts[k] + np.einsum("ab,nb->na", scale, dw)
+        return x + drift * grid.dts[k] + float(scale) * dw
 
-    states = _integrate(grid, x0[None], step, noise.increments())
-    return SamplePath(grid, np.concatenate(list(states.values())), noise.seed, noise.stream_id)
+    states = np.stack(list(_integrate(grid, np.stack(x0), step, increments.__getitem__).values()), axis=1)
+    out = [SamplePath(grid, run, p.seed, p.stream_id) for run, p in zip(states, paths)]
+    return out[0] if isinstance(noise, SamplePath) else out
 
 
 def _integrate(

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bridge, diagnostics, diffusion, localize, polchinski, rgd, targets
 from .sde import TimeGrid, generator, wiener_increments
@@ -739,6 +738,8 @@ def check_stability_and_reduction(budget: SuiteBudget) -> list[CheckResult]:
 
 
 def check_lsi_schedules(budget: SuiteBudget) -> list[CheckResult]:
+    from scipy.integrate import quad  # deferred, so that importing sloc does not load scipy
+
     out = []
     rng = generator(_subseed(budget.seed, 19), 0, 15)
 

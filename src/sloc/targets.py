@@ -16,7 +16,8 @@ limit with a separate Dirac type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -25,6 +26,7 @@ import numpy as np
 SYM_RTOL = 1e-12
 REG_CAP = 1e12
 GRAD_CHECK_TOL = 1e-5
+BATCH_PROBE_RTOL = 1e-12
 MODE_SEARCH_STEPS = 200
 DEFAULT_MAX_TRIES = 10_000
 DEFAULT_ESS_FLOOR = 64.0
@@ -247,6 +249,14 @@ class GenericPotential:
     the region the sampler visits rather than a global one.  The gradient is
     cross-checked against central finite differences of the potential on
     fixed random probe points at construction time.
+
+    ``potential`` and ``gradient`` take one point ``(d,)``; they may also take
+    rows ``(n, d)`` and return ``(n,)`` values and ``(n, d)`` gradients.  At
+    construction each is called once on the stacked probe points: one whose
+    result has that shape and equals its per-point values to
+    ``BATCH_PROBE_RTOL`` is called on rows as it is, any other is wrapped in a
+    loop over rows.  ``potential_rows`` and ``gradient_rows`` evaluate rows
+    either way, and are what the samplers call.
     """
 
     dim: int
@@ -255,6 +265,8 @@ class GenericPotential:
     strong_convexity: float
     smoothness: float | None = None
     check_gradient: bool = True
+    potential_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    gradient_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -263,14 +275,17 @@ class GenericPotential:
             raise ValueError("strong_convexity must be nonnegative")
         if self.smoothness is not None and self.smoothness < self.strong_convexity:
             raise ValueError("smoothness bound must be at least strong_convexity")
-        if self.check_gradient:
-            self._verify_gradient()
-
-    def _verify_gradient(self) -> None:
         rng = np.random.Generator(np.random.Philox(key=_GRAD_PROBE_SEED))
-        for _ in range(5):
-            x = rng.standard_normal(self.dim)
-            grad = np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
+        points = rng.standard_normal((5, self.dim))
+        values = np.array([float(self.potential(x)) for x in points])
+        grads = np.array([np.atleast_1d(np.asarray(self.gradient(x), dtype=float)) for x in points])
+        object.__setattr__(self, "potential_rows", _on_rows(self.potential, points, values))
+        object.__setattr__(self, "gradient_rows", _on_rows(self.gradient, points, grads))
+        if self.check_gradient:
+            self._verify_gradient(points, grads)
+
+    def _verify_gradient(self, points: np.ndarray, grads: np.ndarray) -> None:
+        for x, grad in zip(points, grads):
             fd = np.empty(self.dim)
             for k in range(self.dim):
                 h = 1e-5 * (1.0 + abs(x[k]))
@@ -282,6 +297,23 @@ class GenericPotential:
                     "gradient disagrees with finite differences of the potential "
                     f"at probe point {x!r}"
                 )
+
+
+def _on_rows(fn: Callable, points: np.ndarray, per_point: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` itself if it maps the stacked ``points`` to their ``per_point``
+    values, else ``fn`` applied row by row."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            stacked = np.asarray(fn(points), dtype=float)
+    except (TypeError, ValueError, IndexError):
+        stacked = None
+    if stacked is not None and stacked.shape == per_point.shape and np.allclose(
+        stacked, per_point, rtol=BATCH_PROBE_RTOL, atol=0.0
+    ):
+        return fn
+    tail = per_point.shape[1:]
+    return lambda xs: np.array([np.asarray(fn(x), dtype=float).reshape(tail) for x in xs]).reshape(-1, *tail)
 
 
 TargetMeasure = Union[GaussianMeasure, GaussianMixture, GenericPotential]
@@ -298,7 +330,7 @@ def base_log_density(base: TargetMeasure, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim <= 1:
         return -float(base.potential(np.atleast_1d(x)))
-    return -np.asarray([float(base.potential(row)) for row in x])
+    return -base.potential_rows(x)
 
 
 def sample_base(base: TargetMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -366,11 +398,6 @@ class TiltedMeasure:
     def reg_is_scalar(self) -> bool:
         return np.ndim(self.reg) == 0
 
-    def reg_matrix(self) -> np.ndarray:
-        if self.reg_is_scalar:
-            return float(self.reg) * np.eye(self.dim)
-        return np.asarray(self.reg)
-
     @cached_property
     def _closed_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Posterior component weights ``(J,)``, means ``(J, d)`` and covariances
@@ -394,10 +421,8 @@ def tilt(base: TargetMeasure, c, reg) -> TiltedMeasure:
 def unnormalized_log_density(m: TiltedMeasure, x) -> np.ndarray:
     """``log base(x) + <c, x> - 0.5 x' R x``; base term unnormalized for potentials."""
     x = np.asarray(x, dtype=float)
-    lin = x @ m.c
-    r = m.reg_matrix()
-    quad = np.einsum("...i,ij,...j->...", x, r, x)
-    return base_log_density(m.base, x) + lin - 0.5 * quad
+    quad = np.sum(x * _reg_times(m.reg, x), axis=-1)
+    return base_log_density(m.base, x) + x @ m.c - 0.5 * quad
 
 
 class Moments(NamedTuple):
@@ -421,26 +446,40 @@ def _generic_curvature(m: TiltedMeasure) -> float:
     return base.strong_convexity + lam_min
 
 
-def _generic_total(m: TiltedMeasure):
-    base = m.base
-    reg_mat = m.reg_matrix()
-    c = m.c
-
-    def total_potential(x: np.ndarray) -> float:
-        return float(base.potential(x)) - float(c @ x) + 0.5 * float(x @ (reg_mat @ x))
-
-    def total_gradient(x: np.ndarray) -> np.ndarray:
-        return np.asarray(base.gradient(x), dtype=float) - c + reg_mat @ x
-
-    return total_potential, total_gradient
+def _reg_times(reg: Union[float, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``R x`` for each row of ``x``; a scalar regularizer scales elementwise."""
+    return reg * x if np.ndim(reg) == 0 else x @ np.transpose(reg)
 
 
-def _generic_envelope(m: TiltedMeasure):
-    """Gaussian envelope for the tilted generic potential.
+def _tilted_potential(base: GenericPotential, c: np.ndarray, reg, x: np.ndarray) -> np.ndarray:
+    """``V(x) - <c, x> + x' R x / 2`` at rows ``x (n, d)``, tilts ``c`` ``(n, d)`` or ``(d,)``."""
+    return base.potential_rows(x) - np.sum(c * x, axis=-1) + 0.5 * np.sum(x * _reg_times(reg, x), axis=-1)
+
+
+def _tilted_gradient(base: GenericPotential, c: np.ndarray, reg, x: np.ndarray) -> np.ndarray:
+    return base.gradient_rows(x) - c + _reg_times(reg, x)
+
+
+class _Envelope(NamedTuple):
+    """Gaussian envelopes of K tilts sharing one regularizer: row k of each
+    array belongs to the tilt ``tilts[k]``; every proposal has precision ``g``."""
+
+    tilts: np.ndarray
+    x_hat: np.ndarray
+    u_hat: np.ndarray
+    g_hat: np.ndarray
+    g: float
+    center: np.ndarray
+
+
+def _generic_envelope(m: TiltedMeasure, tilts=None) -> _Envelope:
+    """Gaussian envelopes of ``tilt(m.base, c, m.reg)`` for the rows ``c`` of
+    ``tilts (K, d)``, by default the one tilt ``m.c``.
 
     The proposal has precision ``g = alpha + lambda_min(R)`` and is centered at
     the gradient-corrected point ``x_hat - grad U(x_hat) / g``, so the envelope
-    stays valid even when the 200-step mode search has not fully converged.
+    stays valid even when the 200-step mode search, run for all K tilts at
+    once, has not fully converged.
     """
     base = m.base
     g = _generic_curvature(m)
@@ -454,41 +493,55 @@ def _generic_envelope(m: TiltedMeasure):
         lam_max = float(m.reg)
     else:
         lam_max = float(np.linalg.eigvalsh(np.asarray(m.reg)).max())
-    total_potential, total_gradient = _generic_total(m)
+    cs = m.c[None] if tilts is None else np.atleast_2d(np.asarray(tilts, dtype=float))
+    if cs.ndim != 2 or cs.shape[1] != m.dim:
+        raise ValueError(f"tilt vectors of shape {cs.shape} do not match dimension {m.dim}")
     step = 1.0 / (base.smoothness + lam_max)
-    x = np.zeros(m.dim)
+    x = np.zeros(cs.shape)
     for _ in range(MODE_SEARCH_STEPS):
-        x = x - step * total_gradient(x)
-    u_hat = total_potential(x)
-    g_hat = total_gradient(x)
-    center = x - g_hat / g
-    return total_potential, x, u_hat, g_hat, g, center
+        x = x - step * _tilted_gradient(base, cs, m.reg, x)
+    u_hat = _tilted_potential(base, cs, m.reg, x)
+    g_hat = _tilted_gradient(base, cs, m.reg, x)
+    return _Envelope(cs, x, u_hat, g_hat, g, x - g_hat / g)
 
 
 def _generic_rejection_sample(
     m: TiltedMeasure, n: int, rng: np.random.Generator, max_tries: int
 ) -> np.ndarray:
-    total_potential, x_hat, u_hat, g_hat, g, center = _generic_envelope(m)
-    scale = 1.0 / math.sqrt(g)
-    out = np.empty((n, m.dim))
+    """``n`` exact draws from ``m`` by rejection from its envelope."""
+    return _rejection_rounds(m, _generic_envelope(m), np.zeros(n, dtype=int), rng, max_tries)
+
+
+def _rejection_rounds(
+    m: TiltedMeasure, env: _Envelope, which: np.ndarray, rng: np.random.Generator, max_tries: int
+) -> np.ndarray:
+    """One exact draw from ``tilt(m.base, env.tilts[k], m.reg)`` for each entry
+    ``k`` of ``which``, by rejection in rounds: a round proposes once for every
+    row still pending, and ``max_tries`` rounds at most give no row more than
+    ``max_tries`` proposals."""
+    scale = 1.0 / math.sqrt(env.g)
+    out = np.empty((which.size, m.dim))
+    pending = np.arange(which.size)
     total_tries = 0
-    for i in range(n):
-        accepted = False
-        for _ in range(max_tries):
-            total_tries += 1
-            z = center + scale * rng.standard_normal(m.dim)
-            slack = (
-                total_potential(z)
-                - u_hat
-                - float(g_hat @ (z - x_hat))
-                - 0.5 * g * float((z - x_hat) @ (z - x_hat))
-            )
-            if math.log(rng.random()) <= -slack:
-                out[i] = z
-                accepted = True
-                break
-        if not accepted:
-            raise SamplingBudgetError(total_tries, i)
+    for _ in range(max_tries):
+        if pending.size == 0:
+            break
+        total_tries += pending.size
+        k = which[pending]
+        z = env.center[k] + scale * rng.standard_normal((pending.size, m.dim))
+        log_u = np.log(rng.random(pending.size))
+        dz = z - env.x_hat[k]
+        slack = (
+            _tilted_potential(m.base, env.tilts[k], m.reg, z)
+            - env.u_hat[k]
+            - np.sum(env.g_hat[k] * dz, axis=1)
+            - 0.5 * env.g * np.sum(dz * dz, axis=1)
+        )
+        accept = log_u <= -slack
+        out[pending[accept]] = z[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise SamplingBudgetError(total_tries, which.size - pending.size)
     return out
 
 
@@ -500,11 +553,11 @@ def _generic_is_moments(
         raise ValueError("a positive budget is required for a generic base")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=_DEFAULT_IS_SEED))
-    total_potential, _, _, _, g, center = _generic_envelope(m)
+    env = _generic_envelope(m)
     d = m.dim
-    draws = center + rng.standard_normal((budget, d)) / math.sqrt(g)
-    log_q = -0.5 * g * np.sum((draws - center) ** 2, axis=1)
-    log_u = np.asarray([total_potential(row) for row in draws])
+    draws = env.center + rng.standard_normal((budget, d)) / math.sqrt(env.g)
+    log_q = -0.5 * env.g * np.sum((draws - env.center) ** 2, axis=1)
+    log_u = _tilted_potential(m.base, m.c, m.reg, draws)
     _, w = _log_normalize(-log_u - log_q)
     ess = 1.0 / float(np.sum(w**2))
     if ess < ess_floor:
@@ -595,6 +648,14 @@ class TiltStep(NamedTuple):
     shift: np.ndarray
     const: np.ndarray
 
+    def _columns(self, tilts) -> np.ndarray:
+        """Tilt rows as columns ``(d, n)``, checked against the base dimension."""
+        ct = np.atleast_2d(np.asarray(tilts, dtype=float)).T
+        d = self.shift.shape[1]
+        if ct.shape[0] != d:
+            raise ValueError(f"tilt vectors have {ct.shape[0]} columns, the base has dimension {d}")
+        return ct
+
     def _means(self, ct: np.ndarray) -> np.ndarray:
         """Component posterior means ``(J, d, ...)`` of tilt columns ``ct`` ``(d, ...)``."""
         means = ct[0] * self.inv[:, :, 0] + self.offset
@@ -610,14 +671,19 @@ class TiltStep(NamedTuple):
             log_w = log_w + prod[:, e]
         return 0.5 * log_w + self.const
 
+    def mean_and_log_partition(self, tilts) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means ``(n, d)`` and log-partitions ``(n,)`` for the rows of
+        ``tilts``, with the row independence of ``posterior``."""
+        ct = self._columns(tilts)
+        means = self._means(ct)
+        log_z, w = _log_normalize(self._log_masses(ct, means), axis=0)
+        return np.add.reduce(w[:, None, :] * means, axis=0).T, log_z
+
     def posterior(self, tilts) -> tuple[np.ndarray, np.ndarray | None]:
         """Component posterior means ``(J, d, n)`` and weights ``(J, n)``, or
         ``None`` when J = 1, for the rows of ``tilts``.  Sums run elementwise
         in a fixed order, never through BLAS, so no row depends on another."""
-        ct = np.atleast_2d(np.asarray(tilts, dtype=float)).T
-        d = self.shift.shape[1]
-        if ct.shape[0] != d:
-            raise ValueError(f"tilt vectors have {ct.shape[0]} columns, the base has dimension {d}")
+        ct = self._columns(tilts)
         means = self._means(ct)
         if means.shape[0] == 1:
             return means, None
@@ -705,9 +771,22 @@ def _tilt_means(base: TargetMeasure, regs, budget: int | None = None, rng: np.ra
 
 
 def sample_tilted_batch(
-    base: TargetMeasure, tilts: np.ndarray, t: float, rng: np.random.Generator
+    base: TargetMeasure,
+    tilts: np.ndarray,
+    t: float,
+    rng: np.random.Generator,
+    *,
+    max_tries: int = DEFAULT_MAX_TRIES,
 ) -> np.ndarray:
-    """One exact draw from each ``tilt(base, c_i, t)``; Gaussian/mixture only."""
+    """One exact draw from each ``tilt(base, c_i, t)``.
+
+    A generic base draws all rows through one rejection kernel, as ``sample``
+    does, with at most ``max_tries`` proposals per row.
+    """
+    if isinstance(base, GenericPotential):
+        m = tilt(base, np.zeros(base.dim), t)
+        env = _generic_envelope(m, tilts)
+        return _rejection_rounds(m, env, np.arange(len(env.tilts)), rng, max_tries)
     step = tilt_plan(base, [t])(0)
     means, w = step.posterior(tilts)
     chols = np.linalg.cholesky(step.inv[..., 0])
@@ -731,13 +810,13 @@ def register_potential(name: str):
 
 @register_potential("gaussian")
 def gaussian_potential(dim: int = 1, mean: float = 0.0, precision: float = 1.0) -> GenericPotential:
-    """Quadratic potential 0.5 * precision * |x - mean|^2."""
+    """Quadratic potential 0.5 * precision * |x - mean|^2, at one point or at rows."""
     mu = np.full(dim, float(mean))
     p = float(precision)
 
-    def value(x: np.ndarray) -> float:
+    def value(x: np.ndarray) -> np.ndarray:
         diff = np.asarray(x, dtype=float) - mu
-        return 0.5 * p * float(diff @ diff)
+        return 0.5 * p * np.sum(diff * diff, axis=-1)
 
     def grad(x: np.ndarray) -> np.ndarray:
         return p * (np.asarray(x, dtype=float) - mu)
@@ -747,14 +826,14 @@ def gaussian_potential(dim: int = 1, mean: float = 0.0, precision: float = 1.0) 
 
 @register_potential("quartic")
 def quartic_potential(dim: int = 1, quartic: float = 0.1, smoothness: float = 40.0) -> GenericPotential:
-    """Convex quadratic-plus-quartic well 0.5 |x|^2 + quartic * sum(x^4)."""
+    """Convex quadratic-plus-quartic well 0.5 |x|^2 + quartic * sum(x^4), at one point or at rows."""
     a = float(quartic)
     if a < 0:
         raise ValueError("quartic coefficient must be nonnegative")
 
-    def value(x: np.ndarray) -> float:
+    def value(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x) + a * float(np.sum(x**4))
+        return 0.5 * np.sum(x * x, axis=-1) + a * np.sum(x**4, axis=-1)
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

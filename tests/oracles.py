@@ -98,3 +98,14 @@ def log_domain_sinkhorn(a, b, ref_kernel, tol: float, max_iter: int = 100_000, d
             break
     gamma = np.exp(log_r + log_f[:, None] + log_g[None, :])
     return np.exp(log_f), np.exp(log_g), gamma, iterations, residual
+
+
+def dense_transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndarray, eta: float) -> np.ndarray:
+    """One chain step's density from ``p0`` on the uniform grid ``xs`` through
+    the dense ``N(0, eta)`` kernel matrix: ``pi * K (K p0 / K pi)``, each
+    product a Riemann sum."""
+    kernel = np.exp(-0.5 * (xs[:, None] - xs[None, :]) ** 2 / eta) / math.sqrt(2.0 * math.pi * eta)
+    dx = xs[1] - xs[0]
+    nu = kernel @ p0 * dx
+    z_post = kernel @ pi_density * dx
+    return pi_density * (kernel @ (nu / z_post) * dx)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sloc
 from sloc.diagnostics import (
     TwoSampleResult,
     entropy_plugin,
@@ -164,3 +169,11 @@ class TestEntropyPlugin:
         x = np.random.default_rng(8).standard_normal((1000, 1))
         ent, _ = entropy_plugin(x, lambda pts: 0.3 * pts[:, 0])
         assert np.isfinite(ent)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = "import sys, sloc, sloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(sloc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloc import targets
+from sloc import rgd, targets
 from sloc.diagnostics import ks_two_sample, moment_check
 from sloc.rgd import (
     ChainLaw,
@@ -30,7 +30,15 @@ from sloc.targets import (
     tilt,
 )
 
-from oracles import grid_1d, mixture_pdf, quad_raw_moments_1d, tilt_density_1d, gaussian_pdf, quad_moments_1d
+from oracles import (
+    dense_transition_density,
+    gaussian_pdf,
+    grid_1d,
+    mixture_pdf,
+    quad_moments_1d,
+    quad_raw_moments_1d,
+    tilt_density_1d,
+)
 
 
 def std_normal():
@@ -207,8 +215,36 @@ class TestKernelIdentity:
         batch = rgd_transition_batch(np.array([0.3]), cfg, 2000, np.random.default_rng(10))[:, 0]
         assert ks_two_sample(singles, batch).p_value > 0.01
 
+    def test_generic_batch_matches_single_steps_in_law(self):
+        cfg = RgdConfig(0.7, quartic_potential(dim=1))
+        rng = np.random.default_rng(9)
+        singles = np.array([rgd_step(np.array([0.3]), cfg, rng)[0] for _ in range(1000)])
+        batch = rgd_transition_batch(np.array([0.3]), cfg, 4000, np.random.default_rng(10))[:, 0]
+        assert ks_two_sample(singles, batch).p_value > 0.01
+
+    def test_rows_of_states_start_their_own_transitions(self):
+        # Target N(0, 1) at eta = 1: one step from x is N(x / 2, 3 / 4).
+        cfg = RgdConfig(1.0, std_normal())
+        x = np.repeat([[-3.0], [3.0]], 2000, axis=0)
+        moved = rgd_transition_batch(x, cfg, x.shape[0], np.random.default_rng(11))
+        for side in (slice(0, 2000), slice(2000, None)):
+            z = (moved[side, 0] - x[side, 0] / 2.0) / math.sqrt(0.75)
+            assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
+            assert z.var() == pytest.approx(1.0, abs=0.1)
+
 
 class TestHeatFlowContraction:
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_convolution_quadrature_matches_dense_kernel(self, eta):
+        xs = np.linspace(-12.0, 12.0, 1201)
+        log_pi = -(0.5 * xs**2 + 0.1 * xs**4)
+        pi_density = np.exp(log_pi) / np.trapezoid(np.exp(log_pi), xs)
+        p0 = gaussian_pdf(2.0, 1.0)(xs)
+        got = rgd._transition_density(xs, pi_density, p0, eta)
+        want = dense_transition_density(xs, pi_density, p0, eta)
+        assert np.abs(got - want).max() <= 1e-10
+        assert np.trapezoid(got, xs) == pytest.approx(1.0, abs=1e-6)
+
     def test_gaussian_delegates_to_chain_law(self):
         init = GaussianMeasure([2.0], [[1.0]])
         ratio, se = heat_flow_contraction_mc(std_normal(), init, 1.0)

@@ -123,12 +123,8 @@ class TestEulerMaruyama:
             diffusion_scale=lambda t: math.sqrt(2.0),
             initial=np.array([x0]),
         )
-        terminal = np.array(
-            [
-                euler_maruyama(spec, grid, wiener_increments(grid, 1, 11, s)).terminal()[0]
-                for s in range(n)
-            ]
-        )
+        paths = euler_maruyama(spec, grid, [wiener_increments(grid, 1, 11, s) for s in range(n)])
+        terminal = np.array([path.terminal()[0] for path in paths])
         se_mean = terminal.std() / math.sqrt(n)
         assert abs(terminal.mean() - x0 / 2.0) <= 4.0 * se_mean + 0.02
         var = terminal.var(ddof=1)
@@ -169,6 +165,22 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError, match="grid"):
             euler_maruyama(spec, grid, noise)
 
+    def test_batch_rows_equal_single_paths(self):
+        grid = TimeGrid.uniform(0.0, 1.0, 30)
+        spec = DriftDiffusionSpec(
+            drift=lambda x, t: -x * (1.0 + t),
+            diffusion_scale=lambda t: np.array([[1.0, 0.3], [0.3, 0.5]]),
+            initial=GaussianMeasure([0.5, -1.0], [[1.0, 0.2], [0.2, 0.6]]),
+        )
+        noises = [wiener_increments(grid, 2, 17, s) for s in range(5)]
+        batch = euler_maruyama(spec, grid, noises)
+        for noise, path in zip(noises, batch):
+            single = euler_maruyama(spec, grid, noise)
+            assert single.states.tobytes() == path.states.tobytes()
+            assert (path.seed, path.stream_id) == (noise.seed, noise.stream_id)
+        with pytest.raises(ValueError, match="no noise"):
+            euler_maruyama(spec, grid, [])
+
     def test_refinement_improves_terminal_law(self):
         # Wasserstein-1 distance of the Euler terminal law to the exact OU law
         # shrinks monotonically across three halvings of the step.
@@ -184,12 +196,8 @@ class TestEulerMaruyama:
                 diffusion_scale=lambda t: math.sqrt(2.0),
                 initial=np.array([x0]),
             )
-            terminal = np.array(
-                [
-                    euler_maruyama(spec, grid, wiener_increments(grid, 1, 13, s)).terminal()[0]
-                    for s in range(n)
-                ]
-            )
+            paths = euler_maruyama(spec, grid, [wiener_increments(grid, 1, 13, s) for s in range(n)])
+            terminal = np.array([path.terminal()[0] for path in paths])
             w1.append(float(np.mean(np.abs(np.sort(terminal) - quantiles))))
         assert w1[0] > w1[1] > w1[2]
 

@@ -256,6 +256,107 @@ class TestSampling:
         assert ks_two_sample(batch, direct).p_value > 0.01
 
 
+def _quartic_pair():
+    """The same quartic well as a one-point-only pair and as a batch-capable pair."""
+
+    def value_point(x):
+        return 0.5 * float(x @ x) + 0.1 * float(np.sum(x**4))
+
+    def grad_point(x):
+        return np.asarray(x + 0.4 * x**3).reshape(1)
+
+    def value_rows(x):
+        return 0.5 * np.sum(x * x, axis=-1) + 0.1 * np.sum(x**4, axis=-1)
+
+    def grad_rows(x):
+        return x + 0.4 * x**3
+
+    return (
+        GenericPotential(1, value_point, grad_point, 1.0, 40.0),
+        GenericPotential(1, value_rows, grad_rows, 1.0, 40.0),
+    )
+
+
+class TestBatchedGeneric:
+    def test_probe_keeps_batch_callables_and_wraps_the_rest(self):
+        point, rows = _quartic_pair()
+        assert rows.potential_rows is rows.potential and rows.gradient_rows is rows.gradient
+        assert point.potential_rows is not point.potential
+        assert point.gradient_rows is not point.gradient
+        xs = np.linspace(-2.0, 2.0, 7)[:, None]
+        assert point.potential_rows(xs).shape == (7,)
+        assert point.gradient_rows(xs).shape == (7, 1)
+        assert np.array_equal(point.potential_rows(xs), rows.potential_rows(xs))
+        assert np.array_equal(point.gradient_rows(xs), rows.gradient_rows(xs))
+        for pot in (quartic_potential(dim=3), gaussian_potential(dim=2, mean=0.5)):
+            assert pot.potential_rows is pot.potential and pot.gradient_rows is pot.gradient
+
+    def test_right_shape_with_wrong_values_is_wrapped(self):
+        # On a stack this returns the stack's total in every row: the right
+        # shape, the wrong values, so the probe must fall back to a row loop.
+        pot = GenericPotential(
+            1, lambda x: 0.5 * np.sum(x**2) + 0.0 * x[..., 0], lambda x: np.asarray(x, float), 1.0, 1.0
+        )
+        assert pot.potential_rows is not pot.potential
+        xs = np.array([[1.0], [2.0]])
+        assert np.array_equal(pot.potential_rows(xs), [0.5, 2.0])
+
+    def test_row_loop_and_batch_give_bitwise_equal_draws_and_moments(self):
+        point, rows = _quartic_pair()
+        for c, t in ((0.7, 0.3), (-1.5, 2.0)):
+            a, b = tilt(point, [c], t), tilt(rows, [c], t)
+            assert sample(a, 300, rng(5)).tobytes() == sample(b, 300, rng(5)).tobytes()
+            ma = posterior_moments(a, 500, rng=rng(6))
+            mb = posterior_moments(b, 500, rng=rng(6))
+            assert ma.mean.tobytes() == mb.mean.tobytes() and ma.cov.tobytes() == mb.cov.tobytes()
+            assert ma.stderr == mb.stderr
+        cs = np.linspace(-2.0, 2.0, 50)[:, None]
+        assert (
+            targets.sample_tilted_batch(point, cs, 0.8, rng(7)).tobytes()
+            == targets.sample_tilted_batch(rows, cs, 0.8, rng(7)).tobytes()
+        )
+
+    def test_batch_draws_follow_each_rows_tilt(self):
+        # One draw per row from tilt(N(0, 1), c_i, t) is N(c_i / (1 + t), 1 / (1 + t)).
+        pot = gaussian_potential(dim=1)
+        cs = np.linspace(-3.0, 3.0, 4000)[:, None]
+        draws = targets.sample_tilted_batch(pot, cs, 0.5, rng(8))
+        z = (draws[:, 0] - cs[:, 0] / 1.5) * math.sqrt(1.5)
+        assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
+        assert z.var() == pytest.approx(1.0, abs=0.1)
+        with pytest.raises(ValueError, match="dimension"):
+            targets.sample_tilted_batch(pot, np.zeros((3, 2)), 0.5, rng(8))
+
+    @pytest.mark.parametrize("route", ["sample", "batch"])
+    def test_rounds_exhausting_max_tries_report_their_counts(self, route):
+        from sloc.targets import SamplingBudgetError
+
+        # The envelope's precision 1 + t is far below the well's 100, so most
+        # proposals are rejected.
+        steep = GenericPotential(
+            1, lambda x: 50.0 * np.sum(x * x, axis=-1), lambda x: 100.0 * x, 1.0, 100.0
+        )
+        n = 40
+
+        def draw(max_tries):
+            if route == "sample":
+                return sample(tilt(steep, [0.0], 0.0), n, rng(2), max_tries=max_tries)
+            return targets.sample_tilted_batch(steep, np.zeros((n, 1)), 0.0, rng(2), max_tries=max_tries)
+
+        errs = []
+        for max_tries in (1, 2):
+            with pytest.raises(SamplingBudgetError) as err:
+                draw(max_tries)
+            errs.append(err.value)
+        # The first round is the same in both runs, so the second run's extra
+        # tries are exactly the rows the first round left pending.
+        assert errs[0].tries == n and 0 < errs[0].accepted < n
+        assert errs[1].tries == n + (n - errs[0].accepted)
+        assert errs[0].accepted < errs[1].accepted < n
+        assert errs[1].acceptance_rate == errs[1].accepted / errs[1].tries
+        assert draw(10_000).shape == (n, 1)
+
+
 class TestInvariants:
     def test_posterior_covariance_identity(self):
         g = np.random.default_rng(1)
