@@ -23,10 +23,10 @@ import numpy as np
 
 from . import targets
 from .polchinski import (  # noqa: F401
-    _MC_KEY, fluctuation_measure, polchinski_ensemble, polchinski_run, renorm_potential,
+    _flow_drift, fluctuation_measure, polchinski_ensemble, polchinski_run, renorm_potential,
 )
 from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
-from .targets import TargetMeasure, posterior_moments
+from .targets import TargetMeasure
 
 #: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
 #: ``[1 / _ABSORB, _ABSORB]``.
@@ -266,11 +266,10 @@ class FollmerDrift:
     budget: int = 0
 
     def __call__(self, v, tau: float, rng: np.random.Generator | None = None) -> np.ndarray:
+        if not 0.0 <= tau < 1.0:
+            raise ValueError("tau must lie in [0, 1)")
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        if rng is None:
-            rng = np.random.Generator(np.random.Philox(key=_MC_KEY))
-        m = posterior_moments(fluctuation_measure(self.base, tau, v), self.budget, rng=rng).mean
-        return (m - v) / (1.0 - tau)
+        return _flow_drift(self.base, np.array([tau], dtype=float), self.budget, rng)(0, v[None])[0]
 
 
 def follmer_sample(
@@ -309,18 +308,12 @@ def girsanov_energy(
     """
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the drift grid must start at 0 and stay below 1")
-    base = drift.base
-    d = base.dim
-    taus, dts = tau_grid.times[:-1], tau_grid.dts
-    closed_form = isinstance(base, (targets.GaussianMeasure, targets.GaussianMixture))
-    mean = targets._tilt_means(base, taus / (1.0 - taus)) if closed_form else None
+    d, dts = drift.base.dim, tau_grid.dts
+    flow = _flow_drift(drift.base, tau_grid.times[:-1], drift.budget)
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        v, one_m = x[:, :d], 1.0 - float(taus[k])
-        if closed_form:
-            u = (mean(k, v / one_m) - v) / one_m
-        else:
-            u = np.stack([drift(row, float(taus[k])) for row in v])
+        v = x[:, :d]
+        u = flow(k, v)
         energy = x[:, d] + 0.5 * np.sum(u**2, axis=1) * dts[k]
         return np.column_stack([v + u * dts[k] + dw, energy])
 

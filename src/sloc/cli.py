@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bridge, localize, polchinski, rgd, suites, targets
-from .sde import TimeGrid, _fmt, wiener_increments, write_paths_csv
+from .sde import TimeGrid, _fmt, generator, wiener_increments, write_paths_csv
 
 DEFAULT_TARGET = {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
 
@@ -252,8 +252,6 @@ def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
     if not isinstance(target, (targets.GaussianMeasure, targets.GaussianMixture)):
         target = targets.GaussianMeasure([0.0], [[1.0]])
     d = target.dim
-    from .sde import generator
-
     chain_cfg = rgd.RgdConfig(cfg.eta, target, steps=50)
     trace = rgd.rgd_chain(np.zeros(d), chain_cfg, generator(cfg.seed, 0, 21))
     kls = None
@@ -281,15 +279,8 @@ def _write_bridge_artifacts(cfg: ExperimentConfig) -> None:
     """Optimal coupling CSV and solver trace JSON for a canonical instance."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .sde import generator
-
     rng = generator(cfg.seed, 2, 23)
-    w_mu = rng.uniform(0.5, 1.5, 4)
-    w_mu /= w_mu.sum()
-    w_mu[-1] = 1.0 - w_mu[:-1].sum()
-    w_pi = rng.uniform(0.5, 1.5, 5)
-    w_pi /= w_pi.sum()
-    w_pi[-1] = 1.0 - w_pi[:-1].sum()
+    w_mu, w_pi = suites._random_weights(rng, 4), suites._random_weights(rng, 5)
     mu = bridge.DiscreteMeasure(rng.standard_normal((4, 2)), w_mu)
     pi = bridge.DiscreteMeasure(rng.standard_normal((5, 2)) + 0.5, w_pi)
     ref = bridge.heat_kernel_reference(mu, pi)

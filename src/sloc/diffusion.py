@@ -22,6 +22,7 @@ from .sde import (
     SamplePath,
     TimeGrid,
     _integrate,
+    _noise_increments,
     generator,
     wiener_increment_array,
 )
@@ -116,10 +117,9 @@ def backward_sde_run(
     smoothing of variance 1 / (u_max + 1).  The run is the n=1 case of
     ``backward_sde_ensemble`` on the noise path's increments.
     """
-    if not np.array_equal(noise.grid.times, u_grid.times):
-        raise ValueError("noise path must live on the integration grid")
+    dw = _noise_increments(noise, u_grid, base.dim)
     x0 = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal((1, base.dim))
-    snaps = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), noise.increments())
+    snaps = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), dw)
     return [BackwardState(u, x[0]) for u, x in snaps.items()]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -28,6 +29,7 @@ from .sde import (
     _emit,
     _fmt,
     _integrate,
+    _noise_increments,
     generator,
     wiener_increment_array,
 )
@@ -113,15 +115,12 @@ def tilt_sde_run(
     importance-sampling budget for generic bases.  The run is the n=1 case
     of ``tilt_sde_ensemble`` on the noise path's increments.
     """
-    if not np.array_equal(noise.grid.times, grid.times):
-        raise ValueError("noise path must live on the integration grid")
+    d = base.dim
+    dw = _noise_increments(noise, grid, d)
     if grid.times[0] != 0.0:
         raise ValueError("the tilt process starts at time 0")
-    d = base.dim
-    if noise.dim != d:
-        raise ValueError("noise dimension does not match the base")
     t, x0, step = _tilt_step(base, grid, budget, rng)
-    snaps = _integrate(grid, x0, step, noise.increments())
+    snaps = _integrate(grid, x0, step, dw)
     return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, snaps.values())]
 
 
@@ -148,6 +147,22 @@ def tilt_sde_ensemble(
     return {s: x[:, :d].copy() for s, x in snaps.items()}
 
 
+def _channel(base: TargetMeasure, times, seed: int, streams) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden draws ``x (R, d)`` of the given streams and their observations
+    ``c_t = t x + B_t`` at increasing ``times``, shape ``(len(times), R, d)``.
+
+    ``x`` comes from each stream's ``SALT_INIT`` block and ``B`` is the Wiener
+    path of its noise block on the requested times, with 0 put in front when
+    they start later."""
+    times = np.asarray(times, dtype=float)
+    grid = TimeGrid(times if times.size and times[0] == 0.0 else np.concatenate([[0.0], times]))
+    x = np.stack([targets.sample_base(base, 1, generator(seed, s, SALT_INIT))[0] for s in streams])
+    b = np.stack([np.cumsum(wiener_increment_array(grid, base.dim, seed, s), axis=0) for s in streams], axis=1)
+    # B is 0 at the grid's start; keep the rows of the requested times.
+    b = np.concatenate([np.zeros((1,) + b.shape[1:]), b])[len(grid) - times.size:]
+    return x, times[:, None, None] * x + b
+
+
 def channel_path(
     base: TargetMeasure, grid: TimeGrid, seed: int, stream_id: int = 0
 ) -> tuple[np.ndarray, SamplePath]:
@@ -155,52 +170,42 @@ def channel_path(
 
     The posterior of ``x`` given ``c_t`` is ``tilt(base, c_t, t)``.  The hidden
     draw uses the stream's dedicated counter block, the observation noise the
-    stream's noise block, so the pair is reproducible per (seed, stream).
+    stream's noise block, so the pair is reproducible per (seed, stream).  The
+    path is the one-stream case of ``channel_ensemble`` on the grid's times.
     """
-    d = base.dim
-    x = targets.sample_base(base, 1, generator(seed, stream_id, SALT_INIT))[0]
-    states = np.empty((len(grid), d))
-    t0 = float(grid.times[0])
-    g0 = generator(seed, stream_id)
-    b = math.sqrt(t0) * g0.standard_normal(d) if t0 > 0.0 else np.zeros(d)
-    states[0] = t0 * x + b
-    for k in range(grid.steps):
-        b = b + math.sqrt(grid.dts[k]) * g0.standard_normal(d)
-        states[k + 1] = grid.times[k + 1] * x + b
-    return x, SamplePath(grid, states, seed, stream_id)
+    x, states = _channel(base, grid.times, seed, [stream_id])
+    return x[0], SamplePath(grid, states[:, 0], seed, stream_id)
 
 
 def channel_ensemble(
     base: TargetMeasure, times: Sequence[float], seed: int, n_paths: int
 ) -> dict[float, np.ndarray]:
-    """Exact channel marginals ``c_t = t x + B_t`` at the requested times."""
-    d = base.dim
-    ts = sorted(float(t) for t in times)
-    out = {t: np.empty((n_paths, d)) for t in ts}
-    for s in range(n_paths):
-        x = targets.sample_base(base, 1, generator(seed, s, SALT_INIT))[0]
-        g = generator(seed, s)
-        b = np.zeros(d)
-        prev = 0.0
-        for t in ts:
-            b = b + math.sqrt(t - prev) * g.standard_normal(d)
-            prev = t
-            out[t][s] = t * x + b
-    return out
+    """Exact channel marginals ``c_t = t x + B_t`` at the requested times,
+    streams 0..n_paths-1; repeated times are observed once."""
+    ts = sorted(set(float(t) for t in times))
+    return dict(zip(ts, _channel(base, ts, seed, range(n_paths))[1]))
 
 
-def _reweight(points: np.ndarray, log_w: np.ndarray, w: np.ndarray, dw: np.ndarray, dt: float):
-    """One Ito-exponential reweighting of clouds ``points (..., n, d)`` with
-    normalized log-weights ``log_w`` and weights ``w``; returns the new
-    normalized log-weights and weights and the log of the pre-renormalization
-    mass.  ``particle_sl_run`` and ``particle_ensemble`` share it, so a single
-    run is a row of the ensemble."""
-    centered = points - np.einsum("...n,...nd->...d", w, points)[..., None, :]
-    log_w = log_w + np.einsum("...nd,...d->...n", centered, dw)
-    log_w -= (0.5 * dt) * np.einsum("...nd,...nd->...n", centered, centered)
-    step_mass, w = _log_normalize(log_w)
-    log_w -= step_mass[..., None]
-    return log_w, w, step_mass
+def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw: np.ndarray, dts: np.ndarray):
+    """Weighted particle clouds of the given streams: base draws from each
+    stream's ``SALT_INIT`` block, reweighted along increments ``dw (R, steps, d)``
+    by the Ito-exponential update.  Yields the points ``(R, n, d)``, which never
+    move, the normalized log-weights and weights ``(R, n)`` and the accumulated
+    log of the pre-renormalization masses ``(R,)``, at the start and after each
+    step."""
+    points = np.stack([targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)) for r in streams])
+    log_w = np.full(points.shape[:2], -math.log(n_particles))
+    w = np.full(points.shape[:2], 1.0 / n_particles)
+    log_mass = np.zeros(len(points))
+    yield points, log_w, w, log_mass
+    for k, dt in enumerate(dts):
+        centered = points - np.einsum("...n,...nd->...d", w, points)[..., None, :]
+        log_w = log_w + np.einsum("...nd,...d->...n", centered, dw[:, k])
+        log_w -= (0.5 * dt) * np.einsum("...nd,...nd->...n", centered, centered)
+        step_mass, w = _log_normalize(log_w)
+        log_w -= step_mass[..., None]
+        log_mass = log_mass + step_mass
+        yield points, log_w, w, log_mass
 
 
 def particle_sl_run(
@@ -215,28 +220,21 @@ def particle_sl_run(
     Per step the log-weight update is the Ito-exponential
     ``<x_i - mean, dW> - 0.5 |x_i - mean|^2 dt`` (positive at any step size),
     weights are renormalized every step, and the pre-renormalization mass is
-    accumulated into ``log_mass`` so the martingale diagnostic survives.
+    accumulated into ``log_mass`` so the martingale diagnostic survives.  The
+    run is the ``R = 1`` case of ``particle_ensemble`` on the noise path's
+    increments, keeping every cloud.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
-    d = base.dim
-    if noise.dim != d:
-        raise ValueError("noise dimension does not match the base")
-    init_rng = generator(noise.seed, noise.stream_id, SALT_INIT)
-    points = targets.sample_base(base, n_particles, init_rng)
-    log_w = np.full(n_particles, -math.log(n_particles))
-    w = np.full(n_particles, 1.0 / n_particles)
-    log_mass = 0.0
-    clouds = [ParticleCloud(points, log_w, log_mass)]
-    dw = noise.increments()
-    dts = grid.dts
-    for k in range(grid.steps):
-        log_w, w, step_mass = _reweight(points, log_w, w, dw[k], float(dts[k]))
-        log_mass += float(step_mass)
-        ess = 1.0 / float(np.sum(w**2))
-        if ess < ess_floor:
-            raise WeightCollapseError(ess, ess_floor, float(grid.times[k + 1]))
-        clouds.append(ParticleCloud(points, log_w, log_mass))
+    dw = _noise_increments(noise, grid, base.dim)[None]
+    clouds = []
+    for k, (points, log_w, w, log_mass) in enumerate(
+        _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
+    ):
+        ess = 1.0 / float(np.sum(w[0] ** 2))
+        if k and ess < ess_floor:
+            raise WeightCollapseError(ess, ess_floor, float(grid.times[k]))
+        clouds.append(ParticleCloud(points[0], log_w[0], float(log_mass[0])))
     return clouds
 
 
@@ -252,21 +250,8 @@ def particle_ensemble(
     Returns ``(points (R, n, d), log_weights (R, n), log_mass (R,))`` at the
     grid's final time.  Run r uses stream id r, matching ``particle_sl_run``.
     """
-    d = base.dim
-    points = np.stack(
-        [
-            targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT))
-            for r in range(n_runs)
-        ]
-    )
-    dw = np.stack([wiener_increment_array(grid, d, seed, r) for r in range(n_runs)])
-    log_w = np.full((n_runs, n_particles), -math.log(n_particles))
-    w = np.full((n_runs, n_particles), 1.0 / n_particles)
-    log_mass = np.zeros(n_runs)
-    dts = grid.dts
-    for k in range(grid.steps):
-        log_w, w, step_mass = _reweight(points, log_w, w, dw[:, k, :], float(dts[k]))
-        log_mass += step_mass
+    dw = np.stack([wiener_increment_array(grid, base.dim, seed, r) for r in range(n_runs)])
+    points, log_w, _, log_mass = deque(_particle_runs(base, n_particles, seed, range(n_runs), dw, grid.dts), 1)[0]
     return points, log_w, log_mass
 
 

@@ -27,7 +27,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from . import targets
-from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
+from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, _noise_increments, wiener_increment_array
 from .targets import (
     GaussianMeasure,
     GaussianMixture,
@@ -76,8 +76,6 @@ def renorm_potential(
     The gradient is computed through the fluctuation-measure mean,
     ``(x - m_tau) / (1 - tau)``, exact wherever the moments are exact.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fluct = fluctuation_measure(base, tau, x)
     if isinstance(base, (GaussianMeasure, GaussianMixture)):
@@ -95,16 +93,29 @@ def renorm_potential(
     return value, grad
 
 
+def _flow_drift(base: TargetMeasure, taus: np.ndarray, budget: int | None = None, rng=None):
+    """``(k, v) ->`` the flow drift ``(m - v) / (1 - tau)`` at rows ``v`` and
+    time ``taus[k]``, with ``m`` the fluctuation-measure means.  The flow SDE,
+    ``FollmerDrift`` and ``bridge.girsanov_energy`` all read it; a generic base
+    needs a ``budget`` and goes row by row through ``posterior_moments``."""
+    mean = targets._tilt_means(base, taus / (1.0 - taus), budget, rng)
+
+    def drift(k: int, v: np.ndarray) -> np.ndarray:
+        one_m = 1.0 - float(taus[k])
+        return (mean(k, v / one_m) - v) / one_m
+
+    return drift
+
+
 def _flow_step(base: TargetMeasure, tau_grid: TimeGrid, budget: int | None = None, rng=None):
     """Engine step of the flow SDE; the grid must start at 0 and stay below 1."""
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the flow grid must start at 0 and stay below 1")
-    taus, dts = tau_grid.times[:-1], tau_grid.dts
-    mean = targets._tilt_means(base, taus / (1.0 - taus), budget, rng)
+    dts = tau_grid.dts
+    drift = _flow_drift(base, tau_grid.times[:-1], budget, rng)
 
     def step(k: int, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        one_m = 1.0 - float(taus[k])
-        return v + (mean(k, v / one_m) - v) / one_m * dts[k] + dw
+        return v + drift(k, v) * dts[k] + dw
 
     return step
 
@@ -123,10 +134,9 @@ def polchinski_run(
     tau <= 0.5 where clipping is irrelevant).  The run is the n=1 case of
     ``polchinski_ensemble`` on the noise path's increments.
     """
-    if not np.array_equal(noise.grid.times, tau_grid.times):
-        raise ValueError("noise path must live on the integration grid")
+    dw = _noise_increments(noise, tau_grid, base.dim)
     step = _flow_step(base, tau_grid, budget, rng)
-    snaps = _integrate(tau_grid, np.zeros((1, base.dim)), step, noise.increments())
+    snaps = _integrate(tau_grid, np.zeros((1, base.dim)), step, dw)
     return SamplePath(tau_grid, np.concatenate(list(snaps.values())), noise.seed, noise.stream_id)
 
 

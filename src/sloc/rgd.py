@@ -19,7 +19,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from . import targets
-from .diagnostics import gaussian_kl
+from .diagnostics import _batch_means, gaussian_kl
 from .sde import _emit, _fmt
 from .targets import (
     GaussianMeasure,
@@ -224,14 +224,6 @@ def entropic_stability_probe(
     return StabilityReport(alpha_claim, ys, lhs, rhs, sharp)
 
 
-def _quadrature_grid(half_width: float, n_points: int) -> np.ndarray:
-    return np.linspace(-half_width, half_width, n_points)
-
-
-def _trapz(y: np.ndarray, x: np.ndarray) -> float:
-    return float(np.trapezoid(y, x))
-
-
 def _transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndarray, eta: float) -> np.ndarray:
     """Density of one chain step from ``p0`` on the uniform grid ``xs``:
     ``mu1(x') = pi(x') int nu(y) k(x' - y) / Z(y) dy`` with ``k`` the
@@ -280,17 +272,17 @@ def heat_flow_contraction_mc(
     if init.dim != 1:
         raise ValueError("the starting law must be one-dimensional")
 
-    xs = _quadrature_grid(half_width, n_points)
+    xs = np.linspace(-half_width, half_width, n_points)
     log_pi_un = -target.potential_rows(xs[:, None])
-    log_z_pi = math.log(_trapz(np.exp(log_pi_un), xs))
+    log_z_pi = math.log(np.trapezoid(np.exp(log_pi_un), xs))
     log_pi = log_pi_un - log_z_pi
     pi_density = np.exp(log_pi)
 
     p0 = np.exp(init.log_density(xs[:, None]))
-    kl0 = _trapz(p0 * (init.log_density(xs[:, None]) - log_pi), xs)
+    kl0 = float(np.trapezoid(p0 * (init.log_density(xs[:, None]) - log_pi), xs))
 
     mu1 = _transition_density(xs, pi_density, p0, eta)
-    mass = _trapz(mu1, xs)
+    mass = float(np.trapezoid(mu1, xs))
     if abs(mass - 1.0) > 1e-6:
         raise RuntimeError(f"quadrature grid too narrow: transition mass {mass:.8f}")
     log_mu1 = np.log(np.maximum(mu1, 1e-300))
@@ -303,8 +295,7 @@ def heat_flow_contraction_mc(
     contrib = log_mu1_at - log_pi_at
     kl1 = float(contrib.mean())
     nb = min(n_batches, n_paths)
-    usable = (n_paths // nb) * nb
-    batch = contrib[:usable].reshape(nb, -1).mean(axis=1)
+    batch = _batch_means(contrib, nb)
     kl1_se = float(batch.std(ddof=1) / math.sqrt(nb))
     return kl1 / kl0, kl1_se / kl0
 

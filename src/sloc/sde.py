@@ -164,6 +164,16 @@ def wiener_increments(grid: TimeGrid, d: int, seed: int, stream_id: int = 0) -> 
     return SamplePath(grid, states, seed, stream_id)
 
 
+def _noise_increments(noise: SamplePath, grid: TimeGrid, d: int) -> np.ndarray:
+    """Increments ``(steps, d)`` of a caller's noise path, checked to live on
+    the integration grid with the process dimension ``d``."""
+    if not np.array_equal(noise.grid.times, grid.times):
+        raise ValueError("noise path must live on the integration grid")
+    if noise.dim != d:
+        raise ValueError(f"noise dimension {noise.dim} does not match the process dimension {d}")
+    return noise.increments()
+
+
 def draw_initial(
     initial: Union[np.ndarray, GaussianMeasure], seed: int, stream_id: int
 ) -> np.ndarray:
@@ -199,13 +209,11 @@ def euler_maruyama(
     paths = [noise] if isinstance(noise, SamplePath) else list(noise)
     if not paths:
         raise ValueError("no noise paths to integrate")
-    if any(not np.array_equal(p.grid.times, grid.times) for p in paths):
-        raise ValueError("noise path must live on the integration grid")
     d = paths[0].dim
+    increments = [_noise_increments(p, grid, d) for p in paths]
     x0 = [draw_initial(spec.initial, p.seed, p.stream_id) for p in paths]
-    if any(p.dim != d or x.size != d for p, x in zip(paths, x0)):
+    if any(x.size != d for x in x0):
         raise ValueError("initial condition dimension does not match the noise")
-    increments = [p.increments() for p in paths]
     checked_scale = False
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:

@@ -421,6 +421,29 @@ class TestGirsanovEnergy:
         energy, _ = girsanov_energy(FollmerDrift(pot, budget=600), grid, 8, seed=17)
         assert abs(energy - 1.125) < 0.3
 
+    def test_generic_energy_integrates_the_drift_rows(self):
+        # The energy of a generic base is the Euler sum over FollmerDrift rows,
+        # each an importance-sampling estimate from posterior_moments' own default generator.
+        from sloc.sde import wiener_increment_array
+        from sloc.targets import POTENTIALS, posterior_moments
+
+        pot = POTENTIALS["gaussian"](dim=2, mean=0.5, precision=1.0)
+        drift = FollmerDrift(pot, budget=200)
+        grid = TimeGrid.uniform(0.0, 0.6, 6)
+        n = 3
+        energy, se = girsanov_energy(drift, grid, n, seed=5)
+        dw = np.stack([wiener_increment_array(grid, 2, 5, s) for s in range(n)])
+        v, e = np.zeros((n, 2)), np.zeros(n)
+        for k, (tau, dt) in enumerate(zip(grid.times[:-1], grid.dts)):
+            u = np.stack([drift(row, float(tau)) for row in v])
+            e = e + 0.5 * np.sum(u**2, axis=1) * dt
+            v = v + u * dt + dw[:, k]
+        assert energy == float(e.mean())
+        assert se == float(e.std(ddof=1) / math.sqrt(n))
+        tau, row = float(grid.times[3]), v[0]
+        m = posterior_moments(polchinski.fluctuation_measure(pot, tau, row), 200).mean
+        assert np.array_equal(drift(row, tau), (m - row) / (1.0 - tau))
+
     def test_variance_case_matches_gaussian_kl(self):
         # Frozen oracle: KL(N(0,2) || N(0,1)) = (1 - log 2)/2 = 0.15342640972.
         base = GaussianMeasure([0.0], [[2.0]])

@@ -60,15 +60,17 @@ def test_ensembles_bitwise_independent_of_chunk_and_workers(reference, kwargs):
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
-def test_particle_run_is_a_row_of_the_ensemble(name):
+def test_particle_run_is_a_row_of_the_ensemble(monkeypatch, name):
+    # On dyadic increments (see below) the single run is the ensemble's row bit for bit.
+    patch_noise(monkeypatch, lambda dw, s: np.round(dw * 2.0**10) / 2.0**10)
     base = BASES[name]
     grid = TimeGrid.uniform(0.0, 0.5, 50)
     points, log_w, log_mass = particle_ensemble(base, 64, grid, seed=21, n_runs=4)
     for r in range(4):
         cloud = particle_sl_run(base, 64, grid, wiener_increments(grid, base.dim, 21, r), ess_floor=1.0)[-1]
         assert np.array_equal(cloud.points, points[r])
-        assert np.abs(cloud.log_weights - log_w[r]).max() <= 1e-12 * (1.0 + np.abs(log_w[r]).max())
-        assert abs(cloud.log_mass - log_mass[r]) <= 1e-12 * (1.0 + abs(log_mass[r]))
+        assert np.array_equal(cloud.log_weights, log_w[r])
+        assert cloud.log_mass == log_mass[r]
 
 
 SINGLE_GRIDS = {
@@ -118,6 +120,25 @@ def test_single_path_run_is_bitwise_an_ensemble_row(monkeypatch, name, base_name
         states = single_run(name, base, grid, wiener_increments(grid, base.dim, 31, s))
         for t in times:
             assert np.array_equal(states[grid.index_of(t)], snaps[t][s]), (t, s)
+
+
+SINGLE_DRIVERS = {
+    "tilt": lambda base, grid, noise: tilt_sde_run(base, grid, noise),
+    "backward": lambda base, grid, noise: backward_sde_run(base, grid, noise),
+    "flow": lambda base, grid, noise: polchinski_run(base, grid, noise),
+    "particle": lambda base, grid, noise: particle_sl_run(base, 16, grid, noise, ess_floor=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_DRIVERS))
+def test_single_path_drivers_reject_a_foreign_noise_path(name):
+    run, base = SINGLE_DRIVERS[name], BASES["mixture-d3"]
+    start = 0.1 if name == "backward" else 0.0
+    grid = TimeGrid.uniform(start, 0.5, 50)
+    with pytest.raises(ValueError, match="integration grid"):
+        run(base, grid, wiener_increments(TimeGrid.uniform(start, 0.6, 80), base.dim, 3))
+    with pytest.raises(ValueError, match="dimension"):
+        run(base, grid, wiener_increments(grid, 1, 3))
 
 
 BAD_STREAM, BAD_STEP = 2, 5

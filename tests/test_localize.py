@@ -128,6 +128,28 @@ class TestChannel:
         assert np.array_equal(x1, x2)
         assert p1.states.tobytes() == p2.states.tobytes()
 
+    @pytest.mark.parametrize("start", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "base",
+        [std_normal(), GaussianMixture.from_components([(0.4, [-1.0, 0.5], np.eye(2)), (0.6, [1.0, -0.5], np.eye(2))])],
+        ids=["gauss-d1", "mixture-d2"],
+    )
+    def test_path_is_bitwise_a_row_of_the_ensemble(self, base, start):
+        grid = TimeGrid.uniform(start, 1.0, 12)
+        whole = channel_ensemble(base, grid.times, seed=8, n_paths=4)
+        later = channel_ensemble(base, grid.times[1:], seed=8, n_paths=4)
+        for r in range(4):
+            x, path = channel_path(base, grid, seed=8, stream_id=r)
+            assert np.array_equal(path.states, np.array([whole[t][r] for t in grid.times]))
+            if start == 0.0:
+                # B is 0 at time 0, so observing from the first positive time draws the same path.
+                assert np.array_equal(path.states[1:], np.array([later[t][r] for t in grid.times[1:]]))
+
+    def test_ensemble_observes_repeated_times_once(self):
+        snaps = channel_ensemble(std_normal(), [1.0, 0.5, 0.5], seed=9, n_paths=3)
+        assert list(snaps) == [0.5, 1.0]
+        assert np.array_equal(snaps[1.0], channel_ensemble(std_normal(), [0.5, 1.0], seed=9, n_paths=3)[1.0])
+
 
 class TestTiltVsChannelLaw:
     def test_two_sample_ks_gaussian_and_mixture(self):
