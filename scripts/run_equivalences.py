@@ -10,33 +10,27 @@ import time
 
 from sloc import suites
 
+_FLAGS = ("seed", "paths", "dt", "particles", "workers")
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--paths", type=int, default=10_000)
-    parser.add_argument("--dt", type=float, default=1e-3)
-    parser.add_argument("--particles", type=int, default=1_000)
-    parser.add_argument("--workers", type=int, default=1)
+    for name in _FLAGS:
+        default = getattr(suites.SuiteBudget, name)
+        parser.add_argument(f"--{name}", type=type(default), default=default)
     parser.add_argument(
         "--suites",
         nargs="+",
-        default=["equiv", "bridge", "rgd", "lsi"],
+        default=list(suites.SUITES),
         choices=sorted(suites.SUITES),
     )
     args = parser.parse_args()
 
-    budget = suites.SuiteBudget(
-        seed=args.seed,
-        paths=args.paths,
-        dt=args.dt,
-        particles=args.particles,
-        workers=args.workers,
-    )
+    budget = suites.SuiteBudget(**{name: getattr(args, name) for name in _FLAGS})
     all_pass = True
     for name in args.suites:
         t0 = time.time()
-        report = suites.SUITES[name](budget)
+        report = suites.run_suite(name, budget)
         for check in report.checks:
             flag = "PASS" if check.passed else "FAIL"
             print(

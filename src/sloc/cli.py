@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,83 +23,50 @@ import numpy as np
 from . import bridge, localize, polchinski, rgd, suites, targets
 from .sde import TimeGrid, _fmt, generator, wiener_increments, write_paths_csv
 
-DEFAULT_TARGET = {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(suites.SuiteBudget):
+    """A validated run: the suite budget plus the CLI's own settings.
+
+    Every field but ``measure`` is a config key and holds its default;
+    ``target`` is the JSON description and ``measure`` the measure built from it.
+    """
+
+    target: dict = field(
+        default_factory=lambda: {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+    )
+    samples: int = 100_000
+    alpha: float = 1.0
+    eta: float = 1.0
+    out: str = "sloc-out"
+    format: str = "json"
+    measure: targets.TargetMeasure
+
 
 DEFAULTS: dict = {
-    "target": DEFAULT_TARGET,
-    "seed": 42,
-    "dt": 1e-3,
-    "horizon": 1.0,
-    "tau": 0.5,
-    "eps_clip": 1e-3,
-    "paths": 10_000,
-    "particles": 1_000,
-    "samples": 100_000,
-    "level": 0.01,
-    "alpha": 1.0,
-    "eta": 1.0,
-    "out": "sloc-out",
-    "format": "json",
-    "workers": 1,
+    f.name: f.default if f.default_factory is MISSING else f.default_factory()
+    for f in fields(ExperimentConfig)
+    if f.name != "measure"
 }
 
-_KNOWN_KEYS = set(DEFAULTS)
 
-
-@dataclass
-class ExperimentConfig:
-    target: targets.TargetMeasure
-    target_spec: dict
-    seed: int
-    dt: float
-    horizon: float
-    tau: float
-    eps_clip: float
-    paths: int
-    particles: int
-    samples: int
-    level: float
-    alpha: float
-    eta: float
-    out: str
-    format: str
-    workers: int
-
-    def budget(self) -> suites.SuiteBudget:
-        return suites.SuiteBudget(
-            seed=self.seed,
-            paths=self.paths,
-            dt=self.dt,
-            particles=self.particles,
-            eps_clip=self.eps_clip,
-            level=self.level,
-            horizon=self.horizon,
-            tau=self.tau,
-            workers=self.workers,
-        )
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _validate_fields(raw: dict, errors: list[str]) -> None:
-    def positive(name):
-        v = raw[name]
-        if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-            errors.append(f"{name} must be a positive number, got {v!r}")
-
-    def positive_int(name):
-        v = raw[name]
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            errors.append(f"{name} must be a positive integer, got {v!r}")
-
     for name in ("dt", "horizon", "alpha", "eta"):
-        positive(name)
+        v = raw[name]
+        if not (_is_number(v) and math.isfinite(v) and v > 0):
+            errors.append(f"{name} must be a positive number, got {v!r}")
     for name in ("paths", "particles", "samples", "workers"):
-        positive_int(name)
-    if not (isinstance(raw["tau"], (int, float)) and 0.0 < raw["tau"] < 1.0):
-        errors.append(f"tau must lie in (0, 1), got {raw['tau']!r}")
-    if not (isinstance(raw["eps_clip"], (int, float)) and 0.0 < raw["eps_clip"] < 1.0):
-        errors.append(f"eps_clip must lie in (0, 1), got {raw['eps_clip']!r}")
-    if not (isinstance(raw["level"], (int, float)) and 0.0 < raw["level"] < 1.0):
-        errors.append(f"level must lie in (0, 1), got {raw['level']!r}")
+        v = raw[name]
+        if not (isinstance(v, int) and not isinstance(v, bool) and v > 0):
+            errors.append(f"{name} must be a positive integer, got {v!r}")
+    for name in ("tau", "eps_clip", "level"):
+        v = raw[name]
+        if not (_is_number(v) and 0.0 < v < 1.0):
+            errors.append(f"{name} must lie in (0, 1), got {v!r}")
     if raw["format"] not in ("json", "csv"):
         errors.append(f"format must be 'json' or 'csv', got {raw['format']!r}")
     if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
@@ -127,7 +94,7 @@ def validate_config(
         if not isinstance(loaded, dict):
             return None, [f"config root must be an object, got {type(loaded).__name__}"], warnings
         for key, value in loaded.items():
-            if key not in _KNOWN_KEYS:
+            if key not in DEFAULTS:
                 warnings.append(f"unknown config key {key!r} ignored")
             else:
                 raw[key] = value
@@ -135,40 +102,20 @@ def validate_config(
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     _validate_fields(raw, errors)
-    target = None
+    measure = None
     try:
-        target = targets.target_from_json(raw["target"])
+        measure = targets.target_from_json(raw["target"])
     except (ValueError, TypeError, KeyError) as exc:
         errors.append(f"target: {exc}")
     if errors:
         return None, errors, warnings
-    return (
-        ExperimentConfig(
-            target=target,
-            target_spec=raw["target"],
-            seed=int(raw["seed"]),
-            dt=float(raw["dt"]),
-            horizon=float(raw["horizon"]),
-            tau=float(raw["tau"]),
-            eps_clip=float(raw["eps_clip"]),
-            paths=int(raw["paths"]),
-            particles=int(raw["particles"]),
-            samples=int(raw["samples"]),
-            level=float(raw["level"]),
-            alpha=float(raw["alpha"]),
-            eta=float(raw["eta"]),
-            out=str(raw["out"]),
-            format=str(raw["format"]),
-            workers=int(raw["workers"]),
-        ),
-        errors,
-        warnings,
-    )
+    values = {key: type(default)(raw[key]) for key, default in DEFAULTS.items()}
+    return ExperimentConfig(measure=measure, **values), errors, warnings
 
 
 def _suite_base(cfg: ExperimentConfig):
     """The configured target when the equivalence battery supports it."""
-    t = cfg.target
+    t = cfg.measure
     if isinstance(t, (targets.GaussianMeasure, targets.GaussianMixture)) and t.dim == 1:
         return t
     sys.stderr.write(
@@ -176,14 +123,6 @@ def _suite_base(cfg: ExperimentConfig):
         "equivalence checks run on the standard normal instead\n"
     )
     return None
-
-
-def _write_report(report: suites.Report, out_dir: Path, name: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / f"{name}.csv").write_text("\n".join(report.csv_lines()) + "\n")
 
 
 def _print_report(report_dict: dict, stream=None) -> None:
@@ -199,20 +138,19 @@ def _print_report(report_dict: dict, stream=None) -> None:
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     steps = round(cfg.horizon / cfg.dt)
     grid = TimeGrid.uniform(0.0, cfg.horizon, steps)
     n_traj = min(cfg.paths, 16)
 
     runs = {}
     for stream in range(n_traj):
-        noise = wiener_increments(grid, cfg.target.dim, cfg.seed, stream)
-        runs[stream] = localize.tilt_sde_run(cfg.target, grid, noise, budget=cfg.samples)
+        noise = wiener_increments(grid, cfg.measure.dim, cfg.seed, stream)
+        runs[stream] = localize.tilt_sde_run(cfg.measure, grid, noise, budget=cfg.samples)
     localize.write_trajectory_csv(runs, out_dir / "tilt_trajectories.csv")
 
     channel_paths = []
     for stream in range(n_traj):
-        _, path = localize.channel_path(cfg.target, grid, cfg.seed + 1, stream)
+        _, path = localize.channel_path(cfg.measure, grid, cfg.seed + 1, stream)
         channel_paths.append(path)
     write_paths_csv(channel_paths, out_dir / "channel_trajectories.csv")
 
@@ -221,7 +159,7 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
         "dt": cfg.dt,
         "horizon": cfg.horizon,
         "trajectories": n_traj,
-        "target": cfg.target_spec,
+        "target": cfg.target,
         "files": ["tilt_trajectories.csv", "channel_trajectories.csv"],
     }
     (out_dir / "simulate.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -229,9 +167,8 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_lsi_tables(cfg: ExperimentConfig, report: suites.Report) -> None:
+def _run_lsi_tables(cfg: ExperimentConfig) -> None:
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     taus = np.linspace(0.0, 0.95, 20)
     polchinski.write_schedule_csv(
         polchinski.lsi_schedule(cfg.alpha), taus, out_dir / "lsi_schedule.csv"
@@ -247,8 +184,7 @@ def _run_lsi_tables(cfg: ExperimentConfig, report: suites.Report) -> None:
 def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
     """Chain trace CSV and stability report JSON for the configured target."""
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = cfg.target
+    target = cfg.measure
     if not isinstance(target, (targets.GaussianMeasure, targets.GaussianMixture)):
         target = targets.GaussianMeasure([0.0], [[1.0]])
     d = target.dim
@@ -278,7 +214,6 @@ def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
 def _write_bridge_artifacts(cfg: ExperimentConfig) -> None:
     """Optimal coupling CSV and solver trace JSON for a canonical instance."""
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = generator(cfg.seed, 2, 23)
     w_mu, w_pi = suites._random_weights(rng, 4), suites._random_weights(rng, 5)
     mu = bridge.DiscreteMeasure(rng.standard_normal((4, 2)), w_mu)
@@ -287,6 +222,14 @@ def _write_bridge_artifacts(cfg: ExperimentConfig) -> None:
     result = bridge.sinkhorn(mu, pi, ref, tol=1e-10)
     bridge.write_coupling_csv(result.coupling, out_dir / "coupling.csv")
     bridge.write_sinkhorn_trace_json(result, out_dir / "sinkhorn_trace.json")
+
+
+# Files a suite subcommand writes beside its report.
+_ARTIFACT_WRITERS = {
+    "rgd": _write_rgd_artifacts,
+    "bridge": _write_bridge_artifacts,
+    "lsi": _run_lsi_tables,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,14 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "out": args.out,
-        "paths": args.paths,
-        "dt": args.dt,
-        "format": args.format,
-        "workers": args.workers,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in DEFAULTS}
     if args.seed is None and "SLOC_SEED" in os.environ:
         try:
             overrides["seed"] = int(os.environ["SLOC_SEED"])
@@ -338,8 +274,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(f"config error: {error}\n")
         return 2
 
+    out_dir = Path(cfg.out)
     if args.command == "report":
-        path = Path(cfg.out) / "report.json"
+        path = out_dir / "report.json"
         if not path.exists():
             sys.stderr.write(f"config error: no report at {path}\n")
             return 2
@@ -347,30 +284,22 @@ def main(argv: list[str] | None = None) -> int:
         _print_report(report_dict)
         return 0 if report_dict["global_pass"] else 1
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "simulate":
         return _run_simulate(cfg)
 
-    budget = cfg.budget()
-    if args.command == "equiv":
-        report = suites.equiv_suite(budget, _suite_base(cfg))
-    elif args.command == "rgd":
-        report = suites.rgd_suite(budget)
-        _write_rgd_artifacts(cfg)
-    elif args.command == "bridge":
-        report = suites.bridge_suite(budget)
-        _write_bridge_artifacts(cfg)
-    elif args.command == "lsi":
-        report = suites.lsi_suite(budget)
-        _run_lsi_tables(cfg, report)
-    else:  # pragma: no cover - argparse enforces the choices
-        return 2
-
-    out_dir = Path(cfg.out)
-    _write_report(report, out_dir, "report")
+    base = _suite_base(cfg) if args.command == "equiv" else None
+    report = suites.run_suite(args.command, cfg, base)
+    if args.command in _ARTIFACT_WRITERS:
+        _ARTIFACT_WRITERS[args.command](cfg)
+    report_dict = report.to_dict()
+    (out_dir / "report.json").write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
+    csv_text = "\n".join(report.csv_lines()) + "\n"
+    (out_dir / "report.csv").write_text(csv_text)
     if cfg.format == "csv":
-        sys.stdout.write("\n".join(report.csv_lines()) + "\n")
+        sys.stdout.write(csv_text)
     else:
-        _print_report(report.to_dict())
+        _print_report(report_dict)
     return 0 if report.global_pass else 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class Report:
     @property
     def global_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def extend(self, more: Sequence[CheckResult]) -> None:
-        self.checks.extend(more)
 
     def to_dict(self) -> dict:
         return {
@@ -797,42 +794,20 @@ def check_lsi_schedules(budget: SuiteBudget) -> list[CheckResult]:
     return out
 
 
-# Suite groupings used by the CLI subcommands.
+# The suites by name, as the CLI subcommands and scripts/run_equivalences.py
+# run them.
 
 
-def equiv_suite(budget: SuiteBudget, base: TargetMeasure | None = None) -> Report:
-    report = Report()
-    report.extend(check_tilt_vs_channel(budget, base))
-    report.extend(check_particles(budget, base))
-    report.extend(check_backward_diffusion(budget, base))
-    report.extend(check_renormalization_flow(budget, base))
-    return report
-
-
-def bridge_suite(budget: SuiteBudget) -> Report:
-    report = Report()
-    report.extend(check_girsanov_energy(budget))
-    report.extend(check_static_bridge(budget))
-    return report
-
-
-def rgd_suite(budget: SuiteBudget) -> Report:
-    report = Report()
-    report.extend(check_contraction(budget))
-    report.extend(check_kernel_identity(budget))
-    report.extend(check_stability_and_reduction(budget))
-    return report
-
-
-def lsi_suite(budget: SuiteBudget) -> Report:
-    report = Report()
-    report.extend(check_lsi_schedules(budget))
-    return report
-
-
-SUITES: dict[str, Callable[..., Report]] = {
-    "equiv": equiv_suite,
-    "bridge": lambda budget, base=None: bridge_suite(budget),
-    "rgd": lambda budget, base=None: rgd_suite(budget),
-    "lsi": lambda budget, base=None: lsi_suite(budget),
+SUITES: dict[str, tuple[Callable[..., list[CheckResult]], ...]] = {
+    "equiv": (check_tilt_vs_channel, check_particles, check_backward_diffusion, check_renormalization_flow),
+    "bridge": (check_girsanov_energy, check_static_bridge),
+    "rgd": (check_contraction, check_kernel_identity, check_stability_and_reduction),
+    "lsi": (check_lsi_schedules,),
 }
+
+
+def run_suite(name: str, budget: SuiteBudget, base: TargetMeasure | None = None) -> Report:
+    """Run the checks of suite ``name`` in order; ``base``, when given, goes to
+    each check (only the equiv checks take one)."""
+    args = (budget,) if base is None else (budget, base)
+    return Report([result for check in SUITES[name] for result in check(*args)])

@@ -30,6 +30,8 @@ BATCH_PROBE_RTOL = 1e-12
 MODE_SEARCH_STEPS = 200
 DEFAULT_MAX_TRIES = 10_000
 DEFAULT_ESS_FLOOR = 64.0
+# Uniform weights give an ESS equal to the budget only up to rounding.
+ESS_FLOOR_RTOL = 1e-9
 
 _GRAD_PROBE_SEED = 20351
 _DEFAULT_IS_SEED = 71993
@@ -226,10 +228,7 @@ class GaussianMixture:
         return self.weights @ self.means
 
     def cov(self) -> np.ndarray:
-        m = self.mean()
-        second = np.einsum("j,jab->ab", self.weights, self.covs)
-        second += np.einsum("j,ja,jb->ab", self.weights, self.means, self.means)
-        return second - np.outer(m, m)
+        return _mixture_moments(self.weights, self.means, self.covs)[1]
 
     def log_density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -545,6 +544,14 @@ def _rejection_rounds(
     return out
 
 
+def _mixture_moments(w, means, covs) -> tuple[np.ndarray, np.ndarray]:
+    """Mean ``w @ means`` and covariance in centered form,
+    ``sum_j w_j (C_j + (m_j - m)(m_j - m)')``, which does not cancel."""
+    mean = w @ means
+    spread = means - mean
+    return mean, np.einsum("j,jab->ab", w, covs + spread[:, :, None] * spread[:, None, :])
+
+
 def _generic_is_moments(
     m: TiltedMeasure, budget: int, rng: np.random.Generator | None, ess_floor: float
 ) -> Moments:
@@ -560,7 +567,7 @@ def _generic_is_moments(
     log_u = _tilted_potential(m.base, m.c, m.reg, draws)
     _, w = _log_normalize(-log_u - log_q)
     ess = 1.0 / float(np.sum(w**2))
-    if ess < ess_floor:
+    if ess < ess_floor * (1.0 - ESS_FLOOR_RTOL):
         raise EffectiveSampleSizeError(ess, ess_floor)
     mean = w @ draws
     centered = draws - mean
@@ -585,10 +592,7 @@ def posterior_moments(
     """
     if isinstance(m.base, GenericPotential):
         return _generic_is_moments(m, budget, rng, ess_floor)
-    w, means, covs, _ = m._closed_form
-    mean = w @ means
-    spread = means - mean
-    cov = np.einsum("j,jab->ab", w, covs + spread[:, :, None] * spread[:, None, :])
+    mean, cov = _mixture_moments(*m._closed_form[:3])
     return Moments(mean, 0.5 * (cov + cov.T), 0.0)
 
 

@@ -1,6 +1,8 @@
 import json
+from dataclasses import fields
 
 from sloc.cli import DEFAULTS, main, validate_config
+from sloc.suites import SuiteBudget
 
 
 def write_config(tmp_path, payload):
@@ -37,6 +39,23 @@ class TestValidateConfig:
         cfg, errors, _ = validate_config(path)
         assert cfg is None
         assert len(errors) >= 3
+
+    def test_booleans_rejected_in_numeric_fields(self, tmp_path):
+        cfg, errors, _ = validate_config(write_config(tmp_path, {"dt": True, "horizon": True}))
+        assert cfg is None
+        assert [e.split()[0] for e in errors] == ["dt", "horizon"]
+        numeric = ["dt", "horizon", "alpha", "eta", "paths", "particles", "samples",
+                   "workers", "tau", "eps_clip", "level", "seed"]
+        for value in (True, False):
+            cfg, errors, _ = validate_config(write_config(tmp_path, dict.fromkeys(numeric, value)))
+            assert cfg is None
+            assert sorted(e.split()[0] for e in errors) == sorted(numeric)
+
+    def test_config_is_the_suite_budget(self):
+        cfg, errors, _ = validate_config(None)
+        assert not errors and isinstance(cfg, SuiteBudget)
+        for f in fields(SuiteBudget):
+            assert getattr(cfg, f.name) == getattr(SuiteBudget(), f.name) == DEFAULTS[f.name]
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

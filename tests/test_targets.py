@@ -170,6 +170,25 @@ class TestPosteriorMoments:
         with pytest.raises(EffectiveSampleSizeError):
             posterior_moments(tilt(pot, [0.0], 0.0), budget=4, rng=rng(0), ess_floor=64.0)
 
+    def test_exact_proposal_at_the_floor_never_raises(self):
+        # The proposal is exact for a Gaussian potential, so the weights are
+        # uniform and ESS equals the budget up to rounding, which sits at the floor.
+        pot = gaussian_potential(dim=1)
+        tilts = rng(3)
+        for k in range(400):
+            c, t = tilts.normal(0.0, 2.0), tilts.uniform(0.0, 3.0)
+            posterior_moments(tilt(pot, [c], t), budget=64, rng=rng(k))
+
+    def test_mixture_covariance_is_centered(self):
+        # Two nearby components far from the origin: the difference of second
+        # moments cancels about 1e6 against a covariance of about 1e-6.
+        mix = GaussianMixture.from_components(
+            [(0.5, [1e3], [[1e-6]]), (0.5, [1e3 + 1e-3], [[1e-6]])]
+        )
+        exact = 1e-6 + 0.25 * 1e-6
+        assert mix.cov()[0, 0] == pytest.approx(exact, rel=1e-9)
+        assert posterior_moments(tilt(mix, [0.0], 0.0)).cov[0, 0] == pytest.approx(exact, rel=1e-9)
+
 
 class TestLogPartition:
     def test_identity_tilt_of_normalized_base_is_zero(self):
