@@ -202,16 +202,6 @@ def _out_of_range(scaling: np.ndarray) -> bool:
     return scaling.max() > _ABSORB or scaling.min() * _ABSORB < 1.0
 
 
-def _kl_terms(gamma: np.ndarray, ref: np.ndarray) -> float:
-    """sum gamma * log(gamma / ref) with 0 log 0 = 0; +inf where gamma > 0, ref = 0."""
-    pos = gamma > 0.0
-    if np.any(pos & (ref <= 0.0)):
-        return math.inf
-    if not pos.all():
-        gamma, ref = gamma[pos], ref[pos]
-    return float(np.sum(gamma * (np.log(gamma) - np.log(ref))))
-
-
 def objective_pair(
     coupling: Union[DiscreteCoupling, np.ndarray],
     mu: DiscreteMeasure,
@@ -224,13 +214,31 @@ def objective_pair(
     Returns ``(kl_objective, transport_objective)`` where the first is
     ``KL(gamma || R)`` and the second ``sum 0.5 |x - y|^2 gamma
     + eps * KL(gamma || mu x pi)``.  Their difference depends only on the
-    marginals, never on the coupling.
+    marginals, never on the coupling.  Both share ``sum gamma log gamma``, and
+    the product reference enters through the row and column sums ``r, c`` of
+    gamma as ``r . log mu + c . log pi``.  Entries with ``gamma <= 0`` count as
+    0 (``0 log 0 = 0``); ``KL(gamma || R)`` is +inf where gamma > 0 meets R = 0.
     """
     gamma = coupling.gamma if isinstance(coupling, DiscreteCoupling) else np.asarray(coupling, float)
-    ssb = _kl_terms(gamma, np.asarray(ref_kernel, dtype=float))
-    cost = float(np.sum(0.5 * squared_distances(mu, pi) * gamma))
-    eot = cost + eps * _kl_terms(gamma, np.outer(mu.weights, pi.weights))
-    return ssb, eot
+    pos = gamma > 0.0
+    if pos.all():
+        pos = None
+    else:
+        gamma = np.where(pos, gamma, 0.0)
+    neg_entropy = _sum_gamma_log(gamma, gamma, pos)
+    ref_term = _sum_gamma_log(gamma, np.asarray(ref_kernel, dtype=float), pos)
+    # A zero (or negative) R under gamma > 0 makes ref_term -inf (or nan).
+    ssb = neg_entropy - ref_term if ref_term > -math.inf else math.inf
+    cross = float(gamma.sum(axis=1) @ np.log(mu.weights) + gamma.sum(axis=0) @ np.log(pi.weights))
+    cost = 0.5 * float(np.vdot(squared_distances(mu, pi), gamma))
+    return ssb, cost + eps * (neg_entropy - cross)
+
+
+def _sum_gamma_log(gamma: np.ndarray, a: np.ndarray, pos: np.ndarray | None) -> float:
+    """``sum gamma log a`` over the cells where ``pos`` (None: every cell)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(a) if pos is None else np.log(a, out=np.zeros_like(a), where=pos)
+    return float(np.vdot(gamma, log_a))
 
 
 def schrodinger_residual(

@@ -71,6 +71,8 @@ def _validate_fields(raw: dict, errors: list[str]) -> None:
         errors.append(f"format must be 'json' or 'csv', got {raw['format']!r}")
     if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
         errors.append(f"seed must be an integer, got {raw['seed']!r}")
+    if not (isinstance(raw["out"], str) and raw["out"]):
+        errors.append(f"out must be a non-empty string, got {raw['out']!r}")
 
 
 def validate_config(
@@ -186,6 +188,10 @@ def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
     out_dir = Path(cfg.out)
     target = cfg.measure
     if not isinstance(target, (targets.GaussianMeasure, targets.GaussianMixture)):
+        sys.stderr.write(
+            "warning: configured target is not a Gaussian/mixture; "
+            "rgd artifacts use the standard normal instead\n"
+        )
         target = targets.GaussianMeasure([0.0], [[1.0]])
     d = target.dim
     chain_cfg = rgd.RgdConfig(cfg.eta, target, steps=50)

@@ -5,9 +5,9 @@ The three constructions realize the same random measures: the tilt process
 ``dc_t = m_t dt + dW_t`` with ``m_t`` the mean of the tilted measure at
 ``(c_t, t)``; the channel observation ``c_t = t x + B_t`` with ``x`` drawn
 from the base, whose posterior at time t is exactly that tilted measure; and
-the particle cloud whose log-weights follow the Ito-exponential update of the
-measure dynamics.  Cross-checks between them are statistical and live in the
-suites and tests.
+the particle cloud, the same tilt of the empirical measure of fixed draws
+driven by the cloud mean.  Cross-checks between them are statistical and live
+in the suites and tests.
 """
 from __future__ import annotations
 
@@ -67,8 +67,10 @@ class SLState:
 class ParticleCloud:
     """Weighted particles with normalized log-weights and accumulated mass.
 
-    ``log_mass`` tracks the product of pre-renormalization masses, so the
-    unnormalized cloud measure is ``exp(log_mass) * sum_i w_i delta_{x_i}``.
+    At time T the weights are the tilt ``exp(<x, C> - T |x|^2 / 2)`` of the
+    empirical measure, as Eldan's measure is of the base, with ``dC = m dt + dW``
+    for the cloud mean m.  ``log_mass`` tracks the product of pre-renormalization
+    masses, so the unnormalized cloud is ``exp(log_mass) * sum_i w_i delta_{x_i}``.
     """
 
     points: np.ndarray
@@ -187,25 +189,33 @@ def channel_ensemble(
 
 
 def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw: np.ndarray, dts: np.ndarray):
-    """Weighted particle clouds of the given streams: base draws from each
-    stream's ``SALT_INIT`` block, reweighted along increments ``dw (R, steps, d)``
-    by the Ito-exponential update.  Yields the points ``(R, n, d)``, which never
-    move, the normalized log-weights and weights ``(R, n)`` and the accumulated
-    log of the pre-renormalization masses ``(R,)``, at the start and after each
-    step."""
+    """Particle clouds of the streams, drawn from their ``SALT_INIT`` blocks and
+    reweighted along ``dw (R, steps, d)``: yields the fixed points ``(R, n, d)``,
+    normalized log-weights and weights ``(R, n)`` and log-masses ``(R,)`` at the
+    start and after each step.
+
+    The centred Ito step ``<x - m, dW> - dt |x - m|^2 / 2`` at the cloud mean m is
+    ``<x, dW + m dt> - dt |x|^2 / 2 - kappa`` with ``kappa = <m, dW> + dt |m|^2 / 2``
+    the same for all particles, so the log-weights are formed afresh each step
+    from ``u = <x, C> - T |x|^2 / 2``, ``C = sum (dW + m dt)``, ``T = sum dt``, and
+    the log-mass is ``lse(u) - log n - sum kappa``.  ``u`` contracts the planes
+    ``(x_1, .., x_d, |x|^2)`` with ``(C, -T/2)`` one plane at a time, and no sum
+    goes through BLAS, so a run is bitwise a row of any ensemble."""
     points = np.stack([targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)) for r in streams])
-    log_w = np.full(points.shape[:2], -math.log(n_particles))
+    coords = list(np.moveaxis(points, -1, 0))
+    xs = np.stack(coords + [sum(x * x for x in coords)])
+    coef, k_run = np.zeros((len(points), len(xs))), np.zeros(len(points))
     w = np.full(points.shape[:2], 1.0 / n_particles)
-    log_mass = np.zeros(len(points))
-    yield points, log_w, w, log_mass
+    yield points, np.full(w.shape, -math.log(n_particles)), w, k_run
     for k, dt in enumerate(dts):
-        centered = points - np.einsum("...n,...nd->...d", w, points)[..., None, :]
-        log_w = log_w + np.einsum("...nd,...d->...n", centered, dw[:, k])
-        log_w -= (0.5 * dt) * np.einsum("...nd,...nd->...n", centered, centered)
-        step_mass, w = _log_normalize(log_w)
-        log_w -= step_mass[..., None]
-        log_mass = log_mass + step_mass
-        yield points, log_w, w, log_mass
+        m = np.einsum("rn,jrn->rj", w, xs[:-1])
+        coef[:, :-1] += dw[:, k] + dt * m
+        coef[:, -1] -= 0.5 * dt
+        k_run = k_run + sum(m[:, j] * (dw[:, k, j] + (0.5 * dt) * m[:, j]) for j in range(len(coords)))
+        u = np.einsum("jrn,rj->rn", xs, coef)
+        lse, w = _log_normalize(u)
+        u -= lse[:, None]
+        yield points, u, w, lse - math.log(n_particles) - k_run
 
 
 def particle_sl_run(
@@ -215,22 +225,15 @@ def particle_sl_run(
     noise: SamplePath,
     ess_floor: float = DEFAULT_ESS_FLOOR,
 ) -> list[ParticleCloud]:
-    """Weighted-particle realization of the measure dynamics on one noise path.
-
-    Per step the log-weight update is the Ito-exponential
-    ``<x_i - mean, dW> - 0.5 |x_i - mean|^2 dt`` (positive at any step size),
-    weights are renormalized every step, and the pre-renormalization mass is
-    accumulated into ``log_mass`` so the martingale diagnostic survives.  The
-    run is the ``R = 1`` case of ``particle_ensemble`` on the noise path's
-    increments, keeping every cloud.
+    """Weighted-particle realization of the measure dynamics on one noise path:
+    every cloud of the ``R = 1`` case of ``particle_ensemble`` on the path's
+    increments, raising ``WeightCollapseError`` below the ESS floor.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
     dw = _noise_increments(noise, grid, base.dim)[None]
-    clouds = []
-    for k, (points, log_w, w, log_mass) in enumerate(
-        _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
-    ):
+    clouds, runs = [], _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
+    for k, (points, log_w, w, log_mass) in enumerate(runs):
         ess = 1.0 / float(np.sum(w[0] ** 2))
         if k and ess < ess_floor:
             raise WeightCollapseError(ess, ess_floor, float(grid.times[k]))
@@ -249,9 +252,16 @@ def particle_ensemble(
 
     Returns ``(points (R, n, d), log_weights (R, n), log_mass (R,))`` at the
     grid's final time.  Run r uses stream id r, matching ``particle_sl_run``.
+    Runs step in blocks of about 2^15 weights, whose 256 KiB arrays stay in a
+    core's cache; rows never mix, so the blocks change no bit.
     """
-    dw = np.stack([wiener_increment_array(grid, base.dim, seed, r) for r in range(n_runs)])
-    points, log_w, _, log_mass = deque(_particle_runs(base, n_particles, seed, range(n_runs), dw, grid.dts), 1)[0]
+    points, log_w = np.empty((n_runs, n_particles, base.dim)), np.empty((n_runs, n_particles))
+    log_mass, rows = np.empty(n_runs), max(1, 2**15 // n_particles)
+    for lo in range(0, n_runs, rows):
+        streams = range(lo, min(lo + rows, n_runs))
+        dw = np.stack([wiener_increment_array(grid, base.dim, seed, r) for r in streams])
+        clouds = _particle_runs(base, n_particles, seed, streams, dw, grid.dts)
+        points[lo:streams.stop], log_w[lo:streams.stop], _, log_mass[lo:streams.stop] = deque(clouds, 1)[0]
     return points, log_w, log_mass
 
 
@@ -300,17 +310,9 @@ def initial_anisotropic_state(
 
 def write_particle_json(cloud: ParticleCloud, out) -> None:
     """Optional JSON snapshot of one particle cloud."""
-    payload = json.dumps(
-        {
-            "log_mass": float(cloud.log_mass),
-            "ess": cloud.ess(),
-            "points": [[float(v) for v in row] for row in cloud.points],
-            "log_weights": [float(v) for v in cloud.log_weights],
-        },
-        indent=2,
-        sort_keys=True,
-    )
-    _emit(payload, out)
+    payload = {"log_mass": float(cloud.log_mass), "ess": cloud.ess(), "points": cloud.points.tolist(),
+               "log_weights": cloud.log_weights.tolist()}
+    _emit(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def write_trajectory_csv(
@@ -322,17 +324,9 @@ def write_trajectory_csv(
         raise ValueError("no trajectories to write")
     first = next(iter(runs.values()))
     d = first[0].c.size
-    header = (
-        "stream_id,t,"
-        + ",".join(f"c_{k + 1}" for k in range(d))
-        + ","
-        + ",".join(f"m_{k + 1}" for k in range(d))
-    )
-    lines = [header]
-    for stream_id in sorted(runs):
-        for state in runs[stream_id]:
-            row = [str(stream_id), _fmt(state.t)]
-            row += [_fmt(v) for v in state.c]
-            row += [_fmt(v) for v in state.m]
-            lines.append(",".join(row))
+    lines = [",".join(["stream_id", "t"] + [f"{v}_{k + 1}" for v in "cm" for k in range(d)])] + [
+        ",".join([str(s), _fmt(state.t)] + [_fmt(v) for v in np.concatenate([state.c, state.m])])
+        for s in sorted(runs)
+        for state in runs[s]
+    ]
     _emit("\n".join(lines) + "\n", out)

@@ -109,3 +109,24 @@ def dense_transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndar
     nu = kernel @ p0 * dx
     z_post = kernel @ pi_density * dx
     return pi_density * (kernel @ (nu / z_post) * dx)
+
+
+def centered_particle_reweighting(points, dw, dts):
+    """Final log-weights and log-masses of static particle clouds under the
+    centred Ito-exponential update, accumulated step by step.
+
+    ``points`` is (R, n, d) and ``dw`` (R, steps, d).  Each step adds
+    ``<x - m, dW> - dt |x - m|^2 / 2`` with ``m`` the cloud mean, renormalizes,
+    and adds the log of the pre-renormalization mass to the run's log-mass.
+    Returns ``(log_w (R, n), log_mass (R,))``.
+    """
+    runs, n, _ = points.shape
+    log_w = np.full((runs, n), -math.log(n))
+    log_mass = np.zeros(runs)
+    for k, dt in enumerate(dts):
+        centered = points - np.einsum("rn,rnd->rd", np.exp(log_w), points)[:, None, :]
+        log_w = log_w + np.einsum("rnd,rd->rn", centered, dw[:, k]) - 0.5 * dt * np.sum(centered**2, axis=2)
+        step = logsumexp(log_w, axis=1)
+        log_mass += step
+        log_w -= step[:, None]
+    return log_w, log_mass

@@ -266,6 +266,20 @@ class TestObjectives:
         cost = float(np.sum(0.5 * squared_distances(mu, pi) * gamma))
         assert eot == pytest.approx(cost, abs=1e-15)
 
+    def test_matches_entrywise_sums_with_empty_cells(self):
+        # Cells with gamma = 0 contribute 0 log 0 = 0 to both objectives.
+        rng = np.random.default_rng(9)
+        mu, pi = random_instance(rng, 5, 4)
+        ref = heat_kernel_reference(mu, pi)
+        gamma = rng.uniform(0.0, 1.0, (5, 4)) * (rng.uniform(size=(5, 4)) > 0.3)
+        gamma /= gamma.sum()
+        pos = gamma > 0.0
+        g, r, prod = gamma[pos], ref[pos], np.outer(mu.weights, pi.weights)[pos]
+        cost = float(np.sum(0.5 * squared_distances(mu, pi) * gamma))
+        ssb, eot = objective_pair(gamma, mu, pi, ref)
+        assert ssb == pytest.approx(float(np.sum(g * np.log(g / r))), rel=1e-12)
+        assert eot == pytest.approx(cost + float(np.sum(g * np.log(g / prod))), rel=1e-12)
+
     def test_unsupported_coupling_flagged_infinite(self):
         mu, pi = uniform_two_points()
         ref = heat_kernel_reference(mu, pi).copy()

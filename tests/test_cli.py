@@ -51,6 +51,12 @@ class TestValidateConfig:
             assert cfg is None
             assert sorted(e.split()[0] for e in errors) == sorted(numeric)
 
+    def test_out_must_be_a_non_empty_string(self, tmp_path):
+        for value in (None, 3, "", ["a"]):
+            cfg, errors, _ = validate_config(write_config(tmp_path, {"out": value}))
+            assert cfg is None
+            assert [e.split()[0] for e in errors] == ["out"]
+
     def test_config_is_the_suite_budget(self):
         cfg, errors, _ = validate_config(None)
         assert not errors and isinstance(cfg, SuiteBudget)
@@ -189,6 +195,12 @@ class TestCliRuns:
         assert lines[0] == "iteration,x_1,kl"
         stability = json.loads((out / "stability_report.json").read_text())
         assert stability["all_pass"] is True
+
+    def test_non_gaussian_target_warns_for_rgd(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"target": {"kind": "potential-ref", "name": "quartic"}, "paths": 2000})
+        code = main(["rgd", "--config", config, "--seed", "9", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "rgd artifacts use the standard normal instead" in capsys.readouterr().err
 
     def test_csv_format_prints_rows(self, tmp_path, capsys):
         out = tmp_path / "out"

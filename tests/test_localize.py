@@ -17,8 +17,10 @@ from sloc.localize import (
     tilt_sde_run,
     write_trajectory_csv,
 )
-from sloc.sde import TimeGrid, wiener_increments
+from sloc.sde import TimeGrid, wiener_increment_array, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture, posterior_moments, tilt
+
+from oracles import centered_particle_reweighting
 
 
 def std_normal():
@@ -204,6 +206,35 @@ class TestParticles:
         noise = wiener_increments(grid, 1, seed=13, stream_id=0)
         with pytest.raises(WeightCollapseError):
             particle_sl_run(std_normal(), 3, grid, noise, ess_floor=2.9)
+
+    @pytest.mark.parametrize("name", ["gauss-d1", "pm1-mixture", "mixture-d3"])
+    def test_ensemble_matches_the_centered_update(self, name):
+        # log_mass is a log, so its absolute tolerance is a relative one on the mass.
+        g = np.random.default_rng(5)
+        base = {
+            "gauss-d1": GaussianMeasure([0.4], [[1.5]]),
+            "pm1-mixture": GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]]),
+            "mixture-d3": GaussianMixture([0.35, 0.65], 1.5 * g.standard_normal((2, 3)), [np.eye(3), 0.4 * np.eye(3)]),
+        }[name]
+        grid = TimeGrid.uniform(0.0, 1.0, 200)
+        points, log_w, log_mass = localize.particle_ensemble(base, 64, grid, seed=15, n_runs=6)
+        dw = np.stack([wiener_increment_array(grid, base.dim, 15, r) for r in range(6)])
+        ref_w, ref_mass = centered_particle_reweighting(points, dw, grid.dts)
+        np.testing.assert_allclose(log_w, ref_w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(log_mass, ref_mass, rtol=1e-12, atol=1e-12)
+
+    def test_long_horizon_keeps_deep_log_weights_finite(self):
+        # At T = 2000 most weights are far below exp(-745), the smallest double:
+        # a cloud kept in linear weights would read them as 0 and log them as -inf.
+        grid = TimeGrid.uniform(0.0, 2000.0, 2000)
+        points, log_w, log_mass = localize.particle_ensemble(std_normal(), 16, grid, seed=3, n_runs=4)
+        dw = np.stack([wiener_increment_array(grid, 1, 3, r) for r in range(4)])
+        ref_w, ref_mass = centered_particle_reweighting(points, dw, grid.dts)
+        assert np.all(np.isfinite(log_w)) and np.any(log_w < -745.0)
+        np.testing.assert_allclose(log_w, ref_w, rtol=1e-12, atol=1e-12)
+        # The log-mass is a difference of two sums that grow like T, so its
+        # rounding grows with the horizon.
+        np.testing.assert_allclose(log_mass, ref_mass, atol=1e-14 * grid.times[-1])
 
     def test_mass_martingale_small_ensemble(self):
         grid = TimeGrid.uniform(0.0, 0.5, 250)
