@@ -33,7 +33,7 @@ from .sde import (
     generator,
     wiener_increment_array,
 )
-from .targets import TargetMeasure, TiltedMeasure, _log_normalize, posterior_moments, tilt  # noqa: F401
+from .targets import TargetMeasure, TiltedMeasure, posterior_moments, tilt  # noqa: F401
 
 DEFAULT_ESS_FLOOR = 10.0
 
@@ -197,25 +197,42 @@ def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw
     The centred Ito step ``<x - m, dW> - dt |x - m|^2 / 2`` at the cloud mean m is
     ``<x, dW + m dt> - dt |x|^2 / 2 - kappa`` with ``kappa = <m, dW> + dt |m|^2 / 2``
     the same for all particles, so the log-weights are formed afresh each step
-    from ``u = <x, C> - T |x|^2 / 2``, ``C = sum (dW + m dt)``, ``T = sum dt``, and
-    the log-mass is ``lse(u) - log n - sum kappa``.  ``u`` contracts the planes
-    ``(x_1, .., x_d, |x|^2)`` with ``(C, -T/2)`` one plane at a time, and no sum
-    goes through BLAS, so a run is bitwise a row of any ensemble."""
+    from ``u = <x, C> - T |x|^2 / 2``, ``C = sum (dW + m dt)``, ``T = sum dt``.
+    ``u`` contracts the planes ``(x_1, .., x_d, |x|^2)`` with ``(C, -T/2)`` one
+    plane at a time, and no sum goes through BLAS, so a run is bitwise a row of
+    any ensemble.
+
+    The log-mass ``lse(u) - log n - sum kappa`` would cancel two sums that grow
+    like T.  Each run instead carries ``a = u_top - sum kappa``, the centred
+    log-weight of its top particle: the centred step at that particle, plus
+    ``u_new - u_old = <x_new - x_old, C - T (x_new + x_old) / 2>`` when the top
+    particle changes.  The log-mass is ``a - log n + log sum exp(u - u_top)``,
+    a sum of terms of order one."""
     points = np.stack([targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)) for r in streams])
     coords = list(np.moveaxis(points, -1, 0))
     xs = np.stack(coords + [sum(x * x for x in coords)])
-    coef, k_run = np.zeros((len(points), len(xs))), np.zeros(len(points))
-    w = np.full(points.shape[:2], 1.0 / n_particles)
-    yield points, np.full(w.shape, -math.log(n_particles)), w, k_run
-    for k, dt in enumerate(dts):
+    flat_points, offsets = points.reshape(-1, points.shape[-1]), np.arange(len(points)) * n_particles
+    coef, log_top, log_n = np.zeros((len(points), len(xs))), np.zeros(len(points)), math.log(n_particles)
+    c, half_t = coef[:, :-1], coef[:, -1:]
+    w, x_top = np.full(points.shape[:2], 1.0 / n_particles), points[:, 0]
+    yield points, np.full(w.shape, -log_n), w, np.zeros(len(points))
+    for dw_k, dt in zip(np.moveaxis(dw, 1, 0), dts):
         m = np.einsum("rn,jrn->rj", w, xs[:-1])
-        coef[:, :-1] += dw[:, k] + dt * m
-        coef[:, -1] -= 0.5 * dt
-        k_run = k_run + sum(m[:, j] * (dw[:, k, j] + (0.5 * dt) * m[:, j]) for j in range(len(coords)))
+        dev = x_top - m
+        c += dw_k + dt * m
+        half_t -= 0.5 * dt
         u = np.einsum("jrn,rj->rn", xs, coef)
-        lse, w = _log_normalize(u)
-        u -= lse[:, None]
-        yield points, u, w, lse - math.log(n_particles) - k_run
+        # The normalization of _log_normalize, at the top index it does not return.
+        top = offsets + u.argmax(axis=1)
+        x_old, x_top, u_top = x_top, flat_points.take(top, axis=0), u.take(top)
+        log_top += (dev * (dw_k - (0.5 * dt) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))).sum(axis=1)
+        w = u - u_top[:, None]
+        np.exp(w, out=w)
+        total = w.sum(axis=1, keepdims=True)
+        w *= 1.0 / total
+        log_total = np.log(total[:, 0])
+        u -= (u_top + log_total)[:, None]
+        yield points, u, w, log_top - log_n + log_total
 
 
 def particle_sl_run(

@@ -114,9 +114,6 @@ class ChainLaw:
             raise ValueError("chain covariance must stay positive definite")
         object.__setattr__(self, "cov", cov)
 
-    def as_measure(self) -> GaussianMeasure:
-        return GaussianMeasure(self.mean, self.cov)
-
 
 def chain_law_propagate(
     init: GaussianMeasure, target: GaussianMeasure, eta: float, n_steps: int

@@ -4,7 +4,10 @@ changes shared by the different process parameterizations.
 Randomness is counter-based (Philox keyed by the ``(seed, stream_id)`` pair),
 so each path is a pure function of its seed and stream id: how many other
 paths are drawn, and on how many workers, never changes the result.  Distinct
-stream ids are independent by construction.
+stream ids are independent by construction.  Keys are set directly, without
+drawing OS entropy, so opening a stream's generator costs a few microseconds;
+``Generator.spawn`` is unsupported on these generators (it raises
+``TypeError``).
 """
 from __future__ import annotations
 
@@ -31,15 +34,31 @@ class NonFiniteStateError(RuntimeError):
         super().__init__(f"non-finite state at step {step} (time {t!r})")
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A fixed Philox key as a seed sequence.  ``Philox(key=...)`` first builds
+    a ``SeedSequence`` from OS entropy and then discards it; seeding with this
+    object sets the same key words without that syscall."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, stream_id: int):
+        self.words = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words.view(dtype)[:n_words]
+
+
 def generator(seed: int, stream_id: int, salt: int = SALT_NOISE) -> np.random.Generator:
     """Counter-based generator for one (seed, stream) pair.
 
     ``salt`` selects disjoint counter blocks within a stream so that, for
     example, noise increments and initial-condition draws never overlap.
+    Each call returns a fresh, independent, picklable generator whose draws
+    are bitwise those of ``Philox(key=(seed, stream_id), counter=[0, salt, 0,
+    0])``; its key is set without drawing OS entropy, and ``spawn`` raises
+    ``TypeError``.
     """
-    key = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
-    counter = np.array([0, salt & _U64, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream_id), counter=[0, salt & _U64, 0, 0]))
 
 
 def map_chunks(run_chunk, n: int, chunk: int, workers: int = 1) -> None:
@@ -74,10 +93,12 @@ class TimeGrid:
         dts = np.diff(t)
         if not np.all(dts > 0.0):
             raise ValueError("grid times must be strictly increasing")
-        t.setflags(write=False)
-        dts.setflags(write=False)
+        sqrt_dts = np.sqrt(dts)
+        for a in (t, dts, sqrt_dts):
+            a.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "_dts", dts)
+        object.__setattr__(self, "_sqrt_dts", sqrt_dts)
 
     @classmethod
     def uniform(cls, start: float, stop: float, steps: int) -> "TimeGrid":
@@ -97,6 +118,11 @@ class TimeGrid:
     def dts(self) -> np.ndarray:
         """Step sizes ``times[k + 1] - times[k]``, computed once, read-only."""
         return self._dts
+
+    @property
+    def sqrt_dts(self) -> np.ndarray:
+        """``sqrt(dts)``, the Wiener increments' scales, computed once, read-only."""
+        return self._sqrt_dts
 
     @property
     def steps(self) -> int:
@@ -147,8 +173,9 @@ class SamplePath:
 
 def wiener_increment_array(grid: TimeGrid, d: int, seed: int, stream_id: int) -> np.ndarray:
     """Raw Wiener increments over the grid intervals, shape ``(steps, d)``."""
-    g = generator(seed, stream_id, SALT_NOISE)
-    return g.standard_normal((grid.steps, d)) * np.sqrt(grid.dts)[:, None]
+    z = generator(seed, stream_id, SALT_NOISE).standard_normal((grid.steps, d))
+    z *= grid.sqrt_dts[:, None]
+    return z
 
 
 def wiener_increments(grid: TimeGrid, d: int, seed: int, stream_id: int = 0) -> SamplePath:

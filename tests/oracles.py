@@ -118,11 +118,13 @@ def centered_particle_reweighting(points, dw, dts):
     ``points`` is (R, n, d) and ``dw`` (R, steps, d).  Each step adds
     ``<x - m, dW> - dt |x - m|^2 / 2`` with ``m`` the cloud mean, renormalizes,
     and adds the log of the pre-renormalization mass to the run's log-mass.
-    Returns ``(log_w (R, n), log_mass (R,))``.
+    Returns ``(log_w (R, n), log_mass (R,))``, computed in the precision of
+    the inputs (``np.longdouble`` inputs give an extended-precision run).
     """
     runs, n, _ = points.shape
-    log_w = np.full((runs, n), -math.log(n))
-    log_mass = np.zeros(runs)
+    dtype = np.result_type(points, dw, dts)
+    log_w = np.full((runs, n), -np.log(dtype.type(n)))
+    log_mass = np.zeros(runs, dtype)
     for k, dt in enumerate(dts):
         centered = points - np.einsum("rn,rnd->rd", np.exp(log_w), points)[:, None, :]
         log_w = log_w + np.einsum("rnd,rd->rn", centered, dw[:, k]) - 0.5 * dt * np.sum(centered**2, axis=2)

@@ -232,9 +232,20 @@ class TestParticles:
         ref_w, ref_mass = centered_particle_reweighting(points, dw, grid.dts)
         assert np.all(np.isfinite(log_w)) and np.any(log_w < -745.0)
         np.testing.assert_allclose(log_w, ref_w, rtol=1e-12, atol=1e-12)
-        # The log-mass is a difference of two sums that grow like T, so its
-        # rounding grows with the horizon.
+        # A bound that lets rounding grow with the horizon; the extended-precision
+        # test below holds the log-mass to a fixed one.
         np.testing.assert_allclose(log_mass, ref_mass, atol=1e-14 * grid.times[-1])
+
+    def test_long_horizon_log_mass_matches_extended_precision(self):
+        # The log-mass is carried as order-one terms, so it stays near double
+        # precision at T = 2000 against an extended-precision centred update.
+        grid = TimeGrid.uniform(0.0, 2000.0, 2000)
+        points, _, log_mass = localize.particle_ensemble(std_normal(), 16, grid, seed=3, n_runs=4)
+        dw = np.stack([wiener_increment_array(grid, 1, 3, r) for r in range(4)])
+        ld = np.longdouble
+        _, ref_mass = centered_particle_reweighting(points.astype(ld), dw.astype(ld), grid.dts.astype(ld))
+        assert ref_mass.dtype == ld
+        assert float(np.abs(log_mass - ref_mass).max()) <= 1e-13
 
     def test_mass_martingale_small_ensemble(self):
         grid = TimeGrid.uniform(0.0, 0.5, 250)

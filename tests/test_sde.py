@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from sloc.sde import (
     SamplePath,
     TimeGrid,
     euler_maruyama,
+    generator,
     time_change_grid,
+    wiener_increment_array,
     wiener_increments,
     write_paths_csv,
 )
@@ -45,6 +48,12 @@ class TestTimeGrid:
         assert grid.dts is grid.dts
         assert not grid.dts.flags.writeable
         assert np.array_equal(grid.dts, np.diff(grid.times))
+
+    def test_sqrt_dts_is_one_read_only_array(self):
+        grid = TimeGrid.geometric(1e-3, 1.0, 1000)
+        assert grid.sqrt_dts is grid.sqrt_dts
+        assert not grid.sqrt_dts.flags.writeable
+        assert np.array_equal(grid.sqrt_dts, np.sqrt(grid.dts))
 
     def test_including_inserts_snapshot(self):
         grid = TimeGrid.geometric(1e-3, 1.0, 50).including(0.5)
@@ -86,6 +95,50 @@ class TestWiener:
         b = np.array([wiener_increments(grid, 1, 7, s + n).terminal()[0] for s in range(n)])
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
+
+
+def _philox_reference(seed: int, stream_id: int, salt: int) -> np.random.Generator:
+    mask = 2**64 - 1
+    key = np.array([seed & mask, stream_id & mask], dtype=np.uint64)
+    counter = np.array([0, salt & mask, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+class TestGenerator:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.integers(-(2**70), -1), st.integers(0, 1000), st.integers(2**63, 2**70)),
+        st.sampled_from([0, 1, 21, 2**63]),
+    )
+    def test_draws_equal_keyed_philox(self, seed, stream_id, salt):
+        g, ref = generator(seed, stream_id, salt), _philox_reference(seed, stream_id, salt)
+        assert g.standard_normal(37).tobytes() == ref.standard_normal(37).tobytes()
+        assert g.integers(0, 2**62, 5).tobytes() == ref.integers(0, 2**62, 5).tobytes()
+        assert g.random(3).tobytes() == ref.random(3).tobytes()
+
+    def test_same_key_generators_are_independent_objects(self):
+        a, b = generator(42, 7, 1), generator(42, 7, 1)
+        first = a.standard_normal(100)
+        assert b.standard_normal(100).tobytes() == first.tobytes()
+        assert a.standard_normal(100).tobytes() != first.tobytes()
+
+    def test_pickle_round_trip_keeps_the_stream(self):
+        g = generator(5, 3, 21)
+        g.standard_normal(11)
+        h = pickle.loads(pickle.dumps(g))
+        assert h.standard_normal(50).tobytes() == g.standard_normal(50).tobytes()
+
+    def test_spawn_is_unsupported(self):
+        with pytest.raises(TypeError):
+            generator(1, 2).spawn(1)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_increments_are_scaled_standard_normals(self, d):
+        grid = TimeGrid.geometric(1e-3, 1.0, 300).including(0.5)
+        dw = wiener_increment_array(grid, d, 9, 4)
+        ref = _philox_reference(9, 4, 0).standard_normal((grid.steps, d)) * np.sqrt(grid.dts)[:, None]
+        assert dw.tobytes() == ref.tobytes()
 
 
 class TestEulerMaruyama:
