@@ -19,6 +19,7 @@ import numpy as np
 from . import targets
 from .sde import (
     SALT_INIT,
+    SALT_IS,
     SamplePath,
     TimeGrid,
     _integrate,
@@ -114,11 +115,14 @@ def backward_sde_run(
     dx = [x / (2u(u+1)) + score / (u(u+1))] du + dW / sqrt(u(u+1)); the grid
     must be clipped away from u = 0 where the drift is singular.  For large
     final u the terminal law approximates the base up to a residual Gaussian
-    smoothing of variance 1 / (u_max + 1).  The run is the n=1 case of
+    smoothing of variance 1 / (u_max + 1).  A generic base's per-step
+    importance-sampling estimates draw from ``rng``, by default the noise
+    path's own ``SALT_IS`` block.  The run is the n=1 case of
     ``backward_sde_ensemble`` on the noise path's increments.
     """
     dw = _noise_increments(noise, u_grid, base.dim)
     x0 = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal((1, base.dim))
+    rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
     snaps = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), dw)
     return [BackwardState(u, x[0]) for u, x in snaps.items()]
 

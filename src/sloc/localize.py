@@ -24,6 +24,7 @@ import numpy as np
 from . import targets
 from .sde import (
     SALT_INIT,
+    SALT_IS,
     SamplePath,
     TimeGrid,
     _emit,
@@ -114,13 +115,16 @@ def tilt_sde_run(
     The grid must start at 0 (where c = 0).  The scalar regularizer is
     accumulated as t += dt so that a control-matrix run with identity
     matrices reproduces this one bitwise.  ``budget`` is the per-step
-    importance-sampling budget for generic bases.  The run is the n=1 case
-    of ``tilt_sde_ensemble`` on the noise path's increments.
+    importance-sampling budget for generic bases; their estimates draw from
+    ``rng``, by default the noise path's own ``SALT_IS`` block, so successive
+    steps' errors are independent.  The run is the n=1 case of
+    ``tilt_sde_ensemble`` on the noise path's increments.
     """
     d = base.dim
     dw = _noise_increments(noise, grid, d)
     if grid.times[0] != 0.0:
         raise ValueError("the tilt process starts at time 0")
+    rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
     t, x0, step = _tilt_step(base, grid, budget, rng)
     snaps = _integrate(grid, x0, step, dw)
     return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, snaps.values())]

@@ -27,7 +27,17 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from . import targets
-from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, _noise_increments, wiener_increment_array
+from .sde import (
+    SALT_IS,
+    SamplePath,
+    TimeGrid,
+    _emit,
+    _fmt,
+    _integrate,
+    _noise_increments,
+    generator,
+    wiener_increment_array,
+)
 from .targets import (
     GaussianMeasure,
     GaussianMixture,
@@ -86,7 +96,7 @@ def renorm_potential(
         value = gauss - log_partition(fluct)
     else:
         if rng is None:
-            rng = np.random.Generator(np.random.Philox(key=_MC_KEY))
+            rng = targets._keyed_generator(_MC_KEY)
         value = _renorm_value_mc(base, tau, x, budget, rng)
     m = posterior_moments(fluct, budget, rng=rng).mean
     grad = (x - m) / (1.0 - tau)
@@ -131,10 +141,13 @@ def polchinski_run(
 
     The drift magnitude grows like 1/(1 - tau) near the endpoint, so grids
     must be clipped below tau = 1 (the identification tests all run at
-    tau <= 0.5 where clipping is irrelevant).  The run is the n=1 case of
+    tau <= 0.5 where clipping is irrelevant).  A generic base's per-step
+    importance-sampling estimates draw from ``rng``, by default the noise
+    path's own ``SALT_IS`` block.  The run is the n=1 case of
     ``polchinski_ensemble`` on the noise path's increments.
     """
     dw = _noise_increments(noise, tau_grid, base.dim)
+    rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
     step = _flow_step(base, tau_grid, budget, rng)
     snaps = _integrate(tau_grid, np.zeros((1, base.dim)), step, dw)
     return SamplePath(tau_grid, np.concatenate(list(snaps.values())), noise.seed, noise.stream_id)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import targets
 from .diagnostics import _batch_means, gaussian_kl
-from .sde import _emit, _fmt
+from .sde import _emit, _fmt, generator
 from .targets import (
     GaussianMeasure,
     GaussianMixture,
@@ -47,27 +47,38 @@ class RgdConfig:
             raise ValueError("steps must be nonnegative")
 
 
+def _blur(x: np.ndarray, eta: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stage one for ``n`` rows: ``y ~ N(x, eta I)``."""
+    return x + math.sqrt(eta) * rng.standard_normal((n, x.shape[-1]))
+
+
 def rgd_step(x, cfg: RgdConfig, rng: np.random.Generator) -> np.ndarray:
     """One transition: forward Gaussian blur, then the restricted draw.
 
-    The restricted stage is exactly ``targets.sample(tilt(pi, y / eta, 1 / eta))``;
-    exact for Gaussian/mixture targets, rejection sampling (requiring a
+    The n=1 case of ``rgd_transition_batch``, so it builds the restricted-draw
+    plan afresh; a chain of steps is ``rgd_chain``, which builds it once.  The
+    restricted stage is bitwise ``targets.sample(tilt(pi, y / eta, 1 / eta), 1,
+    rng)``: exact for Gaussian/mixture targets, rejection sampling (requiring a
     positive convexity certificate) otherwise.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    eta = cfg.step_size
-    y = x + math.sqrt(eta) * rng.standard_normal(x.size)
-    tilted = tilt(cfg.target, y / eta, 1.0 / eta)
-    return targets.sample(tilted, 1, rng, max_tries=cfg.max_tries)[0]
+    return rgd_transition_batch(x, cfg, 1, rng)[0]
 
 
 def rgd_chain(x0, cfg: RgdConfig, rng: np.random.Generator) -> np.ndarray:
-    """Run ``cfg.steps`` transitions; returns the trace of shape (steps + 1, d)."""
+    """Run ``cfg.steps`` transitions; returns the trace of shape (steps + 1, d).
+
+    The restricted-draw plan at ``1 / eta`` (``targets.tilted_sampler``: the
+    closed-form tilt step and its Cholesky factors) is built once per chain,
+    and every step draws from it; the trace is bitwise that of ``cfg.steps``
+    calls of ``rgd_step`` on ``rng``.
+    """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
+    eta = cfg.step_size
+    draw = targets.tilted_sampler(cfg.target, 1.0 / eta, max_tries=cfg.max_tries)
     out = np.empty((cfg.steps + 1, x.size))
     out[0] = x
     for k in range(cfg.steps):
-        x = rgd_step(x, cfg, rng)
+        x = draw(_blur(x, eta, 1, rng) / eta, rng)[0]
         out[k + 1] = x
     return out
 
@@ -85,7 +96,7 @@ def rgd_transition_batch(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     eta = cfg.step_size
-    y = x + math.sqrt(eta) * rng.standard_normal((n, x.shape[-1]))
+    y = _blur(x, eta, n, rng)
     return targets.sample_tilted_batch(cfg.target, y / eta, 1.0 / eta, rng, max_tries=cfg.max_tries)
 
 
@@ -97,7 +108,7 @@ def channel_transition_batch(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = 1.0 / cfg.step_size
     c = t * x + math.sqrt(t) * rng.standard_normal((n, x.size))
-    return targets.sample_tilted_batch(cfg.target, c, t, rng)
+    return targets.sample_tilted_batch(cfg.target, c, t, rng, max_tries=cfg.max_tries)
 
 
 @dataclass(frozen=True)
@@ -284,7 +295,7 @@ def heat_flow_contraction_mc(
         raise RuntimeError(f"quadrature grid too narrow: transition mass {mass:.8f}")
     log_mu1 = np.log(np.maximum(mu1, 1e-300))
 
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0xC0]))
+    rng = generator(seed, 0xC0)
     x0 = init.mean[0] + math.sqrt(init.cov[0, 0]) * rng.standard_normal(n_paths)
     x1 = rgd_transition_batch(x0[:, None], RgdConfig(eta, target), n_paths, rng)
     log_mu1_at = np.interp(x1[:, 0], xs, log_mu1)

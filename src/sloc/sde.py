@@ -18,11 +18,13 @@ from typing import IO, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .targets import GaussianMeasure
+from .targets import _U64, GaussianMeasure, _PhiloxKey
 
 SALT_NOISE = 0
 SALT_INIT = 1
-_U64 = 0xFFFFFFFFFFFFFFFF
+#: Counter block of a single-path run's importance-sampling estimates on a
+#: generic base, when the caller passes no generator.
+SALT_IS = 2
 
 
 class NonFiniteStateError(RuntimeError):
@@ -32,20 +34,6 @@ class NonFiniteStateError(RuntimeError):
         self.step = step
         self.t = t
         super().__init__(f"non-finite state at step {step} (time {t!r})")
-
-
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """A fixed Philox key as a seed sequence.  ``Philox(key=...)`` first builds
-    a ``SeedSequence`` from OS entropy and then discards it; seeding with this
-    object sets the same key words without that syscall."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, seed: int, stream_id: int):
-        self.words = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words.view(dtype)[:n_words]
 
 
 def generator(seed: int, stream_id: int, salt: int = SALT_NOISE) -> np.random.Generator:

@@ -27,7 +27,7 @@ SYM_RTOL = 1e-12
 REG_CAP = 1e12
 GRAD_CHECK_TOL = 1e-5
 BATCH_PROBE_RTOL = 1e-12
-MODE_SEARCH_STEPS = 200
+MODE_SEARCH_STEPS = 50
 DEFAULT_MAX_TRIES = 10_000
 DEFAULT_ESS_FLOOR = 64.0
 # Uniform weights give an ESS equal to the budget only up to rounding.
@@ -35,6 +35,26 @@ ESS_FLOOR_RTOL = 1e-9
 
 _GRAD_PROBE_SEED = 20351
 _DEFAULT_IS_SEED = 71993
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A fixed Philox key as a seed sequence.  ``Philox(key=...)`` first builds
+    a ``SeedSequence`` from OS entropy and then discards it; seeding with this
+    object sets the same key words without that syscall."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, stream_id: int):
+        self.words = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words.view(dtype)[:n_words]
+
+
+def _keyed_generator(key: int) -> np.random.Generator:
+    """A generator whose draws are bitwise those of ``Philox(key=key)``."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key, 0)))
 
 
 class SamplingBudgetError(RuntimeError):
@@ -244,8 +264,9 @@ class GenericPotential:
 
     ``strong_convexity`` is a certified lower bound alpha with
     ``hess V >= alpha * I`` everywhere.  ``smoothness`` is an upper bound
-    ``beta >= alpha`` used to tune mode searches; it may be a bound valid on
-    the region the sampler visits rather than a global one.  The gradient is
+    ``beta >= alpha`` that, with alpha, sets the step and the momentum of the
+    envelope's accelerated mode search; it may be a bound valid on the region
+    the sampler visits rather than a global one.  The gradient is
     cross-checked against central finite differences of the potential on
     fixed random probe points at construction time.
 
@@ -274,8 +295,7 @@ class GenericPotential:
             raise ValueError("strong_convexity must be nonnegative")
         if self.smoothness is not None and self.smoothness < self.strong_convexity:
             raise ValueError("smoothness bound must be at least strong_convexity")
-        rng = np.random.Generator(np.random.Philox(key=_GRAD_PROBE_SEED))
-        points = rng.standard_normal((5, self.dim))
+        points = _keyed_generator(_GRAD_PROBE_SEED).standard_normal((5, self.dim))
         values = np.array([float(self.potential(x)) for x in points])
         grads = np.array([np.atleast_1d(np.asarray(self.gradient(x), dtype=float)) for x in points])
         object.__setattr__(self, "potential_rows", _on_rows(self.potential, points, values))
@@ -393,10 +413,6 @@ class TiltedMeasure:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
-    def reg_is_scalar(self) -> bool:
-        return np.ndim(self.reg) == 0
-
     @cached_property
     def _closed_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Posterior component weights ``(J,)``, means ``(J, d)`` and covariances
@@ -435,14 +451,12 @@ def log_partition(m: TiltedMeasure) -> float:
     return m._closed_form[3]
 
 
-def _generic_curvature(m: TiltedMeasure) -> float:
-    """Certified log-curvature lower bound of the tilted potential."""
-    base = m.base
-    if m.reg_is_scalar:
-        lam_min = float(m.reg)
-    else:
-        lam_min = float(np.linalg.eigvalsh(np.asarray(m.reg)).min())
-    return base.strong_convexity + lam_min
+def _reg_extremes(reg: Union[float, np.ndarray]) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a validated regularizer."""
+    if np.ndim(reg) == 0:
+        return float(reg), float(reg)
+    eigs = np.linalg.eigvalsh(np.asarray(reg))
+    return float(eigs[0]), float(eigs[-1])
 
 
 def _reg_times(reg: Union[float, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -475,30 +489,37 @@ def _generic_envelope(m: TiltedMeasure, tilts=None) -> _Envelope:
     """Gaussian envelopes of ``tilt(m.base, c, m.reg)`` for the rows ``c`` of
     ``tilts (K, d)``, by default the one tilt ``m.c``.
 
-    The proposal has precision ``g = alpha + lambda_min(R)`` and is centered at
-    the gradient-corrected point ``x_hat - grad U(x_hat) / g``, so the envelope
-    stays valid even when the 200-step mode search, run for all K tilts at
-    once, has not fully converged.
+    With alpha the base's convexity, beta its smoothness and lambda_min,
+    lambda_max the regularizer's extreme eigenvalues, the tilted potential U
+    is ``g``-convex and ``L``-smooth for ``g = alpha + lambda_min`` and
+    ``L = beta + lambda_max``.  The mode search, run for all K tilts at once
+    from 0, is Nesterov's accelerated descent for strongly convex functions:
+    ``MODE_SEARCH_STEPS`` gradient steps of size ``1 / L`` with constant
+    momentum ``(sqrt(k) - 1) / (sqrt(k) + 1)``, ``k = L / g``, then one
+    gradient at its end point ``x_hat``.  The proposal has precision ``g`` and
+    is centered at the gradient-corrected point ``x_hat - grad U(x_hat) / g``,
+    so the envelope stays valid wherever the search ends.
     """
     base = m.base
-    g = _generic_curvature(m)
+    lam_min, lam_max = _reg_extremes(m.reg)
+    g = base.strong_convexity + lam_min
     if g <= 0.0:
         raise ValueError(
             "rejection sampling needs alpha + lambda_min(reg) > 0 for a generic base"
         )
     if base.smoothness is None or not math.isfinite(base.smoothness):
         raise ValueError("rejection sampling needs a finite smoothness bound")
-    if m.reg_is_scalar:
-        lam_max = float(m.reg)
-    else:
-        lam_max = float(np.linalg.eigvalsh(np.asarray(m.reg)).max())
     cs = m.c[None] if tilts is None else np.atleast_2d(np.asarray(tilts, dtype=float))
     if cs.ndim != 2 or cs.shape[1] != m.dim:
         raise ValueError(f"tilt vectors of shape {cs.shape} do not match dimension {m.dim}")
-    step = 1.0 / (base.smoothness + lam_max)
-    x = np.zeros(cs.shape)
+    top = base.smoothness + lam_max
+    root = math.sqrt(top / g)
+    step, momentum = 1.0 / top, (root - 1.0) / (root + 1.0)
+    x = y = np.zeros(cs.shape)
     for _ in range(MODE_SEARCH_STEPS):
-        x = x - step * _tilted_gradient(base, cs, m.reg, x)
+        x_next = y - step * _tilted_gradient(base, cs, m.reg, y)
+        y = x_next + momentum * (x_next - x)
+        x = x_next
     u_hat = _tilted_potential(base, cs, m.reg, x)
     g_hat = _tilted_gradient(base, cs, m.reg, x)
     return _Envelope(cs, x, u_hat, g_hat, g, x - g_hat / g)
@@ -559,7 +580,7 @@ def _generic_is_moments(
     if budget <= 0:
         raise ValueError("a positive budget is required for a generic base")
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=_DEFAULT_IS_SEED))
+        rng = _keyed_generator(_DEFAULT_IS_SEED)
     env = _generic_envelope(m)
     d = m.dim
     draws = env.center + rng.standard_normal((budget, d)) / math.sqrt(env.g)
@@ -774,6 +795,37 @@ def _tilt_means(base: TargetMeasure, regs, budget: int | None = None, rng: np.ra
     )
 
 
+def tilted_sampler(
+    base: TargetMeasure, t, *, max_tries: int = DEFAULT_MAX_TRIES
+) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
+    """``(tilts, rng) ->`` one exact draw from each ``tilt(base, c_i, t)`` over
+    the rows ``c_i`` of ``tilts``, with everything that does not depend on the
+    tilts done once here: the closed-form ``TiltStep`` at ``t`` and its
+    Cholesky factors for Gaussian and mixture bases.  A generic base draws the
+    rows of a call through one rejection kernel, as ``sample`` does, with at
+    most ``max_tries`` proposals per row.  One row drawn with ``rng`` is
+    bitwise ``sample(tilt(base, c, t), 1, rng)``.
+    """
+    if isinstance(base, GenericPotential):
+        m = tilt(base, np.zeros(base.dim), t)
+
+        def draw(tilts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            env = _generic_envelope(m, tilts)
+            return _rejection_rounds(m, env, np.arange(len(env.tilts)), rng, max_tries)
+
+        return draw
+    step = tilt_plan(base, [t])(0)
+    chols = np.linalg.cholesky(step.inv[..., 0])
+
+    def draw(tilts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        means, w = step.posterior(tilts)
+        if w is None:
+            return means[0].T + rng.standard_normal(means[0].T.shape) @ chols[0].T
+        return _mixture_draws(w.T, means.transpose(2, 0, 1), chols, w.shape[1], rng)
+
+    return draw
+
+
 def sample_tilted_batch(
     base: TargetMeasure,
     tilts: np.ndarray,
@@ -782,21 +834,9 @@ def sample_tilted_batch(
     *,
     max_tries: int = DEFAULT_MAX_TRIES,
 ) -> np.ndarray:
-    """One exact draw from each ``tilt(base, c_i, t)``.
-
-    A generic base draws all rows through one rejection kernel, as ``sample``
-    does, with at most ``max_tries`` proposals per row.
-    """
-    if isinstance(base, GenericPotential):
-        m = tilt(base, np.zeros(base.dim), t)
-        env = _generic_envelope(m, tilts)
-        return _rejection_rounds(m, env, np.arange(len(env.tilts)), rng, max_tries)
-    step = tilt_plan(base, [t])(0)
-    means, w = step.posterior(tilts)
-    chols = np.linalg.cholesky(step.inv[..., 0])
-    if w is None:
-        return means[0].T + rng.standard_normal(means[0].T.shape) @ chols[0].T
-    return _mixture_draws(w.T, means.transpose(2, 0, 1), chols, w.shape[1], rng)
+    """One exact draw from each ``tilt(base, c_i, t)``: ``tilted_sampler`` at
+    ``t`` applied once to the rows of ``tilts``."""
+    return tilted_sampler(base, t, max_tries=max_tries)(tilts, rng)
 
 
 # JSON construction and the builtin potential zoo.

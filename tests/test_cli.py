@@ -1,7 +1,11 @@
 import json
 from dataclasses import fields
 
+import numpy as np
+
+from sloc import rgd, targets
 from sloc.cli import DEFAULTS, main, validate_config
+from sloc.sde import generator
 from sloc.suites import SuiteBudget
 
 
@@ -195,6 +199,21 @@ class TestCliRuns:
         assert lines[0] == "iteration,x_1,kl"
         stability = json.loads((out / "stability_report.json").read_text())
         assert stability["all_pass"] is True
+
+    def test_rgd_chain_trace_is_the_loop_of_fresh_tilts(self, tmp_path):
+        # The default target N(0, 1) at eta = 1, 50 steps on the seed's block 21,
+        # written from a loop that tilts and samples afresh at every step.
+        out = tmp_path / "out"
+        assert main(["rgd", "--seed", "7", "--out", str(out)]) == 0
+        target, rng = targets.GaussianMeasure([0.0], [[1.0]]), generator(7, 0, 21)
+        x, trace = np.zeros(1), [np.zeros(1)]
+        for _ in range(50):
+            y = x + rng.standard_normal(1)
+            x = targets.sample(targets.tilt(target, y, 1.0), 1, rng)[0]
+            trace.append(x)
+        _, kls = rgd.chain_law_propagate(targets.GaussianMeasure([1.0], [[1.0]]), target, 1.0, 50)
+        rgd.write_chain_csv(np.array(trace), tmp_path / "want.csv", kls=kls)
+        assert (out / "chain_trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_non_gaussian_target_warns_for_rgd(self, tmp_path, capsys):
         config = write_config(tmp_path, {"target": {"kind": "potential-ref", "name": "quartic"}, "paths": 2000})

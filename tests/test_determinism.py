@@ -14,7 +14,7 @@ from sloc.diffusion import backward_sde_ensemble, backward_sde_run
 from sloc.localize import particle_ensemble, particle_sl_run, tilt_sde_ensemble, tilt_sde_run
 from sloc.polchinski import polchinski_ensemble, polchinski_run
 from sloc.sde import NonFiniteStateError, TimeGrid, wiener_increments
-from sloc.targets import GaussianMeasure, GaussianMixture
+from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
 
 N_PATHS = 64
 
@@ -82,13 +82,13 @@ SINGLE_GRIDS = {
 }
 
 
-def single_run(name, base, grid, noise) -> np.ndarray:
+def single_run(name, base, grid, noise, **kwargs) -> np.ndarray:
     """All states of one single-path run, shape (len(grid), d)."""
     if name == "tilt":
-        return np.array([state.c for state in tilt_sde_run(base, grid, noise)])
+        return np.array([state.c for state in tilt_sde_run(base, grid, noise, **kwargs)])
     if name == "backward":
-        return np.array([state.x for state in backward_sde_run(base, grid, noise)])
-    return polchinski_run(base, grid, noise).states
+        return np.array([state.x for state in backward_sde_run(base, grid, noise, **kwargs)])
+    return polchinski_run(base, grid, noise, **kwargs).states
 
 
 def ensemble_run(name, base, grid, seed, n_paths, snapshot_times) -> dict:
@@ -177,3 +177,16 @@ def test_snapshot_times_on_one_grid_point_share_its_state():
     snaps = tilt_sde_ensemble(BASES["std-normal"], grid, 34, 3, (0.5, 0.5 + 1e-13))
     assert np.array_equal(snaps[0.5], snaps[0.5 + 1e-13])
     assert np.all(snaps[0.5] != 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_GRIDS))
+def test_generic_estimates_default_to_the_noise_paths_own_stream(name):
+    # Without a generator, a generic base's per-step importance sampling draws
+    # from the noise path's SALT_IS block, not from one fixed key.
+    base, grid = gaussian_potential(1), SINGLE_GRIDS[name][0]
+    noise = wiener_increments(grid, 1, 35, 2)
+    default = single_run(name, base, grid, noise, budget=64)
+    keyed = single_run(name, base, grid, noise, budget=64, rng=sde.generator(35, 2, sde.SALT_IS))
+    other = single_run(name, base, grid, noise, budget=64, rng=sde.generator(35, 3, sde.SALT_IS))
+    assert np.array_equal(default, keyed)
+    assert not np.array_equal(default, other)

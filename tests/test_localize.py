@@ -85,6 +85,18 @@ class TestTiltSde:
         exact = localize.tilt_sde_run(std_normal(), grid, noise)
         assert abs(approx[-1].c[0] - exact[-1].c[0]) < 0.15
 
+    def test_successive_generic_estimates_have_independent_errors(self):
+        # On a quadratic potential the proposal is the tilted law itself, so a
+        # step's mean error is its draws' sample-mean error: one fixed key
+        # would repeat it at every step (lag-1 correlation 0.9999999).
+        from sloc.targets import gaussian_potential
+
+        grid = TimeGrid.uniform(0.0, 1.0, 200)
+        states = tilt_sde_run(gaussian_potential(1), grid, wiener_increments(grid, 1, 44, 0), budget=256)
+        errors = np.array([s.m[0] - s.c[0] / (1.0 + s.t) for s in states[1:]])
+        lag1 = float(np.corrcoef(errors[:-1], errors[1:])[0, 1])
+        assert abs(lag1) <= 4.0 / math.sqrt(errors.size)
+
     def test_localization_shrinks_posterior_trace(self):
         # Posterior covariance trace is d / (1/sigma0^2 + t) along any path.
         base = GaussianMeasure([0.0, 0.0], 2.0 * np.eye(2))

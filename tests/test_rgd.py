@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloc import rgd, targets
+from sloc import rgd, sde, targets
 from sloc.diagnostics import ks_two_sample, moment_check
 from sloc.rgd import (
     ChainLaw,
@@ -92,6 +92,36 @@ class TestRgdStep:
         cfg = RgdConfig(1.0, gaussian_potential(dim=1))
         x = rgd_step(np.zeros(1), cfg, np.random.default_rng(3))
         assert np.isfinite(x).all()
+
+
+def reference_chain(target, eta: float, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """The chain as a loop of fresh tilts: blur, then ``sample(tilt(pi, y / eta, 1 / eta), 1, rng)``."""
+    x = np.zeros(target.dim)
+    trace = [x]
+    for _ in range(steps):
+        y = x + math.sqrt(eta) * rng.standard_normal(x.size)
+        x = sample(tilt(target, y / eta, 1.0 / eta), 1, rng)[0]
+        trace.append(x)
+    return np.array(trace)
+
+
+def gauss_d3():
+    a = np.random.default_rng(0).standard_normal((3, 3))
+    return GaussianMeasure(np.zeros(3), a @ a.T + 0.25 * np.eye(3))
+
+
+class TestPlannedChain:
+    @pytest.mark.parametrize(
+        "make, steps",
+        [(sym_mixture, 2000), (gauss_d3, 2000), (lambda: quartic_potential(dim=1), 300)],
+        ids=["mixture", "gauss-d3", "quartic"],
+    )
+    def test_chain_is_bitwise_the_loop_of_fresh_tilts(self, make, steps):
+        target = make()
+        cfg = RgdConfig(0.7, target, steps=steps)
+        trace = rgd_chain(np.zeros(target.dim), cfg, sde.generator(5, 0, 21))
+        assert np.array_equal(trace, reference_chain(target, 0.7, steps, sde.generator(5, 0, 21)))
+        assert np.array_equal(rgd_step(np.zeros(target.dim), cfg, sde.generator(5, 0, 21)), trace[1])
 
 
 class TestChainLaw:
