@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run the full cross-construction verification battery from the command line.
 
+Each check prints its runtime: the wall time since the previous check of the
+same suite function, or since that function began (the first KS check also
+carries the one-time ``scipy.stats`` import).
+
 Example:
     python scripts/run_equivalences.py --paths 4000 --dt 0.002 --seed 7
 """

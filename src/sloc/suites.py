@@ -5,13 +5,23 @@ budgets and returns timed pass/fail records.  Oracles used here are
 independent of the code paths they certify: channel marginals and grid
 quadrature against the tilt SDE, closed-form convolved densities against the
 posterior-mean score, exact Gaussian algebra against the sampled chain.
+
+Each ``check_*`` body is a generator that yields one verdict per result, and
+one recorder turns the verdicts into ``CheckResult`` records.  A result's
+``runtime`` is the wall time, in seconds, since the previous result of the
+same call, or since the call began for its first result, so the runtimes of
+one call add up to its wall time.  A result thus carries the simulations it is
+the first to read and any one-time import made on the way: the first KS result
+of a process includes the deferred ``scipy.stats`` import (1-2 s on a 2-core
+VM), and ``lsi/gamma-at-one`` the ``scipy.integrate`` one.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterator, NamedTuple, ParamSpec
 
 import numpy as np
 
@@ -58,17 +68,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "global_pass": self.global_pass,
-            "checks": [
-                {
-                    "name": c.name,
-                    "observed": c.observed,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "runtime": c.runtime,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def csv_lines(self) -> list[str]:
@@ -85,17 +85,42 @@ def _subseed(seed: int, k: int) -> int:
     return (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _U64
 
 
-class _Timer:
-    def __init__(self):
-        self.t0 = time.perf_counter()
+class _Verdict(NamedTuple):
+    """One result as a check body yields it; ``passed=None`` means
+    ``observed <= tolerance``, which a NaN fails."""
 
-    def result(
-        self, name: str, observed: float, tolerance: float, passed: bool, detail: str = ""
-    ) -> CheckResult:
-        return CheckResult(
-            name, float(observed), float(tolerance), bool(passed),
-            time.perf_counter() - self.t0, detail,
-        )
+    name: str
+    observed: float
+    tolerance: float
+    detail: str = ""
+    passed: bool | None = None
+
+
+_P = ParamSpec("_P")
+
+
+def _recorded(body: Callable[_P, Iterator[_Verdict]]) -> Callable[_P, list[CheckResult]]:
+    """Run the check ``body`` to its end and return its verdicts as timed results."""
+
+    @functools.wraps(body)
+    def check(*args: _P.args, **kwargs: _P.kwargs) -> list[CheckResult]:
+        out = []
+        t0 = time.perf_counter()
+        for v in body(*args, **kwargs):
+            t1 = time.perf_counter()
+            observed, tolerance = float(v.observed), float(v.tolerance)
+            passed = observed <= tolerance if v.passed is None else bool(v.passed)
+            out.append(CheckResult(v.name, observed, tolerance, passed, t1 - t0, v.detail))
+            t0 = t1
+        return out
+
+    return check
+
+
+def _largest(values) -> float:
+    """The largest of ``values``, or NaN if any is NaN.  Builtin ``max`` and
+    ``min`` keep or drop a NaN by where it stands, which lets broken code pass."""
+    return float(np.max(values))
 
 
 def std_gaussian() -> GaussianMeasure:
@@ -129,67 +154,55 @@ def _base_scalar_var(base: TargetMeasure) -> float:
 # Criterion 1: the tilt SDE and the exact channel produce the same tilt law.
 
 
-def check_tilt_vs_channel(budget: SuiteBudget, base: TargetMeasure | None = None) -> list[CheckResult]:
+@_recorded
+def check_tilt_vs_channel(budget: SuiteBudget, base: TargetMeasure | None = None) -> Iterator[_Verdict]:
     base = base if base is not None else std_gaussian()
-    out = []
     horizon = budget.horizon
     grid = TimeGrid.uniform(0.0, horizon, round(horizon / budget.dt))
-    timer = _Timer()
     c_tilt = localize.tilt_sde_ensemble(base, grid, _subseed(budget.seed, 1), budget.paths, workers=budget.workers)[horizon][:, 0]
     c_chan = localize.channel_ensemble(base, [horizon], _subseed(budget.seed, 2), budget.paths)[horizon][:, 0]
 
     ks = diagnostics.ks_two_sample(c_tilt, c_chan)
-    out.append(
-        timer.result(
-            "tilt-vs-channel/ks",
-            ks.p_value,
-            budget.level,
-            ks.p_value > budget.level,
-            f"two-sample KS statistic {ks.statistic:.4f}",
-        )
+    yield _Verdict(
+        "tilt-vs-channel/ks",
+        ks.p_value,
+        budget.level,
+        f"two-sample KS statistic {ks.statistic:.4f}",
+        passed=ks.p_value > budget.level,
     )
 
-    timer = _Timer()
     dmean = abs(c_tilt.mean() - c_chan.mean())
     mean_tol = 4.0 * math.hypot(_mean_se(c_tilt), _mean_se(c_chan))
     dvar = abs(c_tilt.var(ddof=1) - c_chan.var(ddof=1))
     var_tol = 4.0 * math.hypot(_var_se(c_tilt), _var_se(c_chan))
-    out.append(
-        timer.result(
-            "tilt-vs-channel/moments",
-            max(dmean / mean_tol, dvar / var_tol),
-            1.0,
-            dmean <= mean_tol and dvar <= var_tol,
-            f"|dmean|={dmean:.4g} (tol {mean_tol:.4g}), |dvar|={dvar:.4g} (tol {var_tol:.4g})",
-        )
+    yield _Verdict(
+        "tilt-vs-channel/moments",
+        _largest([dmean / mean_tol, dvar / var_tol]),
+        1.0,
+        f"|dmean|={dmean:.4g} (tol {mean_tol:.4g}), |dvar|={dvar:.4g} (tol {var_tol:.4g})",
+        passed=dmean <= mean_tol and dvar <= var_tol,
     )
 
-    timer = _Timer()
     expected = horizon**2 * _base_scalar_var(base) + horizon
     dev = abs(c_tilt.var(ddof=1) - expected)
     tol = 4.0 * _var_se(c_tilt)
-    out.append(
-        timer.result(
-            "tilt-vs-channel/terminal-variance",
-            dev,
-            tol,
-            dev <= tol,
-            f"Var(c_T)={c_tilt.var(ddof=1):.4f}, channel value {expected:.4f}",
-        )
+    yield _Verdict(
+        "tilt-vs-channel/terminal-variance",
+        dev,
+        tol,
+        f"Var(c_T)={c_tilt.var(ddof=1):.4f}, channel value {expected:.4f}",
     )
-    return out
 
 
 # Criterion 2: particle measure dynamics track the tilt mean and conserve mass.
 
 
-def check_particles(budget: SuiteBudget, base: TargetMeasure | None = None) -> list[CheckResult]:
+@_recorded
+def check_particles(budget: SuiteBudget, base: TargetMeasure | None = None) -> Iterator[_Verdict]:
     base = base if base is not None else std_gaussian()
-    out = []
     t_end = budget.tau
     grid = TimeGrid.uniform(0.0, t_end, round(t_end / budget.dt))
 
-    timer = _Timer()
     tol = 5.0 / math.sqrt(budget.particles)
     devs = []
     for rep in range(5):
@@ -197,17 +210,8 @@ def check_particles(budget: SuiteBudget, base: TargetMeasure | None = None) -> l
         states = localize.tilt_sde_run(base, grid, noise)
         clouds = localize.particle_sl_run(base, budget.particles, grid, noise)
         devs.append(float(np.linalg.norm(clouds[-1].mean() - states[-1].m)))
-    out.append(
-        timer.result(
-            "particles/mean-vs-tilt",
-            max(devs),
-            tol,
-            max(devs) <= tol,
-            f"max |particle mean - m_t| over 5 coupled runs at t={t_end}",
-        )
-    )
+    yield _Verdict("particles/mean-vs-tilt", _largest(devs), tol, f"max |particle mean - m_t| over 5 coupled runs at t={t_end}")
 
-    timer = _Timer()
     n_runs = 1000
     n_small = 128
     pts, logw, logm = localize.particle_ensemble(base, n_small, grid, _subseed(budget.seed, 4), n_runs)
@@ -218,30 +222,17 @@ def check_particles(budget: SuiteBudget, base: TargetMeasure | None = None) -> l
     box_truth = float(np.trapezoid(np.exp(targets.base_log_density(base, xs[:, None])), xs))
     dev = abs(float(box_est.mean()) - box_truth)
     tol = 4.0 * _mean_se(box_est)
-    out.append(
-        timer.result(
-            "particles/box-martingale",
-            dev,
-            tol,
-            dev <= tol,
-            f"mean weighted P(A)={box_est.mean():.4f} vs base quadrature {box_truth:.4f} over {n_runs} runs",
-        )
+    yield _Verdict(
+        "particles/box-martingale",
+        dev,
+        tol,
+        f"mean weighted P(A)={box_est.mean():.4f} vs base quadrature {box_truth:.4f} over {n_runs} runs",
     )
 
-    timer = _Timer()
     mass = np.exp(logm)
     dev = abs(float(mass.mean()) - 1.0)
     tol = 4.0 * _mean_se(mass)
-    out.append(
-        timer.result(
-            "particles/mass-conservation",
-            dev,
-            tol,
-            dev <= tol,
-            f"mean exp(log M_T)={mass.mean():.4f} over {n_runs} runs",
-        )
-    )
-    return out
+    yield _Verdict("particles/mass-conservation", dev, tol, f"mean exp(log M_T)={mass.mean():.4f} over {n_runs} runs")
 
 
 # Criterion 3: the rescaled backward diffusion reproduces the tilt process, and
@@ -314,15 +305,14 @@ def tweedie_probe_residuals(seed: int, n_probes: int = 50) -> np.ndarray:
     return residuals
 
 
-def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = None) -> list[CheckResult]:
+@_recorded
+def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = None) -> Iterator[_Verdict]:
     gauss = base if base is not None else std_gaussian()
-    out = []
     snap_times = (0.5, 1.0)
     u_grid = TimeGrid.geometric(budget.eps_clip, 1.0, 2500).including(*snap_times)
     t_grid = TimeGrid.uniform(0.0, 1.0, round(1.0 / budget.dt))
 
     for label, b in (("gaussian", gauss), ("mixture", test_mixture())):
-        timer = _Timer()
         back = diffusion.backward_sde_ensemble(
             b, u_grid, _subseed(budget.seed, 5), budget.paths,
             snapshot_times=snap_times, workers=budget.workers,
@@ -331,25 +321,17 @@ def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = N
             b, t_grid, _subseed(budget.seed, 6), budget.paths,
             snapshot_times=snap_times, workers=budget.workers,
         )
-        worst_p = 1.0
+        p_values = []
         stats = []
         for u in snap_times:
             scaled = math.sqrt(u * (u + 1.0)) * back[u][:, 0]
             ks = diagnostics.ks_two_sample(scaled, tilt_snaps[u][:, 0])
-            worst_p = min(worst_p, ks.p_value)
+            p_values.append(ks.p_value)
             stats.append(f"u={u}: p={ks.p_value:.3f}")
-        out.append(
-            timer.result(
-                f"backward-vs-tilt/ks-{label}",
-                worst_p,
-                budget.level,
-                worst_p > budget.level,
-                "; ".join(stats),
-            )
-        )
+        worst_p = float(np.min(p_values))  # like _largest, keeps a NaN
+        yield _Verdict(f"backward-vs-tilt/ks-{label}", worst_p, budget.level, "; ".join(stats), passed=worst_p > budget.level)
         if label == "gaussian":
-            timer = _Timer()
-            worst = 0.0
+            ratios = []
             details = []
             passed = True
             for u in snap_times:
@@ -358,30 +340,12 @@ def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = N
                 dev = abs(scaled.var(ddof=1) - expected)
                 tol = 4.0 * _var_se(scaled)
                 passed = passed and dev <= tol
-                worst = max(worst, dev / tol)
+                ratios.append(dev / tol)
                 details.append(f"u={u}: var={scaled.var(ddof=1):.4f} vs {expected:.4f}")
-            out.append(
-                timer.result(
-                    "backward-vs-tilt/rescaled-variance",
-                    worst,
-                    1.0,
-                    passed,
-                    "; ".join(details),
-                )
-            )
+            yield _Verdict("backward-vs-tilt/rescaled-variance", _largest(ratios), 1.0, "; ".join(details), passed=passed)
 
-    timer = _Timer()
     residuals = tweedie_probe_residuals(_subseed(budget.seed, 7))
-    out.append(
-        timer.result(
-            "tweedie/finite-difference",
-            float(residuals.max()),
-            1e-3,
-            float(residuals.max()) <= 1e-3,
-            f"max relative residual over {residuals.size} probes",
-        )
-    )
-    return out
+    yield _Verdict("tweedie/finite-difference", residuals.max(), 1e-3, f"max relative residual over {residuals.size} probes")
 
 
 # Criterion 4: the renormalization flow matches the tilt process under the
@@ -412,16 +376,15 @@ def renorm_equation_residuals(base: TargetMeasure, seed: int, n_probes: int = 20
     return out
 
 
-def check_renormalization_flow(budget: SuiteBudget, base: TargetMeasure | None = None) -> list[CheckResult]:
+@_recorded
+def check_renormalization_flow(budget: SuiteBudget, base: TargetMeasure | None = None) -> Iterator[_Verdict]:
     gauss = base if base is not None else std_gaussian()
-    out = []
     tau_end = budget.tau
     t_equiv = tau_end / (1.0 - tau_end)
     tau_grid = TimeGrid.uniform(0.0, tau_end, round(tau_end / budget.dt))
     t_grid = TimeGrid.uniform(0.0, t_equiv, round(t_equiv / budget.dt))
 
     for label, b in (("gaussian", gauss), ("mixture", test_mixture())):
-        timer = _Timer()
         v = polchinski.polchinski_ensemble(
             b, tau_grid, _subseed(budget.seed, 8), budget.paths, workers=budget.workers
         )[tau_end]
@@ -430,36 +393,24 @@ def check_renormalization_flow(budget: SuiteBudget, base: TargetMeasure | None =
             b, t_grid, _subseed(budget.seed, 9), budget.paths, workers=budget.workers
         )[t_equiv][:, 0]
         ks = diagnostics.ks_two_sample(scaled, c)
-        out.append(
-            timer.result(
-                f"flow-vs-tilt/ks-{label}",
-                ks.p_value,
-                budget.level,
-                ks.p_value > budget.level,
-                f"v_tau/(1-tau) at tau={tau_end} vs c_t at t={t_equiv}; statistic {ks.statistic:.4f}",
-            )
+        yield _Verdict(
+            f"flow-vs-tilt/ks-{label}",
+            ks.p_value,
+            budget.level,
+            f"v_tau/(1-tau) at tau={tau_end} vs c_t at t={t_equiv}; statistic {ks.statistic:.4f}",
+            passed=ks.p_value > budget.level,
         )
 
-    timer = _Timer()
     residuals = renorm_equation_residuals(test_mixture(), _subseed(budget.seed, 10))
-    out.append(
-        timer.result(
-            "flow/potential-equation",
-            float(residuals.max()),
-            1e-3,
-            float(residuals.max()) <= 1e-3,
-            f"max relative residual over {residuals.size} probes",
-        )
-    )
-    return out
+    yield _Verdict("flow/potential-equation", residuals.max(), 1e-3, f"max relative residual over {residuals.size} probes")
 
 
 # Criterion 5: the quadratic drift energy of the optimal sampler equals the KL
 # divergence from the base to the standard normal.
 
 
-def check_girsanov_energy(budget: SuiteBudget) -> list[CheckResult]:
-    out = []
+@_recorded
+def check_girsanov_energy(budget: SuiteBudget) -> Iterator[_Verdict]:
     steps = round((1.0 - budget.eps_clip) / budget.dt)
     grid = TimeGrid.uniform(0.0, 1.0 - budget.eps_clip, steps)
     cases = [
@@ -467,34 +418,23 @@ def check_girsanov_energy(budget: SuiteBudget) -> list[CheckResult]:
         ("variance", GaussianMeasure([0.0], [[2.0]]), 0.5 * (1.0 - math.log(2.0))),
     ]
     for label, base, expected in cases:
-        timer = _Timer()
         energy, se = bridge.girsanov_energy(
             bridge.FollmerDrift(base), grid, budget.paths,
             _subseed(budget.seed, 11), workers=budget.workers,
         )
         rel = abs(energy - expected) / expected
-        out.append(
-            timer.result(
-                f"girsanov/{label}",
-                rel,
-                0.05,
-                rel <= 0.05,
-                f"energy {energy:.5f} (se {se:.2g}) vs KL {expected:.5f}",
-            )
-        )
-    return out
+        yield _Verdict(f"girsanov/{label}", rel, 0.05, f"energy {energy:.5f} (se {se:.2g}) vs KL {expected:.5f}")
 
 
 # Criterion 6: the static bridge and entropic transport objectives differ by a
 # constant, and the scaling solver finds the brute-force optimum.
 
 
-def check_static_bridge(budget: SuiteBudget) -> list[CheckResult]:
-    out = []
+@_recorded
+def check_static_bridge(budget: SuiteBudget) -> Iterator[_Verdict]:
     rng = generator(_subseed(budget.seed, 12), 0, 11)
 
-    timer = _Timer()
-    spread_worst = 0.0
+    spreads = []
     for n_atoms, m_atoms in ((2, 3), (5, 4), (10, 8)):
         mu = bridge.DiscreteMeasure(
             rng.standard_normal((n_atoms, 2)), _random_weights(rng, n_atoms)
@@ -509,18 +449,14 @@ def check_static_bridge(budget: SuiteBudget) -> list[CheckResult]:
             res = bridge.sinkhorn(mu, pi, perturbed, tol=1e-13)
             ssb, eot = bridge.objective_pair(res.coupling, mu, pi, ref)
             diffs.append(eot - ssb)
-        spread_worst = max(spread_worst, float(np.ptp(diffs)))
-    out.append(
-        timer.result(
-            "bridge/objective-shift",
-            spread_worst,
-            1e-10,
-            spread_worst <= 1e-10,
-            "max spread of (transport - kl) over 20 feasible couplings per instance",
-        )
+        spreads.append(float(np.ptp(diffs)))
+    yield _Verdict(
+        "bridge/objective-shift",
+        _largest(spreads),
+        1e-10,
+        "max spread of (transport - kl) over 20 feasible couplings per instance",
     )
 
-    timer = _Timer()
     mu2 = bridge.DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
     pi2 = bridge.DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
     ref2 = bridge.heat_kernel_reference(mu2, pi2)
@@ -541,34 +477,28 @@ def check_static_bridge(budget: SuiteBudget) -> list[CheckResult]:
     argmin_agree = abs(float(p[ssb_grid.argmin()]) - float(p[eot_grid.argmin()])) <= 1e-6
     sink_entry = float(res2.coupling.gamma[0, 0])
     argmin_close = abs(sink_entry - float(p[ssb_grid.argmin()])) <= 1e-5
-    out.append(
-        timer.result(
-            "bridge/brute-force-2x2",
-            gap,
-            1e-6,
-            gap <= 1e-6 and argmin_agree and argmin_close,
-            f"kl objective gap {gap:.2e}; grid argmins agree: {argmin_agree}; "
-            f"solver entry {sink_entry:.6f} vs grid {float(p[ssb_grid.argmin()]):.6f}; "
-            f"transport gap {abs(eot_sink - float(eot_grid.min())):.2e}",
-        )
+    yield _Verdict(
+        "bridge/brute-force-2x2",
+        gap,
+        1e-6,
+        f"kl objective gap {gap:.2e}; grid argmins agree: {argmin_agree}; "
+        f"solver entry {sink_entry:.6f} vs grid {float(p[ssb_grid.argmin()]):.6f}; "
+        f"transport gap {abs(eot_sink - float(eot_grid.min())):.2e}",
+        passed=gap <= 1e-6 and argmin_agree and argmin_close,
     )
 
-    timer = _Timer()
     mu3 = bridge.DiscreteMeasure(rng.standard_normal((4, 1)), _random_weights(rng, 4))
     pi3 = bridge.DiscreteMeasure(rng.standard_normal((6, 1)) + 1.0, _random_weights(rng, 6))
     ref3 = bridge.heat_kernel_reference(mu3, pi3)
     res3 = bridge.sinkhorn(mu3, pi3, ref3, tol=1e-10)
     sys_res = bridge.schrodinger_residual(res3, mu3, pi3, ref3)
-    out.append(
-        timer.result(
-            "bridge/system-residual",
-            sys_res,
-            1e-8,
-            res3.converged and sys_res <= 1e-8,
-            f"converged in {res3.iterations} iterations, marginal residual {res3.residual:.2e}",
-        )
+    yield _Verdict(
+        "bridge/system-residual",
+        sys_res,
+        1e-8,
+        f"converged in {res3.iterations} iterations, marginal residual {res3.residual:.2e}",
+        passed=res3.converged and sys_res <= 1e-8,
     )
-    return out
 
 
 def _random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -581,46 +511,36 @@ def _random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
 # Criteria 7 and 8: exact chain-law contraction and the kernel identity.
 
 
-def check_contraction(budget: SuiteBudget) -> list[CheckResult]:
-    out = []
+def _kl_ratios(kls: np.ndarray) -> list[float]:
+    """Per-step KL ratios of a chain, over the steps whose KL is not negligible
+    (a NaN KL is not)."""
+    return [kls[k + 1] / kls[k] for k in range(len(kls) - 1) if not kls[k] <= 1e-10]
+
+
+@_recorded
+def check_contraction(budget: SuiteBudget) -> Iterator[_Verdict]:
     target = std_gaussian()
 
-    timer = _Timer()
     _, kls = rgd.chain_law_propagate(GaussianMeasure([2.0], [[1.0]]), target, 1.0, 6)
-    ratios = [kls[k + 1] / kls[k] for k in range(len(kls) - 1) if kls[k] > 1e-10]
-    dev = max(abs(r - 0.25) for r in ratios)
-    out.append(
-        timer.result(
-            "contraction/mean-shift-equality",
-            dev,
-            1e-12,
-            dev <= 1e-12,
-            f"per-step KL ratios {['%.15f' % r for r in ratios]}",
-        )
-    )
+    ratios = _kl_ratios(kls)
+    dev = _largest([abs(r - 0.25) for r in ratios])
+    yield _Verdict("contraction/mean-shift-equality", dev, 1e-12, f"per-step KL ratios {['%.15f' % r for r in ratios]}")
 
-    timer = _Timer()
-    worst = 0.0
+    ratios = []
     for s2 in (0.5, 2.0, 10.0):
         _, kls = rgd.chain_law_propagate(GaussianMeasure([0.0], [[s2]]), target, 1.0, 6)
-        for k in range(len(kls) - 1):
-            if kls[k] > 1e-10:
-                worst = max(worst, kls[k + 1] / kls[k])
-    out.append(
-        timer.result(
-            "contraction/covariance-mismatch",
-            worst,
-            0.25 + 1e-12,
-            worst <= 0.25 + 1e-12,
-            "per-step KL ratios for variance-mismatched Gaussian starts",
-        )
+        ratios += _kl_ratios(kls)
+    yield _Verdict(
+        "contraction/covariance-mismatch",
+        _largest(ratios),
+        0.25 + 1e-12,
+        "per-step KL ratios for variance-mismatched Gaussian starts",
     )
 
-    timer = _Timer()
     quartic = targets.quartic_potential(dim=1)
     details = []
     passed = True
-    worst_margin = -math.inf
+    margins = []
     for i, eta in enumerate((0.5, 1.0)):
         ratio, se = rgd.heat_flow_contraction_mc(
             quartic, GaussianMeasure([2.0], [[1.0]]), eta,
@@ -628,61 +548,44 @@ def check_contraction(budget: SuiteBudget) -> list[CheckResult]:
         )
         bound = 1.0 / (1.0 + eta) ** 2
         passed = passed and ratio <= bound + 4.0 * se
-        worst_margin = max(worst_margin, ratio - bound)
+        margins.append(ratio - bound)
         details.append(f"eta={eta}: ratio {ratio:.4f} (se {se:.4f}) vs bound {bound:.4f}")
-    out.append(
-        timer.result(
-            "contraction/quartic-target",
-            worst_margin,
-            0.0,
-            passed,
-            "; ".join(details),
-        )
-    )
+    yield _Verdict("contraction/quartic-target", _largest(margins), 0.0, "; ".join(details), passed=passed)
 
-    timer = _Timer()
     bound = rgd.lsi_lower_bound(1.0, 1.0)
-    out.append(
-        timer.result(
-            "contraction/lsi-bound-value",
-            bound,
-            0.5,
-            bound == 0.5,
-            "certified log-Sobolev constant at alpha = eta = 1",
-        )
+    yield _Verdict(
+        "contraction/lsi-bound-value",
+        bound,
+        0.5,
+        "certified log-Sobolev constant at alpha = eta = 1",
+        passed=bound == 0.5,
     )
-    return out
 
 
-def check_kernel_identity(budget: SuiteBudget) -> list[CheckResult]:
-    out = []
+@_recorded
+def check_kernel_identity(budget: SuiteBudget) -> Iterator[_Verdict]:
     x0 = np.array([0.3])
     for label, target in (("gaussian", std_gaussian()), ("mixture", test_mixture())):
-        timer = _Timer()
         cfg = rgd.RgdConfig(1.0, target)
         a = rgd.rgd_transition_batch(x0, cfg, budget.paths, generator(_subseed(budget.seed, 15), 0))
         b = rgd.channel_transition_batch(x0, cfg, budget.paths, generator(_subseed(budget.seed, 16), 0))
         ks = diagnostics.ks_two_sample(a[:, 0], b[:, 0])
-        out.append(
-            timer.result(
-                f"kernel-identity/ks-{label}",
-                ks.p_value,
-                budget.level,
-                ks.p_value > budget.level,
-                f"direct two-stage vs channel-then-posterior; statistic {ks.statistic:.4f}",
-            )
+        yield _Verdict(
+            f"kernel-identity/ks-{label}",
+            ks.p_value,
+            budget.level,
+            f"direct two-stage vs channel-then-posterior; statistic {ks.statistic:.4f}",
+            passed=ks.p_value > budget.level,
         )
-    return out
 
 
 # Criterion 9: entropic stability sharp case and the control-matrix reduction.
 
 
-def check_stability_and_reduction(budget: SuiteBudget) -> list[CheckResult]:
-    out = []
+@_recorded
+def check_stability_and_reduction(budget: SuiteBudget) -> Iterator[_Verdict]:
     rng = generator(_subseed(budget.seed, 17), 0, 13)
 
-    timer = _Timer()
     a = rng.standard_normal((3, 3))
     sigma = a @ a.T + 0.25 * np.eye(3)
     target = GaussianMeasure(np.zeros(3), sigma)
@@ -694,18 +597,15 @@ def check_stability_and_reduction(budget: SuiteBudget) -> list[CheckResult]:
     top_report = rgd.entropic_stability_probe(target, top[None, :], sharp)
     eq_gap = abs(float(top_report.lhs[0] - top_report.rhs[0]))
     scale = max(1.0, float(top_report.rhs[0]))
-    out.append(
-        timer.result(
-            "stability/gaussian-sharp",
-            eq_gap,
-            1e-10 * scale,
-            report.all_pass and eq_gap <= 1e-10 * scale,
-            f"{int(report.passed.sum())}/100 probes pass at alpha=|Sigma|_op; "
-            f"top-eigenvector gap {eq_gap:.2e}",
-        )
+    yield _Verdict(
+        "stability/gaussian-sharp",
+        eq_gap,
+        1e-10 * scale,
+        f"{int(report.passed.sum())}/100 probes pass at alpha=|Sigma|_op; "
+        f"top-eigenvector gap {eq_gap:.2e}",
+        passed=report.all_pass and eq_gap <= 1e-10 * scale,
     )
 
-    timer = _Timer()
     base = GaussianMeasure(np.zeros(2), np.eye(2))
     grid = TimeGrid.uniform(0.0, 1.0, 100)
     noise = wiener_increments(grid, 2, _subseed(budget.seed, 18), 0)
@@ -719,79 +619,58 @@ def check_stability_and_reduction(budget: SuiteBudget) -> list[CheckResult]:
         same_c = state.c.tobytes() == iso[k + 1].c.tobytes()
         same_m = state.m.tobytes() == iso[k + 1].m.tobytes()
         identical = identical and same_c and same_m
-    out.append(
-        timer.result(
-            "stability/identity-control-reduction",
-            0.0 if identical else 1.0,
-            0.0,
-            identical,
-            "control-matrix run with C=I bitwise equals the isotropic run",
-        )
+    yield _Verdict(
+        "stability/identity-control-reduction",
+        0.0 if identical else 1.0,
+        0.0,
+        "control-matrix run with C=I bitwise equals the isotropic run",
+        passed=identical,
     )
-    return out
 
 
 # Criterion 10: constant-schedule identities.
 
 
-def check_lsi_schedules(budget: SuiteBudget) -> list[CheckResult]:
+@_recorded
+def check_lsi_schedules(budget: SuiteBudget) -> Iterator[_Verdict]:
     from scipy.integrate import quad  # deferred, so that importing sloc does not load scipy
 
-    out = []
     rng = generator(_subseed(budget.seed, 19), 0, 15)
 
-    timer = _Timer()
     alphas = rng.uniform(0.05, 20.0, 100)
-    dev = max(
-        abs(float(polchinski.lsi_schedule(a).gamma(1.0)) - a) / max(1.0, a) for a in alphas
+    dev = _largest(
+        [abs(float(polchinski.lsi_schedule(a).gamma(1.0)) - a) / max(1.0, a) for a in alphas]
     )
-    out.append(
-        timer.result(
-            "lsi/gamma-at-one",
-            dev,
-            1e-12,
-            dev <= 1e-12,
-            "gamma(1) = alpha across 100 random alpha",
-        )
-    )
+    yield _Verdict("lsi/gamma-at-one", dev, 1e-12, "gamma(1) = alpha across 100 random alpha")
 
-    timer = _Timer()
-    worst = 0.0
+    devs = []
     for alpha in (0.5, 1.0, 2.0):
         schedule = polchinski.lsi_schedule(alpha)
         for tau in np.linspace(0.05, 0.95, 10):
             integral, _ = quad(lambda s: float(schedule.gamma(s)), tau, 1.0)
             target = 1.0 - math.exp(-integral)
-            worst = max(worst, abs(polchinski.stability_factor(alpha, tau) - target))
-    out.append(
-        timer.result(
-            "lsi/factor-integral-identity",
-            worst,
-            1e-6,
-            worst <= 1e-6,
-            "stability factor vs 1 - exp(-int gamma) by quadrature at 10 probes",
-        )
+            devs.append(abs(polchinski.stability_factor(alpha, tau) - target))
+    yield _Verdict(
+        "lsi/factor-integral-identity",
+        _largest(devs),
+        1e-6,
+        "stability factor vs 1 - exp(-int gamma) by quadrature at 10 probes",
     )
 
-    timer = _Timer()
     alpha = 1.7
     base = GaussianMeasure([0.0], [[1.0 / alpha]])
-    worst = 0.0
+    devs = []
     for tau in (0.1, 0.25, 0.5, 0.75):
         t = tau / (1.0 - tau)
         post = targets.posterior_moments(targets.tilt(base, [0.3], t))
         ratio = float(post.cov[0, 0]) * alpha
-        worst = max(worst, abs(ratio - polchinski.stability_factor(alpha, tau)))
-    out.append(
-        timer.result(
-            "lsi/gaussian-variance-equality",
-            worst,
-            1e-10,
-            worst <= 1e-10,
-            "linear-test-function variance ratio equals the stability factor",
-        )
+        devs.append(abs(ratio - polchinski.stability_factor(alpha, tau)))
+    yield _Verdict(
+        "lsi/gaussian-variance-equality",
+        _largest(devs),
+        1e-10,
+        "linear-test-function variance ratio equals the stability factor",
     )
-    return out
 
 
 # The suites by name, as the CLI subcommands and scripts/run_equivalences.py
