@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bridge, localize, polchinski, rgd, suites, targets
-from .sde import TimeGrid, _fmt, generator, wiener_increments, write_paths_csv
+from .sde import TimeGrid, _emit, _fmt, generator, wiener_increments, write_paths_csv
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -164,7 +164,7 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
         "target": cfg.target,
         "files": ["tilt_trajectories.csv", "channel_trajectories.csv"],
     }
-    (out_dir / "simulate.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(manifest, indent=2, sort_keys=True) + "\n", out_dir / "simulate.json")
     sys.stdout.write(f"wrote {n_traj} trajectories to {out_dir}\n")
     return 0
 
@@ -180,7 +180,7 @@ def _run_lsi_tables(cfg: ExperimentConfig) -> None:
     for eta in etas:
         factor = 1.0 / (1.0 + cfg.alpha * eta) ** 2
         lines.append(",".join(_fmt(v) for v in (eta, rgd.lsi_lower_bound(cfg.alpha, eta), factor)))
-    (out_dir / "lsi_bounds.csv").write_text("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", out_dir / "lsi_bounds.csv")
 
 
 def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
@@ -214,7 +214,7 @@ def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
         )
         alpha_claim = top + 0.25 * diam2
     report = rgd.entropic_stability_probe(target, probes, alpha_claim)
-    (out_dir / "stability_report.json").write_text(report.to_json() + "\n")
+    _emit(report.to_json() + "\n", out_dir / "stability_report.json")
 
 
 def _write_bridge_artifacts(cfg: ExperimentConfig) -> None:
@@ -299,9 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in _ARTIFACT_WRITERS:
         _ARTIFACT_WRITERS[args.command](cfg)
     report_dict = report.to_dict()
-    (out_dir / "report.json").write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(report_dict, indent=2, sort_keys=True) + "\n", out_dir / "report.json")
     csv_text = "\n".join(report.csv_lines()) + "\n"
-    (out_dir / "report.csv").write_text(csv_text)
+    _emit(csv_text, out_dir / "report.csv")
     if cfg.format == "csv":
         sys.stdout.write(csv_text)
     else:

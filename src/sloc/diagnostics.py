@@ -26,8 +26,8 @@ class TwoSampleResult:
     m: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p-value must lie in [0, 1]")
+        if not (0.0 <= self.p_value <= 1.0 or math.isnan(self.p_value)):
+            raise ValueError("p-value must lie in [0, 1] or be NaN")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -47,7 +47,8 @@ def gaussian_kl(p: GaussianMeasure, q: GaussianMeasure) -> float:
 
 
 def ks_two_sample(a, b) -> TwoSampleResult:
-    """Classical two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
+    """Classical two-sample Kolmogorov-Smirnov test with asymptotic p-value;
+    a sample holding a NaN gives a NaN p-value, which fails every level."""
     a = np.ravel(np.asarray(a, dtype=float))
     b = np.ravel(np.asarray(b, dtype=float))
     if a.size < MIN_KS_SAMPLES or b.size < MIN_KS_SAMPLES:

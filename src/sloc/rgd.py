@@ -255,7 +255,6 @@ def heat_flow_contraction_mc(
     init: GaussianMeasure,
     eta: float,
     n_paths: int = 4000,
-    budget: int = 0,
     seed: int = 0,
     half_width: float = 12.0,
     n_points: int = 4001,

@@ -117,6 +117,13 @@ def _recorded(body: Callable[_P, Iterator[_Verdict]]) -> Callable[_P, list[Check
     return check
 
 
+def _ks_verdict(name: str, a: np.ndarray, b: np.ndarray, level: float, about: str) -> _Verdict:
+    """The two-sample KS verdict of ``a`` against ``b``: its p-value passes above
+    ``level``, which a NaN does not, and its detail is ``about`` and the statistic."""
+    ks = diagnostics.ks_two_sample(a, b)
+    return _Verdict(name, ks.p_value, level, f"{about}statistic {ks.statistic:.4f}", passed=ks.p_value > level)
+
+
 def _largest(values) -> float:
     """The largest of ``values``, or NaN if any is NaN.  Builtin ``max`` and
     ``min`` keep or drop a NaN by where it stands, which lets broken code pass."""
@@ -162,14 +169,7 @@ def check_tilt_vs_channel(budget: SuiteBudget, base: TargetMeasure | None = None
     c_tilt = localize.tilt_sde_ensemble(base, grid, _subseed(budget.seed, 1), budget.paths, workers=budget.workers)[horizon][:, 0]
     c_chan = localize.channel_ensemble(base, [horizon], _subseed(budget.seed, 2), budget.paths)[horizon][:, 0]
 
-    ks = diagnostics.ks_two_sample(c_tilt, c_chan)
-    yield _Verdict(
-        "tilt-vs-channel/ks",
-        ks.p_value,
-        budget.level,
-        f"two-sample KS statistic {ks.statistic:.4f}",
-        passed=ks.p_value > budget.level,
-    )
+    yield _ks_verdict("tilt-vs-channel/ks", c_tilt, c_chan, budget.level, "two-sample KS ")
 
     dmean = abs(c_tilt.mean() - c_chan.mean())
     mean_tol = 4.0 * math.hypot(_mean_se(c_tilt), _mean_se(c_chan))
@@ -392,13 +392,9 @@ def check_renormalization_flow(budget: SuiteBudget, base: TargetMeasure | None =
         c = localize.tilt_sde_ensemble(
             b, t_grid, _subseed(budget.seed, 9), budget.paths, workers=budget.workers
         )[t_equiv][:, 0]
-        ks = diagnostics.ks_two_sample(scaled, c)
-        yield _Verdict(
-            f"flow-vs-tilt/ks-{label}",
-            ks.p_value,
-            budget.level,
-            f"v_tau/(1-tau) at tau={tau_end} vs c_t at t={t_equiv}; statistic {ks.statistic:.4f}",
-            passed=ks.p_value > budget.level,
+        yield _ks_verdict(
+            f"flow-vs-tilt/ks-{label}", scaled, c, budget.level,
+            f"v_tau/(1-tau) at tau={tau_end} vs c_t at t={t_equiv}; ",
         )
 
     residuals = renorm_equation_residuals(test_mixture(), _subseed(budget.seed, 10))
@@ -427,7 +423,7 @@ def check_girsanov_energy(budget: SuiteBudget) -> Iterator[_Verdict]:
 
 
 # Criterion 6: the static bridge and entropic transport objectives differ by a
-# constant, and the scaling solver finds the brute-force optimum.
+# constant, and the scaling solver finds the exact optimum of a 2x2 instance.
 
 
 @_recorded
@@ -461,29 +457,25 @@ def check_static_bridge(budget: SuiteBudget) -> Iterator[_Verdict]:
     pi2 = bridge.DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
     ref2 = bridge.heat_kernel_reference(mu2, pi2)
     res2 = bridge.sinkhorn(mu2, pi2, ref2, tol=1e-12)
-    p = np.linspace(0.0, 0.5, 1_000_001)
-    gammas = np.stack([p, 0.5 - p, 0.5 - p, p], axis=1)
-    refs = np.array([ref2[0, 0], ref2[0, 1], ref2[1, 0], ref2[1, 1]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(gammas > 0.0, gammas * (np.log(gammas) - np.log(refs)), 0.0)
-    ssb_grid = terms.sum(axis=1)
-    sq = bridge.squared_distances(mu2, pi2).ravel()
-    prod = np.outer(mu2.weights, pi2.weights).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(gammas > 0.0, gammas * (np.log(gammas) - np.log(prod)), 0.0)
-    eot_grid = gammas @ (0.5 * sq) + ent.sum(axis=1)
+    # The KL objective is sum gamma log(gamma / K) with K = R, the transport one
+    # with K = mu x pi exp(-|x - y|^2 / 2).
+    sq = bridge.squared_distances(mu2, pi2)
+    prod = np.outer(mu2.weights, pi2.weights)
+    (p_kl, g_kl), (p_eot, g_eot) = (_coupling_2x2(k) for k in (ref2, prod * np.exp(-0.5 * sq)))
+    ssb_exact = float(np.sum(g_kl * (np.log(g_kl) - np.log(ref2))))
+    eot_exact = float(np.sum(g_eot * (0.5 * sq)) + np.sum(g_eot * (np.log(g_eot) - np.log(prod))))
     ssb_sink, eot_sink = bridge.objective_pair(res2.coupling, mu2, pi2, ref2)
-    gap = abs(ssb_sink - float(ssb_grid.min()))
-    argmin_agree = abs(float(p[ssb_grid.argmin()]) - float(p[eot_grid.argmin()])) <= 1e-6
+    gap = abs(ssb_sink - ssb_exact)
+    argmin_agree = abs(p_kl - p_eot) <= 1e-6
     sink_entry = float(res2.coupling.gamma[0, 0])
-    argmin_close = abs(sink_entry - float(p[ssb_grid.argmin()])) <= 1e-5
+    argmin_close = abs(sink_entry - p_kl) <= 1e-5
     yield _Verdict(
         "bridge/brute-force-2x2",
         gap,
         1e-6,
-        f"kl objective gap {gap:.2e}; grid argmins agree: {argmin_agree}; "
-        f"solver entry {sink_entry:.6f} vs grid {float(p[ssb_grid.argmin()]):.6f}; "
-        f"transport gap {abs(eot_sink - float(eot_grid.min())):.2e}",
+        f"kl objective gap {gap:.2e}; exact argmins agree: {argmin_agree}; "
+        f"solver entry {sink_entry:.6f} vs exact {p_kl:.6f}; "
+        f"transport gap {abs(eot_sink - eot_exact):.2e}",
         passed=gap <= 1e-6 and argmin_agree and argmin_close,
     )
 
@@ -499,6 +491,16 @@ def check_static_bridge(budget: SuiteBudget) -> Iterator[_Verdict]:
         f"converged in {res3.iterations} iterations, marginal residual {res3.residual:.2e}",
         passed=res3.converged and sys_res <= 1e-8,
     )
+
+
+def _coupling_2x2(k: np.ndarray) -> tuple[float, np.ndarray]:
+    """``p`` and the coupling ``[[p, 1/2 - p], [1/2 - p, p]]`` that minimize
+    ``sum gamma log(gamma / k)`` over the couplings of two uniform two-point
+    marginals, which are of that form: the minimizer has
+    ``p / (1/2 - p) = sqrt(k00 k11 / (k01 k10))``."""
+    r = math.sqrt(k[0, 0] * k[1, 1] / (k[0, 1] * k[1, 0]))
+    p = 0.5 * r / (1.0 + r)
+    return p, np.array([[p, 0.5 - p], [0.5 - p, p]])
 
 
 def _random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -569,13 +571,9 @@ def check_kernel_identity(budget: SuiteBudget) -> Iterator[_Verdict]:
         cfg = rgd.RgdConfig(1.0, target)
         a = rgd.rgd_transition_batch(x0, cfg, budget.paths, generator(_subseed(budget.seed, 15), 0))
         b = rgd.channel_transition_batch(x0, cfg, budget.paths, generator(_subseed(budget.seed, 16), 0))
-        ks = diagnostics.ks_two_sample(a[:, 0], b[:, 0])
-        yield _Verdict(
-            f"kernel-identity/ks-{label}",
-            ks.p_value,
-            budget.level,
-            f"direct two-stage vs channel-then-posterior; statistic {ks.statistic:.4f}",
-            passed=ks.p_value > budget.level,
+        yield _ks_verdict(
+            f"kernel-identity/ks-{label}", a[:, 0], b[:, 0], budget.level,
+            "direct two-stage vs channel-then-posterior; ",
         )
 
 

@@ -358,17 +358,17 @@ def sample_base(base: TargetMeasure, n: int, rng: np.random.Generator) -> np.nda
     Generic potentials are drawn through the identity tilt's rejection
     sampler, which requires a strictly positive convexity certificate.
     """
-    if isinstance(base, GaussianMeasure):
-        z = rng.standard_normal((n, base.dim))
-        return base.mean + z @ base.chol.T
-    if isinstance(base, GaussianMixture):
-        return _mixture_draws(base.weights, base.means, base._chols, n, rng)
-    return sample(tilt(base, np.zeros(base.dim), 0.0), n, rng)
+    if isinstance(base, GenericPotential):
+        return sample(tilt(base, np.zeros(base.dim), 0.0), n, rng)
+    mix = base._mixture if isinstance(base, GaussianMeasure) else base
+    return _mixture_draws(mix.weights, mix.means, mix._chols, n, rng)
 
 
 def _mixture_draws(weights, means, chols, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` draws from the mixture of ``N(means[j], chols[j] chols[j]')``; weights
-    ``(n, J)`` and means ``(n, J, d)`` give each draw its own mixture."""
+    ``(n, J)`` and means ``(n, J, d)`` give each draw its own mixture.  J = 1 draws no index."""
+    if len(chols) == 1:
+        return means[..., 0, :] + rng.standard_normal((n, means.shape[-1])) @ chols[0].T
     idx = (rng.random(n)[:, None] >= np.cumsum(weights, axis=-1)[..., :-1]).sum(axis=1)
     picked = means[idx] if means.ndim == 2 else means[np.arange(n), idx]
     z = rng.standard_normal((n, means.shape[-1]))
@@ -416,12 +416,11 @@ class TiltedMeasure:
     @cached_property
     def _closed_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Posterior component weights ``(J,)``, means ``(J, d)`` and covariances
-        ``(J, d, d)``, and the log-partition, from a one-point ``TiltStep``;
-        Gaussian and mixture bases, computed once per measure."""
-        step = _plan_step(self.base, self.reg)
-        means = step._means(self.c)
-        log_z, w = _log_normalize(step._log_masses(self.c, means))
-        return w, means, step.inv, float(log_z)
+        ``(J, d, d)``, and the log-partition, from the one-row ``tilt_plan``
+        step at ``reg``; Gaussian and mixture bases, computed once per measure."""
+        step = tilt_plan(self.base, [self.reg])(0)
+        means, log_z, w = step._components(self.c)
+        return w[:, 0], means[..., 0], step.inv[..., 0], float(log_z[0])
 
 
 def tilt(base: TargetMeasure, c, reg) -> TiltedMeasure:
@@ -636,10 +635,7 @@ def sample(
     if isinstance(m.base, GenericPotential):
         return _generic_rejection_sample(m, n, rng, max_tries)
     w, means, covs, _ = m._closed_form
-    chols = np.linalg.cholesky(covs)
-    if w.size == 1:
-        return means[0] + rng.standard_normal((n, m.dim)) @ chols[0].T
-    return _mixture_draws(w, means, chols, n, rng)
+    return _mixture_draws(w, means, np.linalg.cholesky(covs), n, rng)
 
 
 def _log_normalize(log_w: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -660,8 +656,7 @@ class TiltStep(NamedTuple):
     precision P, mean mu, covariance S and weight w: ``inv[j]`` is
     ``(P + R)^-1``, ``offset[j]`` is ``(P + R)^-1 P mu``, ``shift[j]``
     is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + R S) / 2``,
-    each with a trailing unit axis that broadcasts over a batch laid out as (d, n)
-    in a ``tilt_plan`` step, and without it in the one-point step of a tilted measure.
+    each with a trailing unit axis that broadcasts over a batch laid out as (d, n).
     A scalar ``t``, or a matrix exactly equal to ``t I``, reads them elementwise
     off the base's cached eigendecomposition ``S = V diag(s) V'``; any other
     matrix goes through ``inv`` and ``slogdet``.
@@ -696,13 +691,18 @@ class TiltStep(NamedTuple):
             log_w = log_w + prod[:, e]
         return 0.5 * log_w + self.const
 
+    def _components(self, tilts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Component posterior means ``(J, d, n)``, log-partitions ``(n,)`` and
+        component weights ``(J, n)`` for the rows of ``tilts``."""
+        ct = self._columns(tilts)
+        means = self._means(ct)
+        return (means, *_log_normalize(self._log_masses(ct, means), axis=0))
+
     def mean_and_log_partition(self, tilts) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, d)`` and log-partitions ``(n,)`` for the rows of
         ``tilts``, with the row independence of ``posterior``."""
-        ct = self._columns(tilts)
-        means = self._means(ct)
-        log_z, w = _log_normalize(self._log_masses(ct, means), axis=0)
-        return np.add.reduce(w[:, None, :] * means, axis=0).T, log_z
+        means, log_z, w = self._components(tilts)
+        return _weighted_mean(means, w), log_z
 
     def posterior(self, tilts) -> tuple[np.ndarray, np.ndarray | None]:
         """Component posterior means ``(J, d, n)`` and weights ``(J, n)``, or
@@ -763,7 +763,7 @@ def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
             _check_spd(r, "regularizer", semidefinite=True)
     else:
         t = np.atleast_1d(t)
-        if t.ndim != 1 or not np.isfinite(t).all() or (t < 0.0).any():
+        if t.ndim != 1 or not (np.isfinite(t) & (t >= 0.0)).all():
             raise ValueError("scalar regularizers must be finite and nonnegative")
         t = np.minimum(t, REG_CAP)
     _, inv, offset, shift, const = (a[..., None] for a in _plan_step(base, t))
@@ -777,10 +777,12 @@ def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, t: float | Tilt
     which skips all path-independent work.
     """
     step = t if isinstance(t, TiltStep) else tilt_plan(base, [t])(0)
-    means, w = step.posterior(tilts)
-    if w is None:
-        return means[0].T
-    return np.add.reduce(w[:, None, :] * means, axis=0).T
+    return _weighted_mean(*step.posterior(tilts))
+
+
+def _weighted_mean(means: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Rows of the ``w``-weighted sum of means ``(J, d, n)``, elementwise; J = 1 if ``w`` is None."""
+    return means[0].T if w is None else np.add.reduce(w[:, None, :] * means, axis=0).T
 
 
 def _tilt_means(base: TargetMeasure, regs, budget: int | None = None, rng: np.random.Generator | None = None):
@@ -819,9 +821,7 @@ def tilted_sampler(
 
     def draw(tilts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         means, w = step.posterior(tilts)
-        if w is None:
-            return means[0].T + rng.standard_normal(means[0].T.shape) @ chols[0].T
-        return _mixture_draws(w.T, means.transpose(2, 0, 1), chols, w.shape[1], rng)
+        return _mixture_draws(w if w is None else w.T, means.transpose(2, 0, 1), chols, means.shape[2], rng)
 
     return draw
 

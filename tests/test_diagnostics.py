@@ -93,8 +93,14 @@ class TestKsTwoSample:
         assert passes >= 95
 
     def test_p_value_validated(self):
-        with pytest.raises(ValueError):
-            TwoSampleResult(0.1, 1.2, 100, 100)
+        for p in (1.2, -0.1, math.inf):
+            with pytest.raises(ValueError):
+                TwoSampleResult(0.1, p, 100, 100)
+
+    def test_a_nan_in_a_sample_gives_a_nan_p_value(self):
+        x = np.random.default_rng(4).standard_normal(2000)
+        x[::10] = math.nan
+        assert math.isnan(ks_two_sample(x, np.zeros(2000)).p_value)
 
     def test_by_coordinate_bonferroni(self):
         rng = np.random.default_rng(2)

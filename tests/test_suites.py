@@ -122,3 +122,12 @@ def test_nan_quartic_ratio_fails_quartic_target(monkeypatch):
 
     monkeypatch.setattr(rgd, "heat_flow_contraction_mc", contraction)
     _assert_failed_with_nan(suites.check_contraction(_SMALL), "contraction/quartic-target")
+
+
+def test_nan_transitions_fail_the_kernel_identity_ks_results(monkeypatch):
+    # scipy's KS test gives a NaN p-value for a sample holding a NaN.
+    real = rgd.rgd_transition_batch
+    monkeypatch.setattr(rgd, "rgd_transition_batch", lambda *args: real(*args) * math.nan)
+    _assert_failed_with_nan(
+        suites.check_kernel_identity(_SMALL), "kernel-identity/ks-gaussian", "kernel-identity/ks-mixture"
+    )

@@ -620,6 +620,55 @@ def test_plan_rejects_bad_regularizers_and_bases():
         targets.posterior_mean_batch(std_normal(), np.zeros((4, 2)), 0.5)
 
 
+# One closed-form path: a d = 1 Gaussian, the +-1 mixture and a d = 3 two-component mixture.
+_CLOSED_FORM_BASES = {
+    "gauss-d1": GaussianMeasure([0.3], [[1.7]]),
+    "mix-pm1": GaussianMixture.from_components([(0.5, [-1.0], [[1.0]]), (0.5, [1.0], [[1.0]])]),
+    "mix-d3": GaussianMixture.from_components(
+        [
+            (0.3, [0.0, 1.0, -0.5], [[1.0, 0.4, 0.0], [0.4, 0.7, 0.1], [0.0, 0.1, 1.2]]),
+            (0.7, [1.0, -1.0, 0.2], np.eye(3)),
+        ]
+    ),
+}
+
+
+def _tilt_vector(base):
+    return np.linspace(-0.8, 0.6, base.dim)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_BASES))
+def test_sample_is_the_tilted_sampler_bitwise(name, n):
+    base, t = _CLOSED_FORM_BASES[name], 0.7
+    c = _tilt_vector(base)
+    direct = sample(tilt(base, c, t), n, rng(3))
+    batch = targets.tilted_sampler(base, t)(np.repeat(c[None], n, 0), rng(3))
+    assert direct.shape == (n, base.dim)
+    assert direct.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_gaussian_base_draws_are_mean_plus_cholesky_noise(n):
+    gauss_d3 = GaussianMeasure([1.0, -2.0, 0.5], [[1.5, 0.4, 0.0], [0.4, 0.8, 0.1], [0.0, 0.1, 2.0]])
+    for base in (_CLOSED_FORM_BASES["gauss-d1"], gauss_d3):
+        expected = base.mean + rng(9).standard_normal((n, base.dim)) @ base.chol.T
+        assert sample_base(base, n, rng(9)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_BASES))
+def test_tilted_measure_reads_the_one_row_plan_step(name):
+    base, t = _CLOSED_FORM_BASES[name], 0.7
+    c = _tilt_vector(base)
+    w, means, covs, log_z = tilt(base, c, t)._closed_form
+    step = targets.tilt_plan(base, [t])(0)
+    plan_means, plan_w = step.posterior(c[None])
+    assert np.array_equal(means, plan_means[..., 0])
+    assert np.array_equal(w, np.ones(1) if plan_w is None else plan_w[:, 0])
+    assert np.array_equal(covs, step.inv[..., 0])
+    assert log_z == step.mean_and_log_partition(c[None])[1][0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(0.3, 2.0))
 def test_identity_tilt_is_pointwise_identity(mean, var):
