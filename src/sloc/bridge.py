@@ -21,7 +21,6 @@ from typing import IO, Union
 
 import numpy as np
 
-from . import targets
 from .polchinski import (  # noqa: F401
     _flow_drift, fluctuation_measure, polchinski_ensemble, polchinski_run, renorm_potential,
 )
@@ -31,6 +30,11 @@ from .targets import TargetMeasure
 #: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
 #: ``[1 / _ABSORB, _ABSORB]``.
 _ABSORB = 1e30
+
+#: Entries of the scratch ``squared_distances`` sums further coordinates
+#: through: small enough to stay in cache, unlike a second ``(n, m)`` array
+#: that each call would fault in afresh.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,26 @@ class DiscreteMeasure:
 
 
 def squared_distances(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarray:
-    """``|x_i - y_j|^2`` for every pair of atoms, summed one coordinate at a time."""
+    """``|x_i - y_j|^2`` for every pair of atoms, summed one coordinate at a time.
+
+    The returned array is the only ``(n, m)`` one: the first coordinate is
+    squared in place, and each further one passes through a scratch of
+    ``_BLOCK`` entries, a band of rows at a time.
+    """
     if mu.dim != pi.dim:
         raise ValueError("the supports must have the same dimension")
     x, y = mu.points, pi.points
-    out = np.square(np.subtract.outer(x[:, 0], y[:, 0]))
-    for k in range(1, mu.dim):
-        diff = np.subtract.outer(x[:, k], y[:, k])
-        out += np.square(diff, out=diff)
+    out = np.subtract.outer(x[:, 0], y[:, 0])
+    np.square(out, out=out)
+    if mu.dim > 1:
+        rows = max(1, _BLOCK // pi.n)
+        scratch = np.empty((min(rows, mu.n), pi.n))
+        for start in range(0, mu.n, rows):
+            band = out[start:start + rows]
+            diff = scratch[:band.shape[0]]
+            for k in range(1, mu.dim):
+                np.subtract.outer(x[start:start + rows, k], y[:, k], out=diff)
+                band += np.square(diff, out=diff)
     return out
 
 
@@ -84,9 +100,14 @@ def heat_kernel_reference(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarra
 
     ``R[i, j] = mu_i * k(x_i, y_j) / sum_j k(x_i, y_j)`` with the unit-time
     Gaussian heat kernel ``k = exp(-0.5 |x - y|^2)``, i.e. rows are heat-kernel
-    transitions out of the atoms of ``mu``.
+    transitions out of the atoms of ``mu``.  Rows are max-shifted before the
+    exponential and normalized in place in the distance array.
     """
-    _, rows = targets._log_normalize(-0.5 * squared_distances(mu, pi), axis=1)
+    rows = squared_distances(mu, pi)
+    rows *= -0.5
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows *= 1.0 / rows.sum(axis=1, keepdims=True)
     rows *= mu.weights[:, None]
     return rows
 
@@ -101,7 +122,8 @@ class DiscreteCoupling:
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
-        if g.ndim != 2 or np.any(g < 0.0):
+        # min() is NaN-poisoned, so a NaN falls back to the NaN-blind mask.
+        if g.ndim != 2 or (g.size and not g.min() >= 0.0 and np.any(g < 0.0)):
             raise ValueError("coupling must be a nonnegative matrix")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "row_target", np.atleast_1d(np.asarray(self.row_target, float)))
@@ -149,10 +171,8 @@ def sinkhorn(
     ``residual``, and the trace's last entry, are recomputed from the returned
     coupling.  Non-convergence within ``max_iter`` is flagged, not raised.
     """
-    r = np.asarray(ref_kernel, dtype=float)
-    if r.shape != (mu.n, pi.n):
-        raise ValueError("reference kernel shape does not match the marginals")
-    if np.any(r <= 0.0):
+    r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
+    if not r.min() > 0.0 and np.any(r <= 0.0):
         raise ValueError("reference kernel must have strictly positive entries")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -216,29 +236,43 @@ def objective_pair(
     + eps * KL(gamma || mu x pi)``.  Their difference depends only on the
     marginals, never on the coupling.  Both share ``sum gamma log gamma``, and
     the product reference enters through the row and column sums ``r, c`` of
-    gamma as ``r . log mu + c . log pi``.  Entries with ``gamma <= 0`` count as
-    0 (``0 log 0 = 0``); ``KL(gamma || R)`` is +inf where gamma > 0 meets R = 0.
+    gamma as ``r . log mu + c . log pi``.  The cost needs no distance matrix:
+    it is ``0.5 (r . |x|^2 + c . |y|^2 - 2 <X, gamma Y>)`` with both supports
+    shifted by the midpoint of the means of ``mu`` and ``pi``, so the
+    cancellation is at the scale of the distances, not of the coordinates.
+    Entries with ``gamma <= 0`` count as 0 (``0 log 0 = 0``);
+    ``KL(gamma || R)`` is +inf where gamma > 0 meets R = 0.
     """
-    gamma = coupling.gamma if isinstance(coupling, DiscreteCoupling) else np.asarray(coupling, float)
-    pos = gamma > 0.0
-    if pos.all():
-        pos = None
-    else:
+    gamma = coupling.gamma if isinstance(coupling, DiscreteCoupling) else coupling
+    gamma = _checked_shape(gamma, mu, pi, "coupling")
+    ref = _checked_shape(ref_kernel, mu, pi, "reference kernel")
+    pos = None
+    if not gamma.min() > 0.0:
+        pos = gamma > 0.0
         gamma = np.where(pos, gamma, 0.0)
-    neg_entropy = _sum_gamma_log(gamma, gamma, pos)
-    ref_term = _sum_gamma_log(gamma, np.asarray(ref_kernel, dtype=float), pos)
+    # One scratch array holds log gamma, then log R (0 off pos in both).
+    where = True if pos is None else pos
+    logs = np.zeros(gamma.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_entropy = float(np.vdot(gamma, np.log(gamma, out=logs, where=where)))
+        ref_term = float(np.vdot(gamma, np.log(ref, out=logs, where=where)))
     # A zero (or negative) R under gamma > 0 makes ref_term -inf (or nan).
     ssb = neg_entropy - ref_term if ref_term > -math.inf else math.inf
-    cross = float(gamma.sum(axis=1) @ np.log(mu.weights) + gamma.sum(axis=0) @ np.log(pi.weights))
-    cost = 0.5 * float(np.vdot(squared_distances(mu, pi), gamma))
+    r, c = gamma.sum(axis=1), gamma.sum(axis=0)
+    cross = float(r @ np.log(mu.weights) + c @ np.log(pi.weights))
+    centre = 0.5 * (mu.weights @ mu.points + pi.weights @ pi.points)
+    x, y = mu.points - centre, pi.points - centre
+    sq = float(r @ np.einsum("ij,ij->i", x, x) + c @ np.einsum("ij,ij->i", y, y))
+    cost = 0.5 * (sq - 2.0 * float(np.vdot(x, gamma @ y)))
     return ssb, cost + eps * (neg_entropy - cross)
 
 
-def _sum_gamma_log(gamma: np.ndarray, a: np.ndarray, pos: np.ndarray | None) -> float:
-    """``sum gamma log a`` over the cells where ``pos`` (None: every cell)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(a) if pos is None else np.log(a, out=np.zeros_like(a), where=pos)
-    return float(np.vdot(gamma, log_a))
+def _checked_shape(a, mu: DiscreteMeasure, pi: DiscreteMeasure, name: str) -> np.ndarray:
+    """``a`` as a float array, which must have shape ``(mu.n, pi.n)``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (mu.n, pi.n):
+        raise ValueError(f"{name} shape {a.shape} does not match the marginals' {(mu.n, pi.n)}")
+    return a
 
 
 def schrodinger_residual(
@@ -252,7 +286,8 @@ def schrodinger_residual(
     Max over atoms of ``|f_i E_R[g | x_i] - mu_i / R0_i|`` and the symmetric
     column quantity, where R0, R1 are the reference marginals.
     """
-    r = np.asarray(ref_kernel, dtype=float)
+    _checked_shape(result.coupling.gamma, mu, pi, "coupling")
+    r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
     r0 = r.sum(axis=1)
     r1 = r.sum(axis=0)
     row = np.abs(result.f * (r @ result.g) - mu.weights) / r0

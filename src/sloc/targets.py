@@ -418,7 +418,7 @@ class TiltedMeasure:
         """Posterior component weights ``(J,)``, means ``(J, d)`` and covariances
         ``(J, d, d)``, and the log-partition, from the one-row ``tilt_plan``
         step at ``reg``; Gaussian and mixture bases, computed once per measure."""
-        step = tilt_plan(self.base, [self.reg])(0)
+        step = _plan(self.base, np.asarray([self.reg], dtype=float))(0)
         means, log_z, w = step._components(self.c)
         return w[:, 0], means[..., 0], step.inv[..., 0], float(log_z[0])
 
@@ -766,6 +766,12 @@ def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
         if t.ndim != 1 or not (np.isfinite(t) & (t >= 0.0)).all():
             raise ValueError("scalar regularizers must be finite and nonnegative")
         t = np.minimum(t, REG_CAP)
+    return _plan(base, t)
+
+
+def _plan(base: TargetMeasure, t: np.ndarray) -> Callable[[int], TiltStep]:
+    """``tilt_plan`` at regularizers ``t`` already checked and capped, as
+    ``TiltedMeasure`` holds them."""
     _, inv, offset, shift, const = (a[..., None] for a in _plan_step(base, t))
     return lambda k: TiltStep(t[k], inv[k], offset[k], shift, const[k])
 

@@ -100,6 +100,18 @@ def log_domain_sinkhorn(a, b, ref_kernel, tol: float, max_iter: int = 100_000, d
     return np.exp(log_f), np.exp(log_g), gamma, iterations, residual
 
 
+def heat_kernel_rows(mu_points, pi_points, mu_weights) -> np.ndarray:
+    """Heat-kernel reference ``mu_i k(x_i, y_j) / sum_j k(x_i, y_j)`` from the
+    broadcast squared distances, as a max-shifted row softmax of ``-0.5 D``
+    that builds each intermediate as a fresh array."""
+    log_k = -0.5 * np.sum((mu_points[:, None, :] - pi_points[None, :, :]) ** 2, axis=2)
+    rows = log_k - log_k.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows *= 1.0 / rows.sum(axis=1, keepdims=True)
+    rows *= mu_weights[:, None]
+    return rows
+
+
 def dense_transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndarray, eta: float) -> np.ndarray:
     """One chain step's density from ``p0`` on the uniform grid ``xs`` through
     the dense ``N(0, eta)`` kernel matrix: ``pi * K (K p0 / K pi)``, each

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sloc import polchinski
+from sloc import bridge, polchinski
 from sloc.bridge import (
     DiscreteCoupling,
     DiscreteMeasure,
@@ -25,7 +25,7 @@ from sloc.diagnostics import ks_two_sample, moment_check
 from sloc.sde import TimeGrid, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture
 
-from oracles import grid_1d, log_domain_sinkhorn, mixture_pdf, quad_raw_moments_1d
+from oracles import grid_1d, heat_kernel_rows, log_domain_sinkhorn, mixture_pdf, quad_raw_moments_1d
 
 
 def solve(mu, pi, ref, **kwargs):
@@ -90,6 +90,24 @@ class TestDiscreteMeasure:
         broadcast = np.sum((mu.points[:, None, :] - pi.points[None, :, :]) ** 2, axis=2)
         assert np.array_equal(squared_distances(mu, pi), broadcast)
 
+    @pytest.mark.parametrize("block", [10, 50])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_squared_distances_in_row_bands_bitwise_equal_broadcast_form(self, d, block, monkeypatch):
+        # A scratch of 10 entries takes one row of 23 per band, 50 takes two
+        # (the last band of 17 rows holds one).
+        monkeypatch.setattr(bridge, "_BLOCK", block)
+        rng = np.random.default_rng(35 + d)
+        mu, pi = random_instance(rng, 17, 23, d=d)
+        broadcast = np.sum((mu.points[:, None, :] - pi.points[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(squared_distances(mu, pi), broadcast)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_heat_kernel_reference_bitwise_equal_row_softmax(self, d):
+        rng = np.random.default_rng(40 + d)
+        mu, pi = random_instance(rng, 17, 23, d=d)
+        expected = heat_kernel_rows(mu.points, pi.points, mu.weights)
+        assert np.array_equal(heat_kernel_reference(mu, pi), expected)
+
     def test_squared_distances_rejects_mixed_dimensions(self):
         rng = np.random.default_rng(33)
         mu, _ = random_instance(rng, 3, 4, d=1)
@@ -138,6 +156,16 @@ class TestSinkhorn:
         ref = heat_kernel_reference(mu, pi)
         ref = ref.copy()
         ref[0, 1] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            sinkhorn(mu, pi, ref)
+
+    def test_nan_entries_pass_the_positivity_check_unless_a_cell_is_nonpositive(self):
+        rng = np.random.default_rng(11)
+        mu, pi = random_instance(rng, 4, 5)
+        ref = heat_kernel_reference(mu, pi)
+        ref[1, 2] = np.nan
+        assert not sinkhorn(mu, pi, ref, max_iter=3).converged
+        ref[3, 0] = -1.0
         with pytest.raises(ValueError, match="positive"):
             sinkhorn(mu, pi, ref)
 
@@ -245,6 +273,18 @@ class TestSinkhornAgainstLogDomain:
         assert np.array_equal(ref, kept)
 
 
+class TestDiscreteCoupling:
+    def test_negative_entries_rejected_nan_and_empty_accepted(self):
+        gamma = np.array([[0.25, np.nan], [0.25, 0.5]])
+        assert np.isnan(DiscreteCoupling(gamma, np.ones(2), np.ones(2)).gamma[0, 1])
+        DiscreteCoupling(np.zeros((0, 3)), np.zeros(0), np.zeros(3))
+        gamma[1, 0] = -0.25
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteCoupling(gamma, np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteCoupling(np.full(3, 0.5), np.ones(3), np.ones(1))
+
+
 class TestObjectives:
     def test_difference_is_coupling_free(self):
         rng = np.random.default_rng(5)
@@ -279,6 +319,31 @@ class TestObjectives:
         ssb, eot = objective_pair(gamma, mu, pi, ref)
         assert ssb == pytest.approx(float(np.sum(g * np.log(g / r))), rel=1e-12)
         assert eot == pytest.approx(cost + float(np.sum(g * np.log(g / prod))), rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cost_matches_the_distance_matrix_form(self, d, shift):
+        # eps = 0 leaves the cost alone.  At a shift of 1e3 an uncentred
+        # expansion would cancel |x|^2 ~ 1e6 down to |x - y|^2 ~ 1.
+        rng = np.random.default_rng(50 + d)
+        mu, pi = random_instance(rng, 9, 7, d=d)
+        mu = DiscreteMeasure(mu.points + shift, mu.weights)
+        pi = DiscreteMeasure(pi.points + shift, pi.weights)
+        ref = heat_kernel_reference(mu, pi)
+        for gamma in (solve(mu, pi, ref, tol=1e-12).coupling.gamma, rng.uniform(0.0, 1.0, (9, 7))):
+            direct = 0.5 * float(np.sum(squared_distances(mu, pi) * gamma))
+            _, cost = objective_pair(gamma, mu, pi, ref, eps=0.0)
+            assert cost == pytest.approx(direct, rel=1e-12)
+
+    def test_shapes_checked_against_the_marginals(self):
+        rng = np.random.default_rng(12)
+        mu, pi = random_instance(rng, 3, 4)
+        ref = heat_kernel_reference(mu, pi)
+        gamma = np.outer(mu.weights, pi.weights)
+        with pytest.raises(ValueError, match=r"reference kernel shape \(4, 3\).*\(3, 4\)"):
+            objective_pair(gamma, mu, pi, ref.T)
+        with pytest.raises(ValueError, match=r"coupling shape \(4, 3\).*\(3, 4\)"):
+            objective_pair(gamma.T, mu, pi, ref)
 
     def test_unsupported_coupling_flagged_infinite(self):
         mu, pi = uniform_two_points()
@@ -317,6 +382,16 @@ class TestSchrodingerSystem:
         ref = heat_kernel_reference(mu, pi)
         res = solve(mu, pi, ref, tol=1e-12)
         assert schrodinger_residual(res, mu, pi, ref) <= 1e-12
+
+    def test_transposed_reference_rejected(self):
+        rng = np.random.default_rng(13)
+        mu, pi = random_instance(rng, 3, 4)
+        ref = heat_kernel_reference(mu, pi)
+        res = solve(mu, pi, ref, tol=1e-12)
+        with pytest.raises(ValueError, match=r"reference kernel shape \(4, 3\)"):
+            schrodinger_residual(res, mu, pi, ref.T)
+        with pytest.raises(ValueError, match=r"coupling shape \(3, 4\)"):
+            schrodinger_residual(res, pi, mu, ref.T)
 
     def test_one_iteration_leaves_defect(self):
         rng = np.random.default_rng(7)

@@ -1,9 +1,13 @@
 """The runnable scripts, run as a user runs them: a fresh interpreter with
-``src`` on the path."""
+``src`` on the path.  The benchmark-pair summary, whose inputs are long
+benchmark runs, is called as a function on synthetic runs."""
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +31,65 @@ def test_tabulate_constants_prints_a_table():
     result = run_script("tabulate_constants.py", "--alphas", "1")
     assert result.returncode == 0, result.stderr
     assert "gamma(1) = 1.000000000000 (equals alpha)" in result.stdout
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_runs(workload, parent, change):
+    """Pair records of one metric per side, ``verdict_s`` given, the others fixed."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change), start=1):
+        for side, value in zip(("parent", "change"), values):
+            metrics = {"verdict_s": {"value": value, "unit": "s"}, "peak_rss_mb": {"value": 100.0, "unit": "MB"}}
+            runs.append({"workload": workload, "side": side, "pair": pair, "result": {"metrics": metrics}})
+    return runs
+
+
+METRICS = [{"name": "verdict_s", "better": "lower", "bound": 0.24},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.09}]
+
+
+def test_bench_pairs_summary_claims_a_gain_only_by_the_pair_rule():
+    bench = load_script("bench_pairs.py")
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [0.80, 0.82, 0.79, 0.81, 0.80, 0.83, 0.78, 0.80, 1.05, 0.79]
+    runs = synthetic_runs("transport", parent, faster) + synthetic_runs("ensemble", parent, parent[::-1])
+    runs.append({"workload": "ensemble", "side": "parent", "pair": 11,
+                 "result": {"metrics": {"verdict_s": {"value": 9.0}, "peak_rss_mb": {"value": 1.0}}}})
+    summary = bench.summarize(runs, METRICS)
+
+    gain = summary["transport"]["verdict_s"]
+    assert gain["pairs"] == 10 and gain["change_better_in"] == 9 and gain["ties"] == 0
+    assert gain["parent_q1_med_q3"] == pytest.approx([0.9825, 1.0, 1.0175])
+    assert gain["change_q1_med_q3"][1] == 0.80
+    assert abs(gain["median_change"] + 0.2) < 1e-12
+    assert gain["gain_holds"] and gain["within_bound"] and gain["resolved"]
+
+    # The unpaired run is left out; a reshuffle of the parent's runs is no gain.
+    level = summary["ensemble"]["verdict_s"]
+    assert level["pairs"] == 10 and level["change_q1_med_q3"] == level["parent_q1_med_q3"]
+    assert not level["gain_holds"] and level["within_bound"]
+    flat = summary["ensemble"]["peak_rss_mb"]
+    assert flat["ties"] == 10 and flat["change_better_in"] == 0 and not flat["gain_holds"]
+
+    # Nine wins of ten, but within the parent's interquartile range: no gain.
+    close = bench.summarize(synthetic_runs("transport", parent, [v - 0.01 for v in parent[:9]] + [1.1]), METRICS)
+    assert close["transport"]["verdict_s"]["change_better_in"] == 9
+    assert not close["transport"]["verdict_s"]["gain_holds"]
+
+    slower = bench.summarize(synthetic_runs("transport", parent, [1.3 * v for v in parent]), METRICS)
+    assert not slower["transport"]["verdict_s"]["within_bound"]
+
+
+def test_bench_pairs_resolves_a_wide_spread_only_by_separated_runs():
+    bench = load_script("bench_pairs.py")
+    parent = [1.0, 2.0, 1.0, 2.0]
+    wide = bench.summarize(synthetic_runs("transport", parent, [1.5, 1.5, 1.5, 1.5]), METRICS)
+    assert not wide["transport"]["verdict_s"]["resolved"]
+    apart = bench.summarize(synthetic_runs("transport", parent, [0.5, 0.5, 0.5, 0.5]), METRICS)
+    assert apart["transport"]["verdict_s"]["resolved"]

@@ -669,6 +669,28 @@ def test_tilted_measure_reads_the_one_row_plan_step(name):
     assert log_z == step.mean_and_log_partition(c[None])[1][0]
 
 
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_BASES))
+def test_a_matrix_regularizer_is_checked_once_per_measure(name, monkeypatch):
+    base = _CLOSED_FORM_BASES[name]
+    c, reg = _tilt_vector(base), 0.5 * np.eye(base.dim) + 0.1
+    posterior_moments(tilt(base, c, 0.5))  # builds the base's own cached, checked mixture
+    calls = []
+    check = targets._check_spd
+
+    def counted(mat, label, **kwargs):
+        calls.append(label)
+        return check(mat, label, **kwargs)
+
+    monkeypatch.setattr(targets, "_check_spd", counted)
+    m = tilt(base, c, reg)
+    posterior_moments(m)
+    assert calls == ["regularizer"]
+    step = targets.tilt_plan(base, [reg])(0)
+    means, log_z, w = step._components(c[None])
+    for got, want in zip(m._closed_form, (w[:, 0], means[..., 0], step.inv[..., 0], log_z[0])):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(0.3, 2.0))
 def test_identity_tilt_is_pointwise_identity(mean, var):
