@@ -1,16 +1,15 @@
 """Alternating benchmark pairs of two checkouts, written to one BENCH file.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pr 15 \\
-        --workloads transport,ensemble,pointwise --pairs 10 --seconds 20 --seed 1500
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pr 15 --pairs 10 --seed 1500
 
-Runs ``slocbench/run.py`` in each checkout (from that checkout's root, so each
-side benchmarks its own ``src``), ``--pairs`` pairs per workload.  Odd pairs
-run the parent first and even pairs the change; both runs of a pair share a
-seed, and pair ``i`` of a workload uses seed ``--seed + 100 * w + i``, with
-``w`` the workload's position in ``--workloads``.  Then one traced run
-(``--trace 1``) per side at ``--traced-seed`` for each of ``--traced``, with
-per-pass calls and raw self seconds of every span name read from its span
-file.
+Runs ``slocbench/run.py --seconds 20`` in each checkout (from that checkout's
+root, so each side benchmarks its own ``src``), ``--pairs`` pairs for each of
+``WORKLOADS``.  Odd pairs run the parent first and even pairs the change; both
+runs of a pair share a seed, and pair ``i`` of a workload uses seed
+``--seed + 100 * w + i``, with ``w`` the workload's position in ``WORKLOADS``.
+Each PR passes fresh seeds.  Then one traced run (``--trace 1``) of
+``TRACED_WORKLOAD`` per side at ``TRACED_SEED``, with per-pass calls and raw
+self seconds of every span name read from its span file.
 
 ``CHANGE_DIR/BENCH_<pr>.json`` holds the machine block, every run's final
 JSON line and the summary: per workload and end-to-end metric, each side's
@@ -34,6 +33,10 @@ from collections import defaultdict
 from pathlib import Path
 
 SIDES = ("parent", "change")
+WORKLOADS = ("transport", "ensemble", "pointwise")
+SECONDS = 20
+TRACED_WORKLOAD = "transport"
+TRACED_SEED = 42
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -103,10 +106,10 @@ def span_summary(path: Path) -> dict:
             "per_pass": {k: {"calls": calls[k] / n, "self_s": self_s[k] / n} for k in sorted(calls)}}
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """The detail and final JSON lines of one benchmark run in ``checkout``."""
     cmd = [sys.executable, "slocbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     return json.loads(lines[-2])["detail"], json.loads(lines[-1])
@@ -117,12 +120,8 @@ def parse_args(argv):
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--pr", required=True)
-    p.add_argument("--workloads", default="transport,ensemble,pointwise")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=1000)
-    p.add_argument("--traced", default="transport", help="workloads to trace once per side ('' for none)")
-    p.add_argument("--traced-seed", type=int, default=42)
+    p.add_argument("--seed", type=int, required=True, help="first seed; use fresh seeds for each PR")
     return p.parse_args(argv)
 
 
@@ -131,17 +130,16 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = checkouts["change"] / f"BENCH_{args.pr}.json"
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    workloads = [w for w in args.workloads.split(",") if w]
     bench = {
         "description": (f"slocbench/run.py final JSON lines, parent vs change, {args.pairs} alternating pairs "
-                        f"per workload (odd pairs run the parent first), --seconds {args.seconds:g}, "
-                        f"seeds {args.seed} + 100 * workload index + pair; traced runs at seed "
-                        f"{args.traced_seed} with per-pass span calls and raw self seconds"),
+                        f"per workload (odd pairs run the parent first), --seconds {SECONDS}, "
+                        f"seeds {args.seed} + 100 * workload index + pair; traced {TRACED_WORKLOAD} runs "
+                        f"at seed {TRACED_SEED} with per-pass span calls and raw self seconds"),
         "machine": None, "runs": [], "traced": [], "summary": {},
     }
 
     def record(side, workload, seed, trace, pair=None):
-        detail, result = run_bench(checkouts[side], workload, seed, args.seconds, trace)
+        detail, result = run_bench(checkouts[side], workload, seed, trace)
         bench["machine"] = bench["machine"] or detail["environment"]
         entry = {"workload": workload, "side": side, "seed": seed, "trace": trace, "result": result}
         if trace:
@@ -156,15 +154,14 @@ def main(argv=None) -> int:
         print(f"{workload} {side} seed {seed} trace {trace}: correct={result['correct']} verdict_s={metric}",
               flush=True)
 
-    for w_index, workload in enumerate(workloads):
+    for w_index, workload in enumerate(WORKLOADS):
         for pair in range(1, args.pairs + 1):
             seed = args.seed + 100 * w_index + pair
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
                 record(side, workload, seed, 0, pair)
-    for workload in (w for w in args.traced.split(",") if w):
-        for side in SIDES:
-            record(side, workload, args.traced_seed, 1)
+    for side in SIDES:
+        record(side, TRACED_WORKLOAD, TRACED_SEED, 1)
     print(json.dumps(bench["summary"], indent=1))
     return 0
 

@@ -21,6 +21,7 @@ from typing import IO, Union
 
 import numpy as np
 
+from . import targets
 from .polchinski import (  # noqa: F401
     _flow_drift, fluctuation_measure, polchinski_ensemble, polchinski_run, renorm_potential,
 )
@@ -30,11 +31,6 @@ from .targets import TargetMeasure
 #: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
 #: ``[1 / _ABSORB, _ABSORB]``.
 _ABSORB = 1e30
-
-#: Entries of the scratch ``squared_distances`` sums further coordinates
-#: through: small enough to stay in cache, unlike a second ``(n, m)`` array
-#: that each call would fault in afresh.
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,26 +68,14 @@ class DiscreteMeasure:
 
 
 def squared_distances(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarray:
-    """``|x_i - y_j|^2`` for every pair of atoms, summed one coordinate at a time.
-
-    The returned array is the only ``(n, m)`` one: the first coordinate is
-    squared in place, and each further one passes through a scratch of
-    ``_BLOCK`` entries, a band of rows at a time.
-    """
+    """``|x_i - y_j|^2`` for every pair of atoms, summed one coordinate at a time."""
     if mu.dim != pi.dim:
         raise ValueError("the supports must have the same dimension")
     x, y = mu.points, pi.points
-    out = np.subtract.outer(x[:, 0], y[:, 0])
-    np.square(out, out=out)
-    if mu.dim > 1:
-        rows = max(1, _BLOCK // pi.n)
-        scratch = np.empty((min(rows, mu.n), pi.n))
-        for start in range(0, mu.n, rows):
-            band = out[start:start + rows]
-            diff = scratch[:band.shape[0]]
-            for k in range(1, mu.dim):
-                np.subtract.outer(x[start:start + rows, k], y[:, k], out=diff)
-                band += np.square(diff, out=diff)
+    out = np.square(np.subtract.outer(x[:, 0], y[:, 0]))
+    for k in range(1, mu.dim):
+        diff = np.subtract.outer(x[:, k], y[:, k])
+        out += np.square(diff, out=diff)
     return out
 
 
@@ -100,14 +84,9 @@ def heat_kernel_reference(mu: DiscreteMeasure, pi: DiscreteMeasure) -> np.ndarra
 
     ``R[i, j] = mu_i * k(x_i, y_j) / sum_j k(x_i, y_j)`` with the unit-time
     Gaussian heat kernel ``k = exp(-0.5 |x - y|^2)``, i.e. rows are heat-kernel
-    transitions out of the atoms of ``mu``.  Rows are max-shifted before the
-    exponential and normalized in place in the distance array.
+    transitions out of the atoms of ``mu``.
     """
-    rows = squared_distances(mu, pi)
-    rows *= -0.5
-    rows -= rows.max(axis=1, keepdims=True)
-    np.exp(rows, out=rows)
-    rows *= 1.0 / rows.sum(axis=1, keepdims=True)
+    _, rows = targets._log_normalize(-0.5 * squared_distances(mu, pi), axis=1)
     rows *= mu.weights[:, None]
     return rows
 
@@ -122,8 +101,7 @@ class DiscreteCoupling:
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
-        # min() is NaN-poisoned, so a NaN falls back to the NaN-blind mask.
-        if g.ndim != 2 or (g.size and not g.min() >= 0.0 and np.any(g < 0.0)):
+        if g.ndim != 2 or np.any(g < 0.0):
             raise ValueError("coupling must be a nonnegative matrix")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "row_target", np.atleast_1d(np.asarray(self.row_target, float)))
@@ -172,7 +150,7 @@ def sinkhorn(
     coupling.  Non-convergence within ``max_iter`` is flagged, not raised.
     """
     r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
-    if not r.min() > 0.0 and np.any(r <= 0.0):
+    if np.any(r <= 0.0):
         raise ValueError("reference kernel must have strictly positive entries")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -238,8 +216,10 @@ def objective_pair(
     the product reference enters through the row and column sums ``r, c`` of
     gamma as ``r . log mu + c . log pi``.  The cost needs no distance matrix:
     it is ``0.5 (r . |x|^2 + c . |y|^2 - 2 <X, gamma Y>)`` with both supports
-    shifted by the midpoint of the means of ``mu`` and ``pi``, so the
-    cancellation is at the scale of the distances, not of the coordinates.
+    shifted by the midpoint of the means of ``mu`` and ``pi``, so a shift the
+    two supports share cancels exactly.  Each support's own spread does not:
+    the cost's error is a few ulps of ``r . |x|^2 + c . |y|^2``, which for
+    wide supports and a coupling on short distances is far above the cost.
     Entries with ``gamma <= 0`` count as 0 (``0 log 0 = 0``);
     ``KL(gamma || R)`` is +inf where gamma > 0 meets R = 0.
     """

@@ -90,17 +90,6 @@ class TestDiscreteMeasure:
         broadcast = np.sum((mu.points[:, None, :] - pi.points[None, :, :]) ** 2, axis=2)
         assert np.array_equal(squared_distances(mu, pi), broadcast)
 
-    @pytest.mark.parametrize("block", [10, 50])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_squared_distances_in_row_bands_bitwise_equal_broadcast_form(self, d, block, monkeypatch):
-        # A scratch of 10 entries takes one row of 23 per band, 50 takes two
-        # (the last band of 17 rows holds one).
-        monkeypatch.setattr(bridge, "_BLOCK", block)
-        rng = np.random.default_rng(35 + d)
-        mu, pi = random_instance(rng, 17, 23, d=d)
-        broadcast = np.sum((mu.points[:, None, :] - pi.points[None, :, :]) ** 2, axis=2)
-        assert np.array_equal(squared_distances(mu, pi), broadcast)
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_heat_kernel_reference_bitwise_equal_row_softmax(self, d):
         rng = np.random.default_rng(40 + d)
@@ -334,6 +323,29 @@ class TestObjectives:
             direct = 0.5 * float(np.sum(squared_distances(mu, pi) * gamma))
             _, cost = objective_pair(gamma, mu, pi, ref, eps=0.0)
             assert cost == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_wide_supports_lose_digits_only_to_the_spread(self, d):
+        # Centring removes a shared shift, not each support's own spread: with
+        # atoms spread over 2e3 and a coupling on distances ~0.1, the terms
+        # r . |x~|^2 + c . |y~|^2 exceed the cost ~1e8-fold, and the cost
+        # keeps about 8 digits.  Its error stays within a few ulps of those
+        # terms.
+        rng = np.random.default_rng(60 + d)
+        x = rng.uniform(-1e3, 1e3, (9, d))
+        y = x[rng.permutation(9)[:7]] + rng.normal(0.0, 0.1, (7, d))
+        mu = DiscreteMeasure(x, rng.dirichlet(np.ones(9)))
+        pi = DiscreteMeasure(y, rng.dirichlet(np.ones(7)))
+        dist = squared_distances(mu, pi)
+        gamma = np.exp(-dist / 0.1) + 1e-12
+        gamma /= gamma.sum()
+        direct = 0.5 * float(np.sum(dist * gamma))
+        _, cost = objective_pair(gamma, mu, pi, np.ones_like(dist), eps=0.0)
+        centre = 0.5 * (mu.weights @ x + pi.weights @ y)
+        terms = gamma.sum(axis=1) @ np.sum((x - centre) ** 2, axis=1) + gamma.sum(axis=0) @ np.sum((y - centre) ** 2, axis=1)
+        assert terms > 1e7 * direct
+        assert abs(cost - direct) <= 4.0 * np.finfo(float).eps * terms
+        assert cost == pytest.approx(direct, rel=1e-7)
 
     def test_shapes_checked_against_the_marginals(self):
         rng = np.random.default_rng(12)
