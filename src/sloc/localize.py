@@ -98,9 +98,9 @@ def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, r
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         c = x[:, :d] + x[:, d:] * dts[k] + dw
-        return np.hstack([c, mean(k + 1, c)])
+        return np.concatenate([c, mean(k + 1, c)], axis=1)
 
-    return t, np.hstack([np.zeros((1, d)), mean(0, np.zeros((1, d)))]), step
+    return t, np.concatenate([np.zeros((1, d)), mean(0, np.zeros((1, d)))], axis=1), step
 
 
 def tilt_sde_run(

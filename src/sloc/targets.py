@@ -143,8 +143,13 @@ class GaussianMeasure:
 
     @cached_property
     def _mixture(self) -> "GaussianMixture":
-        """This Gaussian as the one-component mixture, whose tilt algebra it uses."""
-        return GaussianMixture(np.ones(1), self.mean[None], self.cov[None])
+        """This Gaussian as the one-component mixture, whose tilt algebra it
+        uses.  Built without ``GaussianMixture``'s checks: the covariance was
+        checked here."""
+        mix = object.__new__(GaussianMixture)
+        for name, value in (("weights", np.ones(1)), ("means", self.mean[None]), ("covs", self.cov[None])):
+            object.__setattr__(mix, name, _readonly(value))
+        return mix
 
     @cached_property
     def _log_norm(self) -> float:
@@ -640,12 +645,19 @@ def sample(
 
 def _log_normalize(log_w: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Max-shifted log-sum-exp along ``axis`` and the weights ``exp(log_w - max) / sum``."""
-    top = log_w.max(axis=axis, keepdims=True)
-    e = log_w - top
-    np.exp(e, out=e)
-    total = e.sum(axis=axis, keepdims=True)
-    e *= 1.0 / total
+    top, total, e = _softmax(log_w, axis)
     return np.squeeze(top + np.log(total), axis=axis), e
+
+
+def _softmax(log_w: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``max``, ``sum`` (both with ``axis`` kept) and the weights
+    ``exp(log_w - max) / sum`` along ``axis``, through the ufuncs directly."""
+    top = np.maximum.reduce(log_w, axis=axis, keepdims=True)
+    e = np.subtract(log_w, top)
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=axis, keepdims=True)
+    e *= 1.0 / total
+    return top, total, e
 
 
 class TiltStep(NamedTuple):
@@ -712,7 +724,7 @@ class TiltStep(NamedTuple):
         means = self._means(ct)
         if means.shape[0] == 1:
             return means, None
-        return means, _log_normalize(self._log_masses(ct, means), axis=0)[1]
+        return means, _softmax(self._log_masses(ct, means), 0)[2]
 
 
 def _plan_step(base: GaussianMeasure | GaussianMixture, reg) -> TiltStep:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -671,9 +672,10 @@ def test_tilted_measure_reads_the_one_row_plan_step(name):
 
 @pytest.mark.parametrize("name", sorted(_CLOSED_FORM_BASES))
 def test_a_matrix_regularizer_is_checked_once_per_measure(name, monkeypatch):
-    base = _CLOSED_FORM_BASES[name]
+    # A fresh base, so its cached one-component mixture is built while counting.
+    shared = _CLOSED_FORM_BASES[name]
+    base = type(shared)(*(getattr(shared, f.name) for f in dataclasses.fields(shared)))
     c, reg = _tilt_vector(base), 0.5 * np.eye(base.dim) + 0.1
-    posterior_moments(tilt(base, c, 0.5))  # builds the base's own cached, checked mixture
     calls = []
     check = targets._check_spd
 
@@ -730,3 +732,11 @@ class TestJson:
     def test_unknown_potential(self):
         with pytest.raises(ValueError, match="unknown potential"):
             target_from_json({"kind": "potential-ref", "name": "nope"})
+
+
+def test_a_gaussian_base_mixture_equals_the_checked_one():
+    base = GaussianMeasure([0.5, -1.0], [[1.5, 0.3], [0.3, 0.8]])
+    checked = GaussianMixture(np.ones(1), base.mean[None], base.cov[None])
+    for f in dataclasses.fields(checked):
+        got, want = getattr(base._mixture, f.name), getattr(checked, f.name)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape and not got.flags.writeable
