@@ -1,14 +1,14 @@
-"""Static endpoint bridges on finite supports and the drift-based sampler.
+"""Static endpoint bridges on finite supports and the optimal drift.
 
 The static problem picks, among couplings of two discrete marginals, the one
 closest in KL to a reference endpoint matrix; Sinkhorn scaling solves it,
 with large log-potentials absorbed into the kernel to keep the scalings in
 range.  With a quadratic-cost reference built from the heat kernel, the
 entropic-transport objective differs from the KL objective only by a constant
-depending on the marginals.  The continuous sampler from a point mass to the
-base shares its drift with the renormalization flow: the optimal drift is
-minus the gradient of the renormalized potential, and its accumulated
-quadratic energy equals the KL divergence from the base to a standard normal.
+depending on the marginals.  The optimal drift from a point mass to the base
+is the renormalization flow's drift, minus the gradient of the renormalized
+potential, and its accumulated quadratic energy equals the KL divergence
+from the base to a standard normal.
 """
 from __future__ import annotations
 
@@ -22,10 +22,8 @@ from typing import IO, Union
 import numpy as np
 
 from . import targets
-from .polchinski import (  # noqa: F401
-    _flow_drift, fluctuation_measure, polchinski_ensemble, polchinski_run, renorm_potential,
-)
-from .sde import SamplePath, TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
+from .polchinski import _flow_drift, renorm_potential  # noqa: F401
+from .sde import TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
 from .targets import TargetMeasure
 
 #: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
@@ -359,8 +357,8 @@ class FollmerDrift:
 
     Equal to minus the renormalized-potential gradient, ``(m_tau - v) / (1 - tau)``
     with ``m_tau`` the fluctuation-measure mean; only that mean is computed.
-    The sampler below shares this drift with the flow SDE rather than
-    reimplementing it.
+    It is the flow SDE's own drift, so running the flow from ``v = 0``
+    (``polchinski.polchinski_run``) is the drift-based sampler.
     """
 
     base: TargetMeasure
@@ -371,26 +369,6 @@ class FollmerDrift:
             raise ValueError("tau must lie in [0, 1)")
         v = np.atleast_1d(np.asarray(v, dtype=float))
         return _flow_drift(self.base, np.array([tau], dtype=float), self.budget, rng)(0, v[None])[0]
-
-
-def follmer_sample(
-    base: TargetMeasure,
-    tau_grid: TimeGrid,
-    noise: SamplePath,
-    budget: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Terminal state of one drift-sampler path; its law approximates the base
-    up to the grid's clipping bias at tau = 1."""
-    return polchinski_run(base, tau_grid, noise, budget, rng).states[-1]
-
-
-def follmer_sample_ensemble(
-    base: TargetMeasure, tau_grid: TimeGrid, seed: int, n_paths: int, chunk: int = 4096
-) -> np.ndarray:
-    """Terminal states of an ensemble of drift-sampler paths, shape (n, d)."""
-    terminal = float(tau_grid.times[-1])
-    return polchinski_ensemble(base, tau_grid, seed, n_paths, chunk=chunk)[terminal]
 
 
 def girsanov_energy(

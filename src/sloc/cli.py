@@ -75,6 +75,15 @@ def _validate_fields(raw: dict, errors: list[str]) -> None:
         errors.append(f"out must be a non-empty string, got {raw['out']!r}")
 
 
+def _step_errors(raw: dict) -> list[str]:
+    """Intervals that ``dt`` leaves without a step.  Every uniform grid a run
+    builds has ``round(T / dt)`` steps, with ``T`` one of these three or a
+    longer interval (``1`` and ``tau / (1 - tau)``)."""
+    dt = raw["dt"]
+    spans = (("horizon", raw["horizon"]), ("tau", raw["tau"]), ("1 - eps_clip", 1.0 - raw["eps_clip"]))
+    return [f"dt {dt!r} leaves {name} = {span!r} with no grid step" for name, span in spans if round(span / dt) < 1]
+
+
 def validate_config(
     path: str | None, overrides: dict | None = None
 ) -> tuple[ExperimentConfig | None, list[str], list[str]]:
@@ -104,6 +113,8 @@ def validate_config(
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     _validate_fields(raw, errors)
+    if not errors:
+        errors += _step_errors(raw)
     measure = None
     try:
         measure = targets.target_from_json(raw["target"])

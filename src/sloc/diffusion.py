@@ -84,20 +84,27 @@ def tweedie_score(
     return (s * post.mean - y) / v
 
 
+def _to_tilt(u: float, x):
+    """The backward diffusion's time change to tilt coordinates: ``(u, x)``
+    maps to ``(t, c) = (u, sqrt(u (u + 1)) x)``."""
+    return u, math.sqrt(u * (u + 1.0)) * x
+
+
 def _backward_step(base: TargetMeasure, u_grid: TimeGrid, budget: int | None = None, rng=None):
     """Engine step of the backward SDE; the grid must avoid u = 0.  The
-    posterior mean ``m`` at ``(u, x)`` is that of the exact tilt
-    ``(sqrt(u (u + 1)) x, u)``, and the score is ``(s m - x) / v`` with the OU
+    posterior mean ``m`` at ``(u, x)`` is that of the exact tilt at the tilt
+    coordinates of ``(u, x)``, and the score is ``(s m - x) / v`` with the OU
     parameters ``s = sqrt(u / (u + 1))`` and ``v = 1 / (u + 1)``."""
     if u_grid.times[0] <= 0.0:
         raise ValueError("the backward grid must be clipped away from u = 0")
     us, dus = u_grid.times, u_grid.dts
     mean = targets._tilt_means(base, us[:-1], budget, rng)
+    u_list = us.tolist()  # Python floats index faster per step than numpy scalars
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        u = float(us[k])
+        u = u_list[k]
         uu = u * (u + 1.0)
-        score = (u + 1.0) * (math.sqrt(u / (u + 1.0)) * mean(k, math.sqrt(uu) * x) - x)
+        score = (u + 1.0) * (math.sqrt(u / (u + 1.0)) * mean(k, _to_tilt(u, x)[1]) - x)
         return x + (x / (2.0 * uu) + score / uu) * dus[k] + dw / math.sqrt(uu)
 
     return step
@@ -145,8 +152,3 @@ def backward_sde_ensemble(
     noise = partial(wiener_increment_array, u_grid, d, seed)
     return _integrate(u_grid, x0, _backward_step(base, u_grid), noise, snapshot_times, chunk, workers)
 
-
-def rescale_to_tilt(state: BackwardState) -> tuple[float, np.ndarray]:
-    """Identify a backward state with the tilt process: ``(t, c) = (u, sqrt(u(u+1)) x)``."""
-    scale = math.sqrt(state.u * (state.u + 1.0))
-    return state.u, scale * state.x

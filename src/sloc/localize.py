@@ -11,7 +11,6 @@ in the suites and tests.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -327,13 +326,6 @@ def initial_anisotropic_state(
     c = np.zeros(d)
     reg = np.zeros((d, d))
     return SLState(0.0, c, reg, targets._tilt_means(base, reg[None], budget, rng)(0, c[None])[0])
-
-
-def write_particle_json(cloud: ParticleCloud, out) -> None:
-    """Optional JSON snapshot of one particle cloud."""
-    payload = {"log_mass": float(cloud.log_mass), "ess": cloud.ess(), "points": cloud.points.tolist(),
-               "log_weights": cloud.log_weights.tolist()}
-    _emit(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def write_trajectory_csv(

@@ -54,13 +54,20 @@ from .targets import (
 _MC_KEY = 0x7E90
 
 
+def _to_tilt(tau, v=0.0):
+    """The flow's time change to tilt coordinates: ``(tau, v)`` maps to
+    ``(t, c) = (tau / (1 - tau), v / (1 - tau))``; ``tau`` may be an array."""
+    one_m = 1.0 - tau
+    return tau / one_m, v / one_m
+
+
 def fluctuation_measure(base: TargetMeasure, tau: float, v) -> TiltedMeasure:
-    """The measure seen from flow state ``v`` at time ``tau``:
-    ``tilt(base, v / (1 - tau), tau / (1 - tau))``."""
+    """The measure seen from flow state ``v`` at time ``tau``: the tilt of the
+    base at the tilt coordinates ``(t, c)`` of ``(tau, v)``."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return tilt(base, v / (1.0 - tau), tau / (1.0 - tau))
+    t, c = _to_tilt(tau, np.atleast_1d(np.asarray(v, dtype=float)))
+    return tilt(base, c, t)
 
 
 def _renorm_value_mc(
@@ -108,11 +115,12 @@ def _flow_drift(base: TargetMeasure, taus: np.ndarray, budget: int | None = None
     time ``taus[k]``, with ``m`` the fluctuation-measure means.  The flow SDE,
     ``FollmerDrift`` and ``bridge.girsanov_energy`` all read it; a generic base
     needs a ``budget`` and goes row by row through ``posterior_moments``."""
-    mean = targets._tilt_means(base, taus / (1.0 - taus), budget, rng)
+    mean = targets._tilt_means(base, _to_tilt(taus)[0], budget, rng)
+    tau_list = taus.tolist()  # Python floats index faster per step than numpy scalars
 
     def drift(k: int, v: np.ndarray) -> np.ndarray:
-        one_m = 1.0 - float(taus[k])
-        return (mean(k, v / one_m) - v) / one_m
+        tau = tau_list[k]
+        return (mean(k, _to_tilt(tau, v)[1]) - v) / (1.0 - tau)
 
     return drift
 

@@ -1,5 +1,5 @@
-"""Deterministic-seeded Wiener noise, Euler-Maruyama stepping, and the time
-changes shared by the different process parameterizations.
+"""Deterministic-seeded Wiener noise, time grids and the Euler stepping engine
+that every path process runs on.
 
 Randomness is counter-based (Philox keyed by the ``(seed, stream_id)`` pair),
 so each path is a pure function of its seed and stream id: how many other
@@ -18,7 +18,7 @@ from typing import IO, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .targets import _U64, GaussianMeasure, _PhiloxKey
+from .targets import _U64, _PhiloxKey
 
 SALT_NOISE = 0
 SALT_INIT = 1
@@ -90,6 +90,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, start: float, stop: float, steps: int) -> "TimeGrid":
+        if steps < 1:
+            raise ValueError("a uniform grid needs at least one step")
         return cls(np.linspace(start, stop, steps + 1))
 
     @classmethod
@@ -189,68 +191,6 @@ def _noise_increments(noise: SamplePath, grid: TimeGrid, d: int) -> np.ndarray:
     return noise.increments()
 
 
-def draw_initial(
-    initial: Union[np.ndarray, GaussianMeasure], seed: int, stream_id: int
-) -> np.ndarray:
-    """Initial condition: a point is returned as-is, a Gaussian law is sampled
-    from the stream's dedicated counter block."""
-    if isinstance(initial, GaussianMeasure):
-        g = generator(seed, stream_id, SALT_INIT)
-        return initial.mean + initial.chol @ g.standard_normal(initial.dim)
-    return np.atleast_1d(np.asarray(initial, dtype=float)).copy()
-
-
-@dataclass(frozen=True)
-class DriftDiffusionSpec:
-    """dx = drift(x, t) dt + diffusion_scale(t) dW with a point or Gaussian start."""
-
-    drift: Callable[[np.ndarray, float], np.ndarray]
-    diffusion_scale: Callable[[float], Union[float, np.ndarray]]
-    initial: Union[np.ndarray, GaussianMeasure]
-
-
-def euler_maruyama(
-    spec: DriftDiffusionSpec, grid: TimeGrid, noise: Union[SamplePath, Sequence[SamplePath]]
-) -> Union[SamplePath, list[SamplePath]]:
-    """Explicit Euler-Maruyama driven by one noise path, or by each path of a
-    sequence at once, returning one path or a list in the same order.
-
-    The drift is called on the states of all paths together, rows ``(n, d)``,
-    and must act row by row; one path is the ``n = 1`` case, so it equals
-    its row of a batch bitwise.  Every noise path must live on the
-    integration grid with matching dimension.  Raises ``NonFiniteStateError``
-    (with the step index) if a state blows up.
-    """
-    paths = [noise] if isinstance(noise, SamplePath) else list(noise)
-    if not paths:
-        raise ValueError("no noise paths to integrate")
-    d = paths[0].dim
-    increments = [_noise_increments(p, grid, d) for p in paths]
-    x0 = [draw_initial(spec.initial, p.seed, p.stream_id) for p in paths]
-    if any(x.size != d for x in x0):
-        raise ValueError("initial condition dimension does not match the noise")
-    checked_scale = False
-
-    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        nonlocal checked_scale
-        t = grid.times[k]
-        drift = np.asarray(spec.drift(x, t), dtype=float)
-        scale = spec.diffusion_scale(t)
-        if np.ndim(scale) == 2:
-            scale = np.asarray(scale, dtype=float)
-            if not checked_scale:
-                eigs = np.linalg.eigvalsh(0.5 * (scale + scale.T))
-                if np.abs(scale - scale.T).max() > 1e-10 or eigs.min() < -1e-12:
-                    raise ValueError("matrix diffusion scale must be symmetric PSD")
-                checked_scale = True
-            return x + drift * grid.dts[k] + np.einsum("ab,nb->na", scale, dw)
-        return x + drift * grid.dts[k] + float(scale) * dw
-
-    states = np.stack(list(_integrate(grid, np.stack(x0), step, increments.__getitem__).values()), axis=1)
-    out = [SamplePath(grid, run, p.seed, p.stream_id) for run, p in zip(states, paths)]
-    return out[0] if isinstance(noise, SamplePath) else out
-
-
 def _integrate(
     grid: TimeGrid,
     x0: np.ndarray,
@@ -293,72 +233,6 @@ def _integrate(
 
     map_chunks(run_chunk, x0.shape[0], chunk, workers)
     return {s: keep[k] for s, k in wanted.items()}
-
-
-@dataclass(frozen=True)
-class TimeChangeMap:
-    """A monotone reparameterization of process time.
-
-    ``forward`` and ``inverse`` are mutually inverse; ``inverse_deriv`` is the
-    signed derivative of the inverse map, negative exactly when the map is
-    declared decreasing.
-    """
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-    inverse_deriv: Callable[[np.ndarray], np.ndarray]
-    decreasing: bool = False
-
-
-#: Flow time tau in [0, 1) versus tilt time t in [0, inf): t = tau / (1 - tau).
-POLCHINSKI_TO_TILT = TimeChangeMap(
-    forward=lambda tau: tau / (1.0 - tau),
-    inverse=lambda t: t / (1.0 + t),
-    inverse_deriv=lambda t: 1.0 / (1.0 + t) ** 2,
-    decreasing=False,
-)
-
-#: Forward OU time t versus backward time u: u = 1 / (e^{2t} - 1), decreasing,
-#: with inverse t = 0.5 * log((u + 1) / u).
-OU_TO_BACKWARD = TimeChangeMap(
-    forward=lambda t: 1.0 / np.expm1(2.0 * t),
-    inverse=lambda u: 0.5 * np.log((u + 1.0) / u),
-    inverse_deriv=lambda u: -1.0 / (2.0 * u * (u + 1.0)),
-    decreasing=True,
-)
-
-
-def finite_horizon_map(horizon: float) -> TimeChangeMap:
-    """Plain reversal u = T - t on [0, T], the finite-horizon alternative to
-    the unbounded backward parameterization."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    return TimeChangeMap(
-        forward=lambda t: horizon - np.asarray(t, dtype=float),
-        inverse=lambda u: horizon - np.asarray(u, dtype=float),
-        inverse_deriv=lambda u: -np.ones_like(np.asarray(u, dtype=float)),
-        decreasing=True,
-    )
-
-
-def time_change_grid(grid: TimeGrid, tmap: TimeChangeMap, direction: str = "forward") -> TimeGrid:
-    """Apply the map (or its inverse) pointwise; the result is re-sorted increasing.
-
-    Raises ValueError if the map is undefined (non-finite) at a grid endpoint;
-    the caller must clip the grid away from singular endpoints first.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    fn = tmap.forward if direction == "forward" else tmap.inverse
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(fn(np.asarray(grid.times, dtype=float)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(
-            "time change is undefined at a grid endpoint; clip the grid away from it"
-        )
-    if vals.size > 1 and vals[0] > vals[-1]:
-        vals = vals[::-1]
-    return TimeGrid(vals)
 
 
 def _fmt(x: float) -> str:

@@ -324,7 +324,7 @@ def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = N
         p_values = []
         stats = []
         for u in snap_times:
-            scaled = math.sqrt(u * (u + 1.0)) * back[u][:, 0]
+            _, scaled = diffusion._to_tilt(u, back[u][:, 0])
             ks = diagnostics.ks_two_sample(scaled, tilt_snaps[u][:, 0])
             p_values.append(ks.p_value)
             stats.append(f"u={u}: p={ks.p_value:.3f}")
@@ -335,7 +335,7 @@ def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = N
             details = []
             passed = True
             for u in snap_times:
-                scaled = math.sqrt(u * (u + 1.0)) * back[u][:, 0]
+                _, scaled = diffusion._to_tilt(u, back[u][:, 0])
                 expected = u * u * _base_scalar_var(b) + u
                 dev = abs(scaled.var(ddof=1) - expected)
                 tol = 4.0 * _var_se(scaled)
@@ -380,7 +380,7 @@ def renorm_equation_residuals(base: TargetMeasure, seed: int, n_probes: int = 20
 def check_renormalization_flow(budget: SuiteBudget, base: TargetMeasure | None = None) -> Iterator[_Verdict]:
     gauss = base if base is not None else std_gaussian()
     tau_end = budget.tau
-    t_equiv = tau_end / (1.0 - tau_end)
+    t_equiv, _ = polchinski._to_tilt(tau_end)
     tau_grid = TimeGrid.uniform(0.0, tau_end, round(tau_end / budget.dt))
     t_grid = TimeGrid.uniform(0.0, t_equiv, round(t_equiv / budget.dt))
 
@@ -388,7 +388,7 @@ def check_renormalization_flow(budget: SuiteBudget, base: TargetMeasure | None =
         v = polchinski.polchinski_ensemble(
             b, tau_grid, _subseed(budget.seed, 8), budget.paths, workers=budget.workers
         )[tau_end]
-        scaled = v[:, 0] / (1.0 - tau_end)
+        _, scaled = polchinski._to_tilt(tau_end, v[:, 0])
         c = localize.tilt_sde_ensemble(
             b, t_grid, _subseed(budget.seed, 9), budget.paths, workers=budget.workers
         )[t_equiv][:, 0]
@@ -659,7 +659,7 @@ def check_lsi_schedules(budget: SuiteBudget) -> Iterator[_Verdict]:
     base = GaussianMeasure([0.0], [[1.0 / alpha]])
     devs = []
     for tau in (0.1, 0.25, 0.5, 0.75):
-        t = tau / (1.0 - tau)
+        t, _ = polchinski._to_tilt(tau)
         post = targets.posterior_moments(targets.tilt(base, [0.3], t))
         ratio = float(post.cov[0, 0]) * alpha
         devs.append(abs(ratio - polchinski.stability_factor(alpha, tau)))

@@ -437,13 +437,6 @@ def tilt(base: TargetMeasure, c, reg) -> TiltedMeasure:
     return TiltedMeasure(base, c, reg)
 
 
-def unnormalized_log_density(m: TiltedMeasure, x) -> np.ndarray:
-    """``log base(x) + <c, x> - 0.5 x' R x``; base term unnormalized for potentials."""
-    x = np.asarray(x, dtype=float)
-    quad = np.sum(x * _reg_times(m.reg, x), axis=-1)
-    return base_log_density(m.base, x) + x @ m.c - 0.5 * quad
-
-
 class Moments(NamedTuple):
     mean: np.ndarray
     cov: np.ndarray

@@ -144,3 +144,58 @@ def centered_particle_reweighting(points, dw, dts):
         log_mass += step
         log_w -= step[:, None]
     return log_w, log_mass
+
+
+def moment_check(samples, reference, orders=(1, 2, 3, 4), n_batches: int = 32) -> np.ndarray:
+    """Z-scores of empirical raw moments against reference values.
+
+    The standard error per order comes from batch means.  A zero standard
+    error yields z = 0 on exact agreement and +-inf otherwise.
+    """
+    x = np.ravel(np.asarray(samples, dtype=float))
+    orders = tuple(int(k) for k in orders)
+    if max(orders) > 4:
+        raise ValueError("orders above 4 are not supported")
+    reference = np.asarray(reference, dtype=float)
+    if reference.size != len(orders):
+        raise ValueError("one reference value per requested order")
+    if not np.all(np.isfinite(reference)):
+        raise ValueError("reference moments must be finite")
+    nb = min(n_batches, x.size)
+    z = np.empty(len(orders))
+    for i, k in enumerate(orders):
+        powers = x**k
+        batches = powers[: (x.size // nb) * nb].reshape(nb, -1).mean(axis=1)
+        se = float(batches.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
+        diff = float(powers.mean()) - reference[i]
+        if se == 0.0:
+            z[i] = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+        else:
+            z[i] = diff / se
+    return z
+
+
+def entropy_plugin(samples, log_f, log_partition: float = 0.0, n_batches: int = 32) -> tuple[float, float]:
+    """Plug-in estimate of Ent[f] = E[f log f] - E[f] log E[f] under the
+    sampling measure, for f given through exact log values up to a known
+    log-partition, with its batch-means standard error.
+
+    ``log_f`` is either the array of unnormalized log f at the samples or a
+    callable producing it; the true log f is ``log_f - log_partition``.
+    """
+    x = np.asarray(samples, dtype=float)
+    logf = np.ravel(np.asarray(log_f(x) if callable(log_f) else log_f, dtype=float)) - log_partition
+    f = np.exp(logf)
+
+    def ent_of(chunk_f: np.ndarray, chunk_logf: np.ndarray) -> float:
+        mf = float(chunk_f.mean())
+        if mf <= 0.0:
+            return 0.0
+        return float((chunk_f * chunk_logf).mean()) - mf * math.log(mf)
+
+    nb = min(n_batches, f.size)
+    usable = (f.size // nb) * nb
+    fb, lb = f[:usable].reshape(nb, -1), logf[:usable].reshape(nb, -1)
+    per_batch = np.asarray([ent_of(fb[i], lb[i]) for i in range(nb)])
+    stderr = float(per_batch.std(ddof=1) / math.sqrt(nb)) if nb > 1 else math.inf
+    return ent_of(f, logf), stderr

@@ -11,8 +11,6 @@ from sloc.bridge import (
     DiscreteCoupling,
     DiscreteMeasure,
     FollmerDrift,
-    follmer_sample,
-    follmer_sample_ensemble,
     girsanov_energy,
     heat_kernel_reference,
     objective_pair,
@@ -22,11 +20,12 @@ from sloc.bridge import (
     write_coupling_csv,
     write_sinkhorn_trace_json,
 )
-from sloc.diagnostics import ks_two_sample, moment_check
+from sloc.diagnostics import ks_two_sample
+from sloc.polchinski import polchinski_ensemble, polchinski_run
 from sloc.sde import TimeGrid, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture
 
-from oracles import grid_1d, heat_kernel_rows, log_domain_sinkhorn, mixture_pdf, quad_raw_moments_1d
+from oracles import grid_1d, heat_kernel_rows, log_domain_sinkhorn, mixture_pdf, moment_check, quad_raw_moments_1d
 
 
 def solve(mu, pi, ref, **kwargs):
@@ -485,17 +484,19 @@ class TestSchrodingerSystem:
 
 
 class TestFollmerSampler:
+    """The optimal drift's sampler is the flow SDE run from v = 0."""
+
     def test_standard_normal_has_zero_drift(self):
         base = GaussianMeasure(np.zeros(2), np.eye(2))
         grid = TimeGrid.uniform(0.0, 1.0 - 1e-3, 200)
         noise = wiener_increments(grid, 2, seed=9, stream_id=0)
-        terminal = follmer_sample(base, grid, noise)
+        terminal = polchinski_run(base, grid, noise).states[-1]
         assert np.allclose(terminal, noise.terminal(), atol=1e-12)
 
     def test_standard_normal_terminal_ks(self):
         base = GaussianMeasure([0.0], [[1.0]])
         grid = TimeGrid.uniform(0.0, 1.0 - 1e-3, 250)
-        terminal = follmer_sample_ensemble(base, grid, seed=10, n_paths=3000)[:, 0]
+        terminal = polchinski_ensemble(base, grid, seed=10, n_paths=3000)[grid.times[-1]][:, 0]
         exact = math.sqrt(1.0 - 1e-3) * np.random.default_rng(11).standard_normal(3000)
         assert ks_two_sample(terminal, exact).p_value > 0.01
 
@@ -503,7 +504,7 @@ class TestFollmerSampler:
         theta, eps = 1.5, 1e-3
         base = GaussianMeasure([theta], [[1.0]])
         grid = TimeGrid.uniform(0.0, 1.0 - eps, 250)
-        terminal = follmer_sample_ensemble(base, grid, seed=12, n_paths=3000)[:, 0]
+        terminal = polchinski_ensemble(base, grid, seed=12, n_paths=3000)[grid.times[-1]][:, 0]
         se = terminal.std() / math.sqrt(terminal.size)
         assert abs(terminal.mean() - theta * (1.0 - eps)) <= 4.0 * se
 
@@ -513,7 +514,7 @@ class TestFollmerSampler:
         xs = grid_1d()
         reference = quad_raw_moments_1d(pdf(xs), xs)
         grid = TimeGrid.uniform(0.0, 1.0 - 1e-3, 500)
-        terminal = follmer_sample_ensemble(base, grid, seed=13, n_paths=4000)[:, 0]
+        terminal = polchinski_ensemble(base, grid, seed=13, n_paths=4000)[grid.times[-1]][:, 0]
         z = moment_check(terminal, reference)
         assert np.all(np.abs(z) <= 4.0)
 

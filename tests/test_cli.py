@@ -67,6 +67,16 @@ class TestValidateConfig:
         for f in fields(SuiteBudget):
             assert getattr(cfg, f.name) == getattr(SuiteBudget(), f.name) == DEFAULTS[f.name]
 
+    def test_dt_must_leave_every_interval_a_step(self, tmp_path):
+        cfg, errors, _ = validate_config(write_config(tmp_path, {"dt": 2.5, "horizon": 5.0}))
+        assert cfg is None
+        assert errors == ["dt 2.5 leaves tau = 0.5 with no grid step",
+                          "dt 2.5 leaves 1 - eps_clip = 0.999 with no grid step"]
+        cfg, errors, _ = validate_config(write_config(tmp_path, {"dt": 1.0, "horizon": 0.4, "tau": 0.6}))
+        assert errors == ["dt 1.0 leaves horizon = 0.4 with no grid step"]
+        cfg, errors, _ = validate_config(write_config(tmp_path, {"dt": 0.5, "horizon": 0.4, "tau": 0.3}))
+        assert not errors and cfg.dt == 0.5
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -87,6 +97,16 @@ class TestCliRuns:
         code = main(["lsi", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_a_dt_with_no_grid_step_exits_two(self, tmp_path, capsys):
+        # round(0.4 / 1.0) and round(0.5 / 1.0) are both 0: simulate would
+        # write trajectories that stop at t = 0, and equiv would fail to find
+        # t = 0.5 on its grid.
+        for command, config in (("simulate", {"dt": 1.0, "horizon": 0.4}), ("equiv", {"dt": 1.0})):
+            out = tmp_path / command
+            assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+            assert "config error: dt 1.0 leaves" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_lsi_subcommand_tabulates(self, tmp_path, capsys):
         out = tmp_path / "out"

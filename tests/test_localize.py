@@ -174,8 +174,6 @@ class TestTiltVsChannelLaw:
             assert ks_two_sample(a, b).p_value > 0.01
 
     def test_two_dimensional_bases_by_coordinate(self):
-        from sloc.diagnostics import ks_by_coordinate
-
         gauss2 = GaussianMeasure([0.2, -0.4], [[1.0, 0.3], [0.3, 0.8]])
         mix2 = GaussianMixture.from_components(
             [(0.5, [-1.0, 0.5], np.eye(2)), (0.5, [1.0, -0.5], np.eye(2))]
@@ -184,8 +182,8 @@ class TestTiltVsChannelLaw:
         for base in (gauss2, mix2):
             a = tilt_sde_ensemble(base, grid, seed=81, n_paths=3000)[1.0]
             b = channel_ensemble(base, [1.0], seed=91, n_paths=3000)[1.0]
-            passed, _ = ks_by_coordinate(a, b, level=0.01)
-            assert passed
+            # Each coordinate at the Bonferroni-corrected level 0.01 / d.
+            assert all(ks_two_sample(a[:, k], b[:, k]).p_value > 0.01 / 2 for k in range(2))
 
 
 class TestParticles:
@@ -335,17 +333,6 @@ class TestAnisotropic:
             anisotropic_step(base, state, np.eye(1), 0.1, np.zeros(1))
 
 
-def test_particle_json_snapshot(tmp_path):
-    grid = TimeGrid.uniform(0.0, 0.1, 10)
-    noise = wiener_increments(grid, 1, seed=18, stream_id=0)
-    clouds = particle_sl_run(std_normal(), 16, grid, noise)
-    out = tmp_path / "cloud.json"
-    localize.write_particle_json(clouds[-1], out)
-    import json
-
-    payload = json.loads(out.read_text())
-    assert len(payload["points"]) == 16
-    assert payload["ess"] > 1.0
 
 
 def test_trajectory_csv_schema():

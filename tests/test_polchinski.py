@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from sloc import localize, polchinski, targets
-from sloc.diagnostics import entropy_plugin, ks_two_sample
+from sloc.diagnostics import ks_two_sample
 from sloc.polchinski import (
     LsiSchedule,
     fluctuation_measure,
@@ -25,7 +25,7 @@ from sloc.targets import (
     tilt,
 )
 
-from oracles import grid_1d, mixture_pdf
+from oracles import entropy_plugin, grid_1d, mixture_pdf
 
 
 def std_normal(d=1):
@@ -116,6 +116,12 @@ class TestFluctuationMeasure:
         m = fluctuation_measure(std_normal(), 0.5, [0.7])
         assert m.c[0] == pytest.approx(1.4, abs=1e-15)
         assert m.reg == pytest.approx(1.0, abs=1e-15)
+
+    def test_time_change_maps_scalars_and_grids(self):
+        # t = tau / (1 - tau) and c = v / (1 - tau), exact at these points.
+        assert polchinski._to_tilt(0.5, 0.7) == (1.0, 1.4)
+        t, c = polchinski._to_tilt(np.array([0.0, 0.5, 0.75]))
+        assert t.tolist() == [0.0, 1.0, 3.0] and c.tolist() == [0.0, 0.0, 0.0]
 
     def test_gaussian_variance_independent_of_state(self):
         alpha = 2.0

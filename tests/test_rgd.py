@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sloc import rgd, sde, targets
-from sloc.diagnostics import ks_two_sample, moment_check
+from sloc.diagnostics import ks_two_sample
 from sloc.rgd import (
     ChainLaw,
     RgdConfig,
@@ -35,6 +35,7 @@ from oracles import (
     gaussian_pdf,
     grid_1d,
     mixture_pdf,
+    moment_check,
     quad_moments_1d,
     quad_raw_moments_1d,
     tilt_density_1d,

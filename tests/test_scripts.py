@@ -1,7 +1,8 @@
 """The runnable scripts, run as a user runs them: a fresh interpreter with
-``src`` on the path.  The benchmark-pair summary, whose inputs are long
-benchmark runs, is called as a function on synthetic runs."""
+``src`` on the path.  The benchmark-pair summary and the output comparison,
+whose inputs are long runs, are called as functions on synthetic inputs."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -93,3 +94,20 @@ def test_bench_pairs_resolves_a_wide_spread_only_by_separated_runs():
     assert not wide["transport"]["verdict_s"]["resolved"]
     apart = bench.summarize(synthetic_runs("transport", parent, [0.5, 0.5, 0.5, 0.5]), METRICS)
     assert apart["transport"]["verdict_s"]["resolved"]
+
+
+def test_compare_outputs_differences_ignore_only_report_runtimes():
+    compare = load_script("compare_outputs.py")
+
+    def report(runtime, observed):
+        check = {"name": "a", "observed": observed, "runtime": runtime, "passed": True}
+        return json.dumps({"global_pass": True, "checks": [check]}).encode()
+
+    parent = {"<exit code>": b"0", "report.json": report(1.5, 0.25), "report.csv": b"a,0.25\n", "x.csv": b"1\n"}
+    assert compare.differences(parent, dict(parent, **{"report.json": report(9.0, 0.25)})) == []
+    change = dict(parent, **{"report.json": report(1.5, 0.26), "report.csv": b"a,0.26\n", "y.csv": b""})
+    del change["x.csv"]
+    assert compare.differences(parent, change) == ["report.csv", "report.json", "x.csv", "y.csv"]
+    # A runtime elsewhere than in a report's checks is compared as bytes.
+    assert compare.differences({"trace.json": b'{"runtime": 1}'}, {"trace.json": b'{"runtime": 2}'}) == ["trace.json"]
+    assert compare.differences(parent, dict(parent, **{"<exit code>": b"1"})) == ["<exit code>"]

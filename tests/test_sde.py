@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,20 +10,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sloc.sde import (
-    OU_TO_BACKWARD,
-    POLCHINSKI_TO_TILT,
-    DriftDiffusionSpec,
-    NonFiniteStateError,
     SamplePath,
     TimeGrid,
-    euler_maruyama,
+    _integrate,
     generator,
-    time_change_grid,
     wiener_increment_array,
     wiener_increments,
     write_paths_csv,
 )
-from sloc.targets import GaussianMeasure
 
 
 class TestTimeGrid:
@@ -37,6 +32,10 @@ class TestTimeGrid:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             TimeGrid([0.0, np.inf])
+
+    def test_uniform_needs_a_step(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            TimeGrid.uniform(0.0, 0.5, 0)
 
     def test_uniform_and_dts(self):
         grid = TimeGrid.uniform(0.0, 1.0, 4)
@@ -141,98 +140,35 @@ class TestGenerator:
         assert dw.tobytes() == ref.tobytes()
 
 
-class TestEulerMaruyama:
-    def test_zero_drift_zero_diffusion_is_constant(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 20)
-        noise = wiener_increments(grid, 2, seed=1, stream_id=0)
-        spec = DriftDiffusionSpec(
-            drift=lambda x, t: np.zeros(2),
-            diffusion_scale=lambda t: 0.0,
-            initial=np.array([1.5, -0.5]),
-        )
-        path = euler_maruyama(spec, grid, noise)
-        assert np.allclose(path.states, [1.5, -0.5])
+def ou_terminal(grid: TimeGrid, x0: float, n: int, seed: int) -> np.ndarray:
+    """Terminal states of the OU SDE dx = -x dt + sqrt(2) dB from ``x0`` on
+    streams 0..n-1, stepped by the Euler engine."""
 
+    def step(k, x, dw):
+        return x + -x * grid.dts[k] + math.sqrt(2.0) * dw
+
+    noise = partial(wiener_increment_array, grid, 1, seed)
+    return _integrate(grid, np.full((n, 1), x0), step, noise, ())[float(grid.times[-1])][:, 0]
+
+
+class TestEulerMaruyama:
     def test_unit_diffusion_reproduces_wiener_path(self):
         grid = TimeGrid.uniform(0.0, 1.0, 50)
         noise = wiener_increments(grid, 1, seed=2, stream_id=0)
-        spec = DriftDiffusionSpec(
-            drift=lambda x, t: np.zeros(1),
-            diffusion_scale=lambda t: 1.0,
-            initial=np.zeros(1),
-        )
-        path = euler_maruyama(spec, grid, noise)
-        assert np.array_equal(path.states, noise.states)
+        states = _integrate(grid, np.zeros((1, 1)), lambda k, x, dw: x + dw, noise.increments())
+        assert np.array_equal(np.concatenate(list(states.values())), noise.states)
 
     def test_ou_terminal_moments(self):
         # dx = -x dt + sqrt(2) dB from x0 = 2 over t = ln 2: the terminal law
         # is N(x0 / 2, 3/4).
         x0 = 2.0
-        t_end = math.log(2.0)
-        grid = TimeGrid.uniform(0.0, t_end, 100)
         n = 10_000
-        spec = DriftDiffusionSpec(
-            drift=lambda x, t: -x,
-            diffusion_scale=lambda t: math.sqrt(2.0),
-            initial=np.array([x0]),
-        )
-        paths = euler_maruyama(spec, grid, [wiener_increments(grid, 1, 11, s) for s in range(n)])
-        terminal = np.array([path.terminal()[0] for path in paths])
+        terminal = ou_terminal(TimeGrid.uniform(0.0, math.log(2.0), 100), x0, n, 11)
         se_mean = terminal.std() / math.sqrt(n)
         assert abs(terminal.mean() - x0 / 2.0) <= 4.0 * se_mean + 0.02
         var = terminal.var(ddof=1)
         se_var = math.sqrt((np.mean((terminal - terminal.mean()) ** 4) - var**2) / n)
         assert abs(var - 0.75) <= 4.0 * se_var + 0.02
-
-    def test_gaussian_initial_is_deterministic_per_stream(self):
-        grid = TimeGrid.uniform(0.0, 0.5, 10)
-        spec = DriftDiffusionSpec(
-            drift=lambda x, t: np.zeros(1),
-            diffusion_scale=lambda t: 1.0,
-            initial=GaussianMeasure([0.0], [[1.0]]),
-        )
-        noise = wiener_increments(grid, 1, seed=3, stream_id=5)
-        a = euler_maruyama(spec, grid, noise)
-        b = euler_maruyama(spec, grid, noise)
-        assert np.array_equal(a.states, b.states)
-        # The initial draw is independent of the increments block.
-        assert a.states[0, 0] != noise.states[1, 0]
-
-    def test_non_finite_state_reports_step(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 10)
-        noise = wiener_increments(grid, 1, seed=4, stream_id=0)
-        spec = DriftDiffusionSpec(
-            drift=lambda x, t: np.array([np.inf]),
-            diffusion_scale=lambda t: 0.0,
-            initial=np.zeros(1),
-        )
-        with pytest.raises(NonFiniteStateError) as err:
-            euler_maruyama(spec, grid, noise)
-        assert err.value.step == 1
-
-    def test_grid_mismatch_rejected(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 10)
-        other = TimeGrid.uniform(0.0, 2.0, 10)
-        noise = wiener_increments(other, 1, seed=4, stream_id=0)
-        spec = DriftDiffusionSpec(lambda x, t: x, lambda t: 1.0, np.zeros(1))
-        with pytest.raises(ValueError, match="grid"):
-            euler_maruyama(spec, grid, noise)
-
-    def test_batch_rows_equal_single_paths(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 30)
-        spec = DriftDiffusionSpec(
-            drift=lambda x, t: -x * (1.0 + t),
-            diffusion_scale=lambda t: np.array([[1.0, 0.3], [0.3, 0.5]]),
-            initial=GaussianMeasure([0.5, -1.0], [[1.0, 0.2], [0.2, 0.6]]),
-        )
-        noises = [wiener_increments(grid, 2, 17, s) for s in range(5)]
-        batch = euler_maruyama(spec, grid, noises)
-        for noise, path in zip(noises, batch):
-            single = euler_maruyama(spec, grid, noise)
-            assert single.states.tobytes() == path.states.tobytes()
-            assert (path.seed, path.stream_id) == (noise.seed, noise.stream_id)
-        with pytest.raises(ValueError, match="no noise"):
-            euler_maruyama(spec, grid, [])
 
     def test_refinement_improves_terminal_law(self):
         # Wasserstein-1 distance of the Euler terminal law to the exact OU law
@@ -243,71 +179,9 @@ class TestEulerMaruyama:
         quantiles = stats.norm.ppf((np.arange(n) + 0.5) / n, loc=exact_mean, scale=exact_std)
         w1 = []
         for steps in (7, 14, 28):
-            grid = TimeGrid.uniform(0.0, t_end, steps)
-            spec = DriftDiffusionSpec(
-                drift=lambda x, t: -x,
-                diffusion_scale=lambda t: math.sqrt(2.0),
-                initial=np.array([x0]),
-            )
-            paths = euler_maruyama(spec, grid, [wiener_increments(grid, 1, 13, s) for s in range(n)])
-            terminal = np.array([path.terminal()[0] for path in paths])
+            terminal = ou_terminal(TimeGrid.uniform(0.0, t_end, steps), x0, n, 13)
             w1.append(float(np.mean(np.abs(np.sort(terminal) - quantiles))))
         assert w1[0] > w1[1] > w1[2]
-
-
-class TestTimeChange:
-    def test_flow_map_point(self):
-        # Solve tau / (1 - tau) = 1 backwards: tau = 0.5.
-        grid = time_change_grid(TimeGrid([1.0]), POLCHINSKI_TO_TILT, direction="inverse")
-        assert grid.times[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_ou_map_point(self):
-        grid = time_change_grid(TimeGrid([1.0]), OU_TO_BACKWARD, direction="inverse")
-        assert grid.times[0] == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
-
-    def test_round_trip(self):
-        grid = TimeGrid.uniform(0.1, 0.9, 16)
-        fwd = time_change_grid(grid, POLCHINSKI_TO_TILT, direction="forward")
-        back = time_change_grid(fwd, POLCHINSKI_TO_TILT, direction="inverse")
-        assert np.abs(back.times - grid.times).max() <= 1e-10
-
-    def test_singular_endpoint_rejected(self):
-        with pytest.raises(ValueError, match="clip"):
-            time_change_grid(TimeGrid([0.0, 0.5]), OU_TO_BACKWARD, direction="inverse")
-
-    def test_reverse_orientation_normalized(self):
-        grid = TimeGrid.uniform(0.2, 1.5, 8)
-        mapped = time_change_grid(grid, OU_TO_BACKWARD, direction="forward")
-        assert np.all(np.diff(mapped.times) > 0.0)
-
-    def test_inverse_derivative_matches_finite_differences(self):
-        us = np.linspace(0.2, 3.0, 15)
-        h = 1e-6
-        fd = (OU_TO_BACKWARD.inverse(us + h) - OU_TO_BACKWARD.inverse(us - h)) / (2.0 * h)
-        assert np.abs(fd - OU_TO_BACKWARD.inverse_deriv(us)).max() <= 1e-6
-        assert np.abs(np.abs(OU_TO_BACKWARD.inverse_deriv(us)) - 1.0 / (2.0 * us * (us + 1.0))).max() <= 1e-12
-
-    def test_declared_monotonicity_signs(self):
-        assert OU_TO_BACKWARD.decreasing
-        assert float(OU_TO_BACKWARD.inverse_deriv(0.7)) < 0.0
-        assert not POLCHINSKI_TO_TILT.decreasing
-        assert float(POLCHINSKI_TO_TILT.inverse_deriv(0.7)) > 0.0
-
-    def test_forward_inverse_identity_on_probes(self):
-        for tmap in (POLCHINSKI_TO_TILT, OU_TO_BACKWARD):
-            us = np.linspace(0.05, 4.0, 9)
-            assert np.abs(tmap.forward(tmap.inverse(us)) - us).max() <= 1e-10
-
-    def test_finite_horizon_map(self):
-        from sloc.sde import finite_horizon_map
-
-        fmap = finite_horizon_map(3.0)
-        grid = time_change_grid(TimeGrid.uniform(0.0, 3.0, 6), fmap)
-        assert np.allclose(grid.times, np.linspace(0.0, 3.0, 7))
-        assert fmap.decreasing
-        us = np.linspace(0.1, 2.9, 5)
-        assert np.abs(fmap.forward(fmap.inverse(us)) - us).max() <= 1e-12
-        assert np.all(fmap.inverse_deriv(us) == -1.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -20,7 +20,6 @@ from sloc.targets import (
     sample_base,
     target_from_json,
     tilt,
-    unnormalized_log_density,
 )
 
 from oracles import gaussian_pdf, grid_1d, quad_moments_1d, quad_moments_2d, tilt_density_1d
@@ -89,12 +88,6 @@ class TestConstruction:
 
 
 class TestTilt:
-    def test_identity_tilt_matches_base_pointwise(self):
-        base = two_mixture()
-        m = tilt(base, [0.0], 0.0)
-        xs = np.linspace(-4.0, 4.0, 9)[:, None]
-        assert np.allclose(unnormalized_log_density(m, xs), base.log_density(xs))
-
     def test_unit_tilt_of_standard_normal(self):
         # Frozen from the grid-quadrature oracle: exp(x - x^2) has mean 0.5,
         # variance 0.5, and log partition 1/4 - log(2)/2.
@@ -691,15 +684,6 @@ def test_a_matrix_regularizer_is_checked_once_per_measure(name, monkeypatch):
     means, log_z, w = step._components(c[None])
     for got, want in zip(m._closed_form, (w[:, 0], means[..., 0], step.inv[..., 0], log_z[0])):
         assert np.array_equal(got, want)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(-2.0, 2.0), st.floats(0.3, 2.0))
-def test_identity_tilt_is_pointwise_identity(mean, var):
-    base = GaussianMeasure([mean], [[var]])
-    m = tilt(base, [0.0], 0.0)
-    xs = np.linspace(-3.0, 3.0, 7)[:, None]
-    assert np.allclose(unnormalized_log_density(m, xs), base.log_density(xs), atol=1e-12)
 
 
 class TestJson:

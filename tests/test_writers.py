@@ -16,13 +16,11 @@ def writer_inputs() -> dict:
     mu = bridge.DiscreteMeasure([[0.0], [1.0], [2.5]], [0.2, 0.5, 0.3])
     pi = bridge.DiscreteMeasure([[-0.5], [1.5]], [0.45, 0.55])
     solved = bridge.sinkhorn(mu, pi, bridge.heat_kernel_reference(mu, pi))
-    clouds = localize.particle_sl_run(base, 8, grid, noises[0], ess_floor=1.0)
     return {
         "paths": lambda out: sde.write_paths_csv(noises, out),
         "trajectories": lambda out: localize.write_trajectory_csv(
             {s: localize.tilt_sde_run(base, grid, noise) for s, noise in enumerate(noises)}, out
         ),
-        "particles": lambda out: localize.write_particle_json(clouds[-1], out),
         "schedule": lambda out: polchinski.write_schedule_csv(
             polchinski.lsi_schedule(0.7), np.linspace(0.0, 0.9, 7), out
         ),
