@@ -7,9 +7,12 @@ root, so each side benchmarks its own ``src``), ``--pairs`` pairs for each of
 ``WORKLOADS``.  Odd pairs run the parent first and even pairs the change; both
 runs of a pair share a seed, and pair ``i`` of a workload uses seed
 ``--seed + 100 * w + i``, with ``w`` the workload's position in ``WORKLOADS``.
-Each PR passes fresh seeds.  Then one traced run (``--trace 1``) of
-``TRACED_WORKLOAD`` per side at ``TRACED_SEED``, with per-pass calls and raw
-self seconds of every span name read from its span file.
+Each PR passes fresh seeds.  Then one traced run (``--trace 1``) of every
+workload per side at ``TRACED_SEED``, with per-pass calls and raw self seconds
+of every span name read from its span file.  Every run records its pass
+digests (the hashes of each pass's outputs), and ``digests`` lists, per
+workload, the pairs whose two sides' digests match and those where they
+differ, so a claim that no output bit moved is checked on every pair.
 
 ``CHANGE_DIR/BENCH_<pr>.json`` holds the machine block, every run's final
 JSON line and the summary: per workload and end-to-end metric, each side's
@@ -35,7 +38,6 @@ from pathlib import Path
 SIDES = ("parent", "change")
 WORKLOADS = ("transport", "ensemble", "pointwise")
 SECONDS = 20
-TRACED_WORKLOAD = "transport"
 TRACED_SEED = 42
 
 
@@ -90,6 +92,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def digest_matches(runs: list[dict]) -> dict:
+    """Per workload, the pairs of ``runs`` whose parent and change runs gave
+    the same pass digests (``match``) and the pairs where they did not
+    (``differ``); ``runs`` are records ``{"workload", "side", "pair",
+    "digests"}``.  Only pairs with both sides count."""
+    by_pair: dict = defaultdict(dict)
+    for run in runs:
+        by_pair[(run["workload"], run["pair"])][run["side"]] = run["digests"]
+    out: dict = {}
+    for (workload, pair), sides in sorted(by_pair.items()):
+        if len(sides) == 2:
+            kind = "match" if sides["parent"] == sides["change"] else "differ"
+            out.setdefault(workload, {"match": [], "differ": []})[kind].append(pair)
+    return out
+
+
 def span_summary(path: Path) -> dict:
     """Per span name, calls and raw self seconds per traced pass, from a
     span file of ``slocbench/run.py --trace 1``."""
@@ -133,15 +151,17 @@ def main(argv=None) -> int:
     bench = {
         "description": (f"slocbench/run.py final JSON lines, parent vs change, {args.pairs} alternating pairs "
                         f"per workload (odd pairs run the parent first), --seconds {SECONDS}, "
-                        f"seeds {args.seed} + 100 * workload index + pair; traced {TRACED_WORKLOAD} runs "
-                        f"at seed {TRACED_SEED} with per-pass span calls and raw self seconds"),
-        "machine": None, "runs": [], "traced": [], "summary": {},
+                        f"seeds {args.seed} + 100 * workload index + pair; a traced run of every workload "
+                        f"at seed {TRACED_SEED} with per-pass span calls and raw self seconds; per workload, "
+                        f"the pairs whose pass digests match and differ"),
+        "machine": None, "runs": [], "traced": [], "summary": {}, "digests": {},
     }
 
     def record(side, workload, seed, trace, pair=None):
         detail, result = run_bench(checkouts[side], workload, seed, trace)
         bench["machine"] = bench["machine"] or detail["environment"]
-        entry = {"workload": workload, "side": side, "seed": seed, "trace": trace, "result": result}
+        entry = {"workload": workload, "side": side, "seed": seed, "trace": trace, "result": result,
+                 "digests": sorted({p["digest"] for p in detail["passes"]})}
         if trace:
             entry["spans"] = span_summary(checkouts[side] / detail["spans"]["file"])
             bench["traced"].append(entry)
@@ -149,6 +169,7 @@ def main(argv=None) -> int:
             entry["pair"] = pair
             bench["runs"].append(entry)
             bench["summary"] = summarize(bench["runs"], metrics)
+            bench["digests"] = digest_matches(bench["runs"])
         out.write_text(json.dumps(bench, indent=1) + "\n")
         metric = result["metrics"].get("verdict_s", {}).get("value")
         print(f"{workload} {side} seed {seed} trace {trace}: correct={result['correct']} verdict_s={metric}",
@@ -160,9 +181,10 @@ def main(argv=None) -> int:
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
                 record(side, workload, seed, 0, pair)
-    for side in SIDES:
-        record(side, TRACED_WORKLOAD, TRACED_SEED, 1)
-    print(json.dumps(bench["summary"], indent=1))
+    for workload in WORKLOADS:
+        for side in SIDES:
+            record(side, workload, TRACED_SEED, 1)
+    print(json.dumps({"summary": bench["summary"], "digests": bench["digests"]}, indent=1))
     return 0
 
 

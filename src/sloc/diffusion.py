@@ -22,6 +22,7 @@ from .sde import (
     SALT_IS,
     SamplePath,
     TimeGrid,
+    _gather,
     _integrate,
     _noise_increments,
     generator,
@@ -148,7 +149,7 @@ def backward_sde_ensemble(
     Vectorized over paths for Gaussian/mixture bases; stream ids 0..n_paths-1.
     """
     d = base.dim
-    x0 = np.stack([generator(seed, s, SALT_INIT).standard_normal(d) for s in range(n_paths)])
+    x0 = _gather(lambda s: generator(seed, s, SALT_INIT).standard_normal(d), range(n_paths))
     noise = partial(wiener_increment_array, u_grid, d, seed)
     return _integrate(u_grid, x0, _backward_step(base, u_grid), noise, snapshot_times, chunk, workers)
 

@@ -28,6 +28,7 @@ from .sde import (
     TimeGrid,
     _emit,
     _fmt,
+    _gather,
     _integrate,
     _noise_increments,
     generator,
@@ -161,8 +162,8 @@ def _channel(base: TargetMeasure, times, seed: int, streams) -> tuple[np.ndarray
     they start later."""
     times = np.asarray(times, dtype=float)
     grid = TimeGrid(times if times.size and times[0] == 0.0 else np.concatenate([[0.0], times]))
-    x = np.stack([targets.sample_base(base, 1, generator(seed, s, SALT_INIT))[0] for s in streams])
-    b = np.stack([np.cumsum(wiener_increment_array(grid, base.dim, seed, s), axis=0) for s in streams], axis=1)
+    x = _gather(lambda s: targets.sample_base(base, 1, generator(seed, s, SALT_INIT))[0], streams)
+    b = np.cumsum(_gather(partial(wiener_increment_array, grid, base.dim, seed), streams), axis=1).swapaxes(0, 1)
     # B is 0 at the grid's start; keep the rows of the requested times.
     b = np.concatenate([np.zeros((1,) + b.shape[1:]), b])[len(grid) - times.size:]
     return x, times[:, None, None] * x + b
@@ -211,7 +212,7 @@ def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw
     ``u_new - u_old = <x_new - x_old, C - T (x_new + x_old) / 2>`` when the top
     particle changes.  The log-mass is ``a - log n + log sum exp(u - u_top)``,
     a sum of terms of order one."""
-    points = np.stack([targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)) for r in streams])
+    points = _gather(lambda r: targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)), streams)
     coords = list(np.moveaxis(points, -1, 0))
     xs = np.stack(coords + [sum(x * x for x in coords)])
     flat_points, offsets = points.reshape(-1, points.shape[-1]), np.arange(len(points)) * n_particles
@@ -279,7 +280,7 @@ def particle_ensemble(
     log_mass, rows = np.empty(n_runs), max(1, 2**15 // n_particles)
     for lo in range(0, n_runs, rows):
         streams = range(lo, min(lo + rows, n_runs))
-        dw = np.stack([wiener_increment_array(grid, base.dim, seed, r) for r in streams])
+        dw = _gather(partial(wiener_increment_array, grid, base.dim, seed), streams)
         clouds = _particle_runs(base, n_particles, seed, streams, dw, grid.dts)
         points[lo:streams.stop], log_w[lo:streams.stop], _, log_mass[lo:streams.stop] = deque(clouds, 1)[0]
     return points, log_w, log_mass

@@ -161,6 +161,24 @@ class SamplePath:
         return self.states[-1]
 
 
+def _gather(draw: Callable[[int], np.ndarray], ids: Sequence[int]) -> np.ndarray:
+    """``np.stack([draw(s) for s in ids])``, bit for bit, without the list:
+    the ``(len(ids),) + shape`` array is allocated from the first draw, and
+    each draw is copied into its row as soon as it is made.  Like ``np.stack``
+    it rejects draws of unequal shapes rather than broadcast them."""
+    out = None
+    for row, s in enumerate(ids):
+        a = draw(s)
+        if out is None:
+            out = np.empty((len(ids),) + a.shape, a.dtype)
+        elif a.shape != out.shape[1:]:
+            raise ValueError(f"draw {s} has shape {a.shape}, the first draw {out.shape[1:]}")
+        out[row] = a
+    if out is None:
+        raise ValueError("no draws to gather")
+    return out
+
+
 def wiener_increment_array(grid: TimeGrid, d: int, seed: int, stream_id: int) -> np.ndarray:
     """Raw Wiener increments over the grid intervals, shape ``(steps, d)``."""
     z = generator(seed, stream_id, SALT_NOISE).standard_normal((grid.steps, d))
@@ -205,7 +223,9 @@ def _integrate(
     Row ``s`` of ``x0 (n, w)`` starts path ``s``; ``step(k, x, dw)`` advances
     rows ``x`` over grid interval ``k`` on their increments ``dw (rows, d)``.
     ``noise`` is one path's increments ``(steps, d)`` (then ``n = 1``) or a map
-    from stream id to increments, drawn per chunk of ``map_chunks``.  Returns
+    from stream id to increments, drawn per chunk of ``map_chunks``.  A chunk
+    holds one noise array ``(rows, steps, d)``, and each stream is copied into
+    its row as it is drawn, so no list of streams is held beside it.  Returns
     the states at ``snapshot_times`` and the grid's end, keyed by requested
     time, or at every grid point, keyed by grid time, when that is None.  A
     kept state that is not finite raises ``NonFiniteStateError``; a non-finite
@@ -220,7 +240,7 @@ def _integrate(
     keep = {k: np.empty(x0.shape) for k in wanted.values()}
 
     def run_chunk(lo: int, hi: int) -> None:
-        dw = noise[None] if isinstance(noise, np.ndarray) else np.stack([noise(s) for s in range(lo, hi)])
+        dw = noise[None] if isinstance(noise, np.ndarray) else _gather(noise, range(lo, hi))
         x = x0[lo:hi]
         if 0 in keep:
             keep[0][lo:hi] = x

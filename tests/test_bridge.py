@@ -286,6 +286,16 @@ class TestSinkhornAgainstLogDomain:
         else:
             assert not np.isfinite(trace).all()
 
+    def test_stalled_relaxation_finishes_plain(self):
+        # Over-relaxed, this instance's residual stalls near 8e-16, above the
+        # floor of plain scaling.  Once it sets no new minimum for _STALL
+        # iterations the run finishes plain and reaches 5e-16, where it would
+        # otherwise run to max_iter.
+        mu, pi, r = self.local_kernel()
+        res = solve(mu, pi, r, tol=5e-16)
+        assert res.converged and res.relaxation == 1.0
+        assert res.iterations <= 1000
+
     def test_trace_ends_at_the_returned_residual(self):
         rng = np.random.default_rng(21)
         mu, pi = random_instance(rng, 6, 9)

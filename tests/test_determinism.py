@@ -11,7 +11,7 @@ import pytest
 from sloc import bridge, diffusion, localize, polchinski, sde
 from sloc.bridge import FollmerDrift, girsanov_energy
 from sloc.diffusion import backward_sde_ensemble, backward_sde_run
-from sloc.localize import particle_ensemble, particle_sl_run, tilt_sde_ensemble, tilt_sde_run
+from sloc.localize import channel_ensemble, particle_ensemble, particle_sl_run, tilt_sde_ensemble, tilt_sde_run
 from sloc.polchinski import polchinski_ensemble, polchinski_run
 from sloc.sde import NonFiniteStateError, TimeGrid, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
@@ -80,6 +80,34 @@ SINGLE_GRIDS = {
     "backward": (TimeGrid.geometric(1e-3, 1.0, 60).including(0.5), (0.5, 1.0)),
     "flow": (TimeGrid.uniform(0.0, 0.5, 60), (0.25, 0.5)),
 }
+
+
+def stacked_list(draw, ids) -> np.ndarray:
+    """The per-stream gather as a list of draws and its ``np.stack`` copy."""
+    return np.stack([draw(s) for s in ids])
+
+
+def gathered_outputs(base) -> dict:
+    """Every output that gathers per-stream draws: the engine's ensembles at a
+    chunk that does not divide ``N_PATHS`` on two workers, particle blocks of 6
+    and 4 runs, and channel draws."""
+    out = ensemble_outputs(base, chunk=7, workers=2)
+    out["particle"] = dict(enumerate(particle_ensemble(base, 2**15 // 6, TimeGrid.uniform(0.0, 0.5, 20), 15, 10)))
+    out["channel"] = channel_ensemble(base, (0.25, 1.0), 16, N_PATHS)
+    return out
+
+
+def test_gather_is_bitwise_the_stacked_list(monkeypatch, reference):
+    base, _ = reference
+    got = gathered_outputs(base)
+    for module in (sde, localize, diffusion):
+        monkeypatch.setattr(module, "_gather", stacked_list)
+    expected = gathered_outputs(base)
+    assert got["energy"] == expected["energy"]
+    for name in ("tilt", "backward", "flow", "particle", "channel"):
+        assert got[name].keys() == expected[name].keys()
+        for key, value in expected[name].items():
+            assert np.array_equal(got[name][key], value), (name, key)
 
 
 def single_run(name, base, grid, noise, **kwargs) -> np.ndarray:

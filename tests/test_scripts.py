@@ -96,6 +96,17 @@ def test_bench_pairs_resolves_a_wide_spread_only_by_separated_runs():
     assert apart["transport"]["verdict_s"]["resolved"]
 
 
+def test_bench_pairs_lists_the_pairs_whose_digests_differ():
+    bench = load_script("bench_pairs.py")
+    runs = [{"workload": w, "side": side, "pair": pair, "digests": [digest]}
+            for w, side, pair, digest in [("ensemble", "parent", 1, "a"), ("ensemble", "change", 1, "a"),
+                                          ("ensemble", "change", 2, "b"), ("ensemble", "parent", 2, "c"),
+                                          ("ensemble", "parent", 3, "d"), ("pointwise", "parent", 1, "e"),
+                                          ("pointwise", "change", 1, "e")]]
+    assert bench.digest_matches(runs) == {"ensemble": {"match": [1], "differ": [2]},
+                                          "pointwise": {"match": [1], "differ": []}}
+
+
 def test_compare_outputs_differences_ignore_only_report_runtimes():
     compare = load_script("compare_outputs.py")
 

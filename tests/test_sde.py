@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -9,15 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sloc.diffusion import backward_sde_ensemble
+from sloc.localize import particle_ensemble
 from sloc.sde import (
     SamplePath,
     TimeGrid,
+    _gather,
     _integrate,
     generator,
     wiener_increment_array,
     wiener_increments,
     write_paths_csv,
 )
+from sloc.targets import GaussianMeasure
 
 
 class TestTimeGrid:
@@ -182,6 +187,43 @@ class TestEulerMaruyama:
             terminal = ou_terminal(TimeGrid.uniform(0.0, t_end, steps), x0, n, 13)
             w1.append(float(np.mean(np.abs(np.sort(terminal) - quantiles))))
         assert w1[0] > w1[1] > w1[2]
+
+
+def peak_over_noise(run, noise_bytes: int) -> float:
+    """Peak traced allocation of ``run()`` over its start, per noise byte;
+    ``run`` is called once untraced first, so lazily built caches are warm."""
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / noise_bytes
+
+
+class TestGather:
+    def test_rejects_unequal_shapes_and_no_draws(self):
+        with pytest.raises(ValueError, match="shape"):
+            _gather(lambda s: np.zeros((1, 2)) if s else np.zeros((3, 2)), range(2))
+        with pytest.raises(ValueError, match="no draws"):
+            _gather(np.zeros, range(0))
+
+    # One chunk's peak is its noise array plus per-step rows; a list of
+    # streams held beside their stacked copy would double it.
+    def test_engine_chunk_holds_one_noise_array(self):
+        n, grid = 400, TimeGrid.geometric(1e-3, 1.0, 500)
+        base = GaussianMeasure([0.5], [[2.0]])
+        ratio = peak_over_noise(lambda: backward_sde_ensemble(base, grid, 3, n), n * grid.steps * 8)
+        assert ratio <= 1.25
+
+    def test_particle_block_holds_one_noise_array(self):
+        n_particles, n_runs, grid = 16, 2**15 // 16, TimeGrid.uniform(0.0, 1.0, 1000)
+        base = GaussianMeasure([0.5], [[2.0]])
+        ratio = peak_over_noise(lambda: particle_ensemble(base, n_particles, grid, 3, n_runs),
+                                n_runs * grid.steps * 8)
+        assert ratio <= 1.25
 
 
 @settings(max_examples=20, deadline=None)
