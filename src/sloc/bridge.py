@@ -183,9 +183,11 @@ def sinkhorn(
     The residual is the larger of the L1 row and column marginal violations
     of ``u K v'``, read off each iteration's two products (column sums
     ``v K'u``, row sums ``u K v`` from the product the next iteration starts
-    with); the returned ``residual``, and the trace's last entry, are
-    recomputed from the returned coupling.  Non-convergence within
-    ``max_iter`` is flagged, not raised.
+    with).  When it meets ``tol`` the coupling is formed and its residual
+    recomputed, and the run stops only if that one meets ``tol`` too; the
+    returned ``residual``, and the trace's last entry, are that of the
+    returned coupling.  Non-convergence within ``max_iter`` is flagged, not
+    raised.
     """
     r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
     if np.any(r <= 0.0):
@@ -216,7 +218,9 @@ def sinkhorn(
         residual = max(float(np.abs(u * kv - a).sum()), float(np.abs(v * ktu - b).sum()))
         trace.append(residual)
         if residual <= tol:
-            break
+            coupling, checked = _coupling(kernel, u, v, a, b)
+            if checked <= tol:
+                break
         if iterations == _PLAIN:
             omega, floor = _relaxation(steps, a), residual
         elif omega != 1.0:
@@ -240,22 +244,28 @@ def sinkhorn(
             np.exp(kernel, out=kernel)
             u, v = np.ones(mu.n), np.ones(pi.n)
             kv = kernel @ v
-    gamma = kernel * u[:, None]
-    gamma *= v
-    coupling = DiscreteCoupling(gamma, a, b)
-    residual = coupling.marginal_residual()
+    else:
+        coupling, checked = _coupling(kernel, u, v, a, b)
     if trace:
-        trace[-1] = residual
+        trace[-1] = checked
     return SinkhornResult(
         coupling=coupling,
         f=np.exp(alpha) * u,
         g=np.exp(beta) * v,
         iterations=iterations,
-        residual=residual,
-        converged=residual <= tol,
+        residual=checked,
+        converged=checked <= tol,
         residual_trace=np.asarray(trace),
         relaxation=omega,
     )
+
+
+def _coupling(kernel: np.ndarray, u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The coupling ``u K v'`` with target marginals ``a, b``, and its marginal residual."""
+    gamma = kernel * u[:, None]
+    gamma *= v
+    coupling = DiscreteCoupling(gamma, a, b)
+    return coupling, coupling.marginal_residual()
 
 
 def _relaxation(steps: list, a: np.ndarray) -> float:
@@ -367,17 +377,19 @@ class FollmerDrift:
     Equal to minus the renormalized-potential gradient, ``(m_tau - v) / (1 - tau)``
     with ``m_tau`` the fluctuation-measure mean; only that mean is computed.
     It is the flow SDE's own drift, so running the flow from ``v = 0``
-    (``polchinski.polchinski_run``) is the drift-based sampler.
+    (``polchinski.polchinski_run``) is the drift-based sampler.  A generic
+    base estimates the mean with ``budget`` importance-sampling draws from
+    ``posterior_moments``' fixed key.
     """
 
     base: TargetMeasure
     budget: int = 0
 
-    def __call__(self, v, tau: float, rng: np.random.Generator | None = None) -> np.ndarray:
+    def __call__(self, v, tau: float) -> np.ndarray:
         if not 0.0 <= tau < 1.0:
             raise ValueError("tau must lie in [0, 1)")
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        return _flow_drift(self.base, np.array([tau], dtype=float), self.budget, rng)(0, v[None])[0]
+        return _flow_drift(self.base, np.array([tau], dtype=float), self.budget)(0, v[None])[0]
 
 
 def girsanov_energy(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bridge, localize, polchinski, rgd, suites, targets
+from . import bridge, diagnostics, localize, polchinski, rgd, suites, targets
 from .sde import TimeGrid, _emit, _fmt, generator, wiener_increments, write_paths_csv
 
 
@@ -138,15 +138,14 @@ def _suite_base(cfg: ExperimentConfig):
     return None
 
 
-def _print_report(report_dict: dict, stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_report(report_dict: dict) -> None:
     for check in report_dict["checks"]:
         flag = "PASS" if check["passed"] else "FAIL"
-        stream.write(
+        sys.stdout.write(
             f"{flag} {check['name']}: observed={check['observed']:.6g} "
             f"tolerance={check['tolerance']:.6g}  {check['detail']}\n"
         )
-    stream.write(f"global: {'PASS' if report_dict['global_pass'] else 'FAIL'}\n")
+    sys.stdout.write(f"global: {'PASS' if report_dict['global_pass'] else 'FAIL'}\n")
 
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
@@ -241,6 +240,9 @@ def _write_bridge_artifacts(cfg: ExperimentConfig) -> None:
     bridge.write_sinkhorn_trace_json(result, out_dir / "sinkhorn_trace.json")
 
 
+# Suites whose checks run two-sample KS tests on ``paths`` draws a side.
+_KS_SUITES = ("equiv", "rgd")
+
 # Files a suite subcommand writes beside its report.
 _ARTIFACT_WRITERS = {
     "rgd": _write_rgd_artifacts,
@@ -289,6 +291,12 @@ def main(argv: list[str] | None = None) -> int:
     if cfg is None:
         for error in errors:
             sys.stderr.write(f"config error: {error}\n")
+        return 2
+    if args.command in _KS_SUITES and cfg.paths < diagnostics.MIN_KS_SAMPLES:
+        sys.stderr.write(
+            f"config error: {args.command} needs paths >= diagnostics.MIN_KS_SAMPLES "
+            f"({diagnostics.MIN_KS_SAMPLES}) for its KS checks, got {cfg.paths}\n"
+        )
         return 2
 
     out_dir = Path(cfg.out)

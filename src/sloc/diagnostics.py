@@ -5,9 +5,8 @@ through the samples the caller provides.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +25,6 @@ class TwoSampleResult:
     def __post_init__(self):
         if not (0.0 <= self.p_value <= 1.0 or math.isnan(self.p_value)):
             raise ValueError("p-value must lie in [0, 1] or be NaN")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def gaussian_kl(p: GaussianMeasure, q: GaussianMeasure) -> float:

@@ -66,22 +66,17 @@ class BackwardState:
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
 
 
-def tweedie_score(
-    base: TargetMeasure,
-    spec: NoisyChannelSpec,
-    y,
-    budget: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def tweedie_score(base: TargetMeasure, spec: NoisyChannelSpec, y, budget: int = 0) -> np.ndarray:
     """Score of the smoothed marginal: ``(s E[x | y] - y) / noise_var``.
 
     The posterior-mean problem is rescaled to a tilt of the base with
     ``c = s y / noise_var`` and regularizer ``t = s^2 / noise_var``, so the
-    value is exact for Gaussian and mixture bases.
+    value is exact for Gaussian and mixture bases; a generic base takes
+    ``budget`` importance-sampling draws from ``posterior_moments``' fixed key.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s, v = spec.signal_scale, spec.noise_var
-    post = posterior_moments(tilt(base, (s / v) * y, s * s / v), budget, rng=rng)
+    post = posterior_moments(tilt(base, (s / v) * y, s * s / v), budget)
     return (s * post.mean - y) / v
 
 

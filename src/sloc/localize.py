@@ -34,7 +34,7 @@ from .sde import (
     generator,
     wiener_increment_array,
 )
-from .targets import TargetMeasure, TiltedMeasure, posterior_moments, tilt  # noqa: F401
+from .targets import TargetMeasure, posterior_moments  # noqa: F401
 
 DEFAULT_ESS_FLOOR = 10.0
 
@@ -60,9 +60,6 @@ class SLState:
     reg: Union[float, np.ndarray]
     m: np.ndarray
 
-    def measure(self, base: TargetMeasure) -> TiltedMeasure:
-        return tilt(base, self.c, self.reg)
-
 
 @dataclass(frozen=True)
 class ParticleCloud:
@@ -84,9 +81,6 @@ class ParticleCloud:
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
-
-    def ess(self) -> float:
-        return 1.0 / float(np.sum(self.weights**2))
 
 
 def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, rng=None):
@@ -292,16 +286,14 @@ def anisotropic_step(
     control: np.ndarray,
     dt: float,
     dw: np.ndarray,
-    budget: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> SLState:
-    """One Euler step of the control-matrix dynamics.
+    """One Euler step of the control-matrix dynamics on a Gaussian or mixture base.
 
     ``dc = C C' m dt + C dW`` and ``dReg = C C' dt``; the state must hold its
-    regularizer as a matrix.  Closed-form bases take the mean from a
-    one-point matrix plan of the kernel that ``tilt_sde_run`` steps through,
-    so with ``C = I`` every float operation reduces to the isotropic step and
-    the two runs agree bitwise on a shared noise path.
+    regularizer as a matrix.  The mean comes from a one-point matrix plan of
+    the kernel that ``tilt_sde_run`` steps through, so with ``C = I`` every
+    float operation reduces to the isotropic step and the two runs agree
+    bitwise on a shared noise path.
     """
     if np.ndim(state.reg) != 2:
         raise ValueError("anisotropic stepping requires a matrix regularizer")
@@ -315,18 +307,17 @@ def anisotropic_step(
     cc = control @ control.T
     c_new = state.c + (cc @ state.m) * dt + control @ dw
     reg_new = np.asarray(state.reg) + cc * dt
-    m_new = targets._tilt_means(base, reg_new[None], budget, rng)(0, c_new[None])[0]
+    m_new = targets._tilt_means(base, reg_new[None])(0, c_new[None])[0]
     return SLState(state.t + dt, c_new, reg_new, m_new)
 
 
-def initial_anisotropic_state(
-    base: TargetMeasure, budget: int = 0, rng: np.random.Generator | None = None
-) -> SLState:
-    """Starting state (t=0, c=0, zero matrix regularizer) with its cached mean."""
+def initial_anisotropic_state(base: TargetMeasure) -> SLState:
+    """Starting state (t=0, c=0, zero matrix regularizer) with its cached mean,
+    on a Gaussian or mixture base."""
     d = base.dim
     c = np.zeros(d)
     reg = np.zeros((d, d))
-    return SLState(0.0, c, reg, targets._tilt_means(base, reg[None], budget, rng)(0, c[None])[0])
+    return SLState(0.0, c, reg, targets._tilt_means(base, reg[None])(0, c[None])[0])
 
 
 def write_trajectory_csv(

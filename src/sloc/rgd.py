@@ -33,11 +33,10 @@ from .targets import (
 
 @dataclass(frozen=True)
 class RgdConfig:
-    """Step size, target, inner-sampler budget, and chain length."""
+    """Step size, target, and chain length."""
 
     step_size: float
     target: TargetMeasure
-    max_tries: int = 10_000
     steps: int = 1
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ def rgd_chain(x0, cfg: RgdConfig, rng: np.random.Generator) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     eta = cfg.step_size
-    draw = targets.tilted_sampler(cfg.target, 1.0 / eta, max_tries=cfg.max_tries)
+    draw = targets.tilted_sampler(cfg.target, 1.0 / eta)
     out = np.empty((cfg.steps + 1, x.size))
     out[0] = x
     for k in range(cfg.steps):
@@ -92,12 +91,12 @@ def rgd_transition_batch(
     Every target family: the restricted stage is one
     ``targets.sample_tilted_batch`` call, exact for Gaussian and mixture
     targets and one rejection kernel over all rows for a generic potential,
-    with ``cfg.max_tries`` proposals per row at most.
+    with ``targets.DEFAULT_MAX_TRIES`` proposals per row at most.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     eta = cfg.step_size
     y = _blur(x, eta, n, rng)
-    return targets.sample_tilted_batch(cfg.target, y / eta, 1.0 / eta, rng, max_tries=cfg.max_tries)
+    return targets.sample_tilted_batch(cfg.target, y / eta, 1.0 / eta, rng)
 
 
 def channel_transition_batch(
@@ -108,7 +107,7 @@ def channel_transition_batch(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = 1.0 / cfg.step_size
     c = t * x + math.sqrt(t) * rng.standard_normal((n, x.size))
-    return targets.sample_tilted_batch(cfg.target, c, t, rng, max_tries=cfg.max_tries)
+    return targets.sample_tilted_batch(cfg.target, c, t, rng)
 
 
 @dataclass(frozen=True)
@@ -256,20 +255,17 @@ def heat_flow_contraction_mc(
     eta: float,
     n_paths: int = 4000,
     seed: int = 0,
-    half_width: float = 12.0,
-    n_points: int = 4001,
-    n_batches: int = 32,
 ) -> tuple[float, float]:
     """One-step KL contraction ``KL(mu' || pi) / KL(mu || pi)`` of the chain.
 
     Gaussian targets defer to the exact law propagation (stderr 0).  For a
     one-dimensional generic target the transition density is computed by
-    quadrature on ``n_points`` grid points, with the Gaussian integrals as
-    convolutions in O(n_points) memory, and the output KL is estimated by
+    quadrature on 4001 points of ``[-12, 12]``, with the Gaussian integrals as
+    convolutions in O(grid) memory, and the output KL is estimated by
     plug-in Monte Carlo over ``n_paths`` transitions drawn together by
-    ``rgd_transition_batch`` (exact log-densities, batch-means stderr); the
-    input KL is a deterministic quadrature value.  Potentials are evaluated on
-    the grid and on the draws in one ``potential_rows`` call each.
+    ``rgd_transition_batch`` (exact log-densities, stderr from 32 batch
+    means); the input KL is a deterministic quadrature value.  Potentials are
+    evaluated on the grid and on the draws in one ``potential_rows`` call each.
     """
     if isinstance(target, GaussianMeasure):
         _, kls = chain_law_propagate(init, target, eta, 1)
@@ -279,7 +275,7 @@ def heat_flow_contraction_mc(
     if init.dim != 1:
         raise ValueError("the starting law must be one-dimensional")
 
-    xs = np.linspace(-half_width, half_width, n_points)
+    xs = np.linspace(-12.0, 12.0, 4001)
     log_pi_un = -target.potential_rows(xs[:, None])
     log_z_pi = math.log(np.trapezoid(np.exp(log_pi_un), xs))
     log_pi = log_pi_un - log_z_pi
@@ -301,7 +297,7 @@ def heat_flow_contraction_mc(
     log_pi_at = -target.potential_rows(x1) - log_z_pi
     contrib = log_mu1_at - log_pi_at
     kl1 = float(contrib.mean())
-    nb = min(n_batches, n_paths)
+    nb = min(32, n_paths)
     batch = _batch_means(contrib, nb)
     kl1_se = float(batch.std(ddof=1) / math.sqrt(nb))
     return kl1 / kl0, kl1_se / kl0

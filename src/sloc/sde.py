@@ -157,9 +157,6 @@ class SamplePath:
     def increments(self) -> np.ndarray:
         return np.diff(self.states, axis=0)
 
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _gather(draw: Callable[[int], np.ndarray], ids: Sequence[int]) -> np.ndarray:
     """``np.stack([draw(s) for s in ids])``, bit for bit, without the list:

@@ -259,16 +259,16 @@ def _quadrature_marginal_logpdf(base: TargetMeasure, s: float, v: float, y: floa
     return math.log(float(np.trapezoid(kernel * dens, xs)))
 
 
-def tweedie_probe_residuals(seed: int, n_probes: int = 50) -> np.ndarray:
+def tweedie_probe_residuals(seed: int) -> np.ndarray:
     """Relative disagreement between the posterior-mean score and central
-    finite differences of the log marginal on random (base, y) probes.
+    finite differences of the log marginal on 50 random (base, y) probes.
 
     The one-dimensional oracle integrates the smoothed density on a grid; in
     higher dimension it differentiates the closed-form convolved mixture.
     """
     rng = generator(seed, 0, 7)
-    residuals = np.empty(n_probes)
-    for i in range(n_probes):
+    residuals = np.empty(50)
+    for i in range(residuals.size):
         d = int(rng.integers(1, 4))
         if rng.random() < 0.5:
             a = rng.standard_normal((d, d))
@@ -352,13 +352,13 @@ def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = N
 # time change, and the smoothed potential solves its evolution equation.
 
 
-def renorm_equation_residuals(base: TargetMeasure, seed: int, n_probes: int = 20) -> np.ndarray:
-    """Finite-difference residual of d_tau V = -0.5 V'' + 0.5 (V')^2 at random probes."""
+def renorm_equation_residuals(base: TargetMeasure, seed: int) -> np.ndarray:
+    """Finite-difference residual of d_tau V = -0.5 V'' + 0.5 (V')^2 at 20 random probes."""
     rng = generator(seed, 0, 9)
-    out = np.empty(n_probes)
+    out = np.empty(20)
     h_tau = 1e-5
     h_x = 1e-4
-    for i in range(n_probes):
+    for i in range(out.size):
         tau = rng.uniform(0.05, 0.8)
         x = np.atleast_1d(rng.uniform(-3.0, 3.0))
 

@@ -138,10 +138,6 @@ class GaussianMeasure:
         return _readonly(np.linalg.solve(self.cov, np.eye(self.dim)))
 
     @cached_property
-    def chol(self) -> np.ndarray:
-        return _readonly(np.linalg.cholesky(self.cov))
-
-    @cached_property
     def _mixture(self) -> "GaussianMixture":
         """This Gaussian as the one-component mixture, whose tilt algebra it
         uses.  Built without ``GaussianMixture``'s checks: the covariance was
@@ -215,13 +211,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
-    def component(self, j: int) -> GaussianMeasure:
-        return GaussianMeasure(self.means[j], self.covs[j])
-
     @cached_property
     def _precisions(self) -> np.ndarray:
         eye = np.eye(self.dim)
@@ -249,9 +238,6 @@ class GaussianMixture:
         out.setflags(write=False)
         return out
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
-
     def cov(self) -> np.ndarray:
         return _mixture_moments(self.weights, self.means, self.covs)[1]
 
@@ -271,7 +257,7 @@ class GenericPotential:
     ``hess V >= alpha * I`` everywhere.  ``smoothness`` is an upper bound
     ``beta >= alpha`` that, with alpha, sets the step and the momentum of the
     envelope's accelerated mode search; it may be a bound valid on the region
-    the sampler visits rather than a global one.  The gradient is
+    the sampler visits rather than a global one.  The gradient is always
     cross-checked against central finite differences of the potential on
     fixed random probe points at construction time.
 
@@ -289,7 +275,6 @@ class GenericPotential:
     gradient: Callable[[np.ndarray], np.ndarray]
     strong_convexity: float
     smoothness: float | None = None
-    check_gradient: bool = True
     potential_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
     gradient_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -305,8 +290,7 @@ class GenericPotential:
         grads = np.array([np.atleast_1d(np.asarray(self.gradient(x), dtype=float)) for x in points])
         object.__setattr__(self, "potential_rows", _on_rows(self.potential, points, values))
         object.__setattr__(self, "gradient_rows", _on_rows(self.gradient, points, grads))
-        if self.check_gradient:
-            self._verify_gradient(points, grads)
+        self._verify_gradient(points, grads)
 
     def _verify_gradient(self, points: np.ndarray, grads: np.ndarray) -> None:
         for x, grad in zip(points, grads):
@@ -399,20 +383,8 @@ class TiltedMeasure:
         if c.shape != (d,):
             raise ValueError(f"tilt vector shape {c.shape} does not match dimension {d}")
         object.__setattr__(self, "c", _readonly(c))
-        reg = self.reg
-        if np.ndim(reg) == 0:
-            reg = float(reg)
-            if not math.isfinite(reg) or reg < 0.0:
-                raise ValueError("scalar regularizer must be finite and nonnegative")
-            object.__setattr__(self, "reg", min(reg, REG_CAP))
-        else:
-            reg = np.asarray(reg, dtype=float)
-            if reg.shape != (d, d):
-                raise ValueError(
-                    f"matrix regularizer shape {reg.shape} does not match dimension {d}"
-                )
-            _check_spd(reg, "regularizer", semidefinite=True)
-            object.__setattr__(self, "reg", _readonly(reg))
+        reg = _checked_regs(np.asarray(self.reg, dtype=float)[None], d)[0]
+        object.__setattr__(self, "reg", float(reg) if reg.ndim == 0 else _readonly(reg))
 
     @property
     def dim(self) -> int:
@@ -570,9 +542,7 @@ def _mixture_moments(w, means, covs) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.einsum("j,jab->ab", w, covs + spread[:, :, None] * spread[:, None, :])
 
 
-def _generic_is_moments(
-    m: TiltedMeasure, budget: int, rng: np.random.Generator | None, ess_floor: float
-) -> Moments:
+def _generic_is_moments(m: TiltedMeasure, budget: int, rng: np.random.Generator | None) -> Moments:
     """Self-normalized importance sampling with the rejection proposal."""
     if budget <= 0:
         raise ValueError("a positive budget is required for a generic base")
@@ -585,8 +555,8 @@ def _generic_is_moments(
     log_u = _tilted_potential(m.base, m.c, m.reg, draws)
     _, w = _log_normalize(-log_u - log_q)
     ess = 1.0 / float(np.sum(w**2))
-    if ess < ess_floor * (1.0 - ESS_FLOOR_RTOL):
-        raise EffectiveSampleSizeError(ess, ess_floor)
+    if ess < DEFAULT_ESS_FLOOR * (1.0 - ESS_FLOOR_RTOL):
+        raise EffectiveSampleSizeError(ess, DEFAULT_ESS_FLOOR)
     mean = w @ draws
     centered = draws - mean
     cov = np.einsum("n,na,nb->ab", w, centered, centered)
@@ -594,44 +564,34 @@ def _generic_is_moments(
     return Moments(mean, 0.5 * (cov + cov.T), float(se.max()))
 
 
-def posterior_moments(
-    m: TiltedMeasure,
-    budget: int = 0,
-    *,
-    rng: np.random.Generator | None = None,
-    ess_floor: float = DEFAULT_ESS_FLOOR,
-) -> Moments:
+def posterior_moments(m: TiltedMeasure, budget: int = 0, *, rng: np.random.Generator | None = None) -> Moments:
     """Mean and covariance of a tilted measure.
 
     Exact (stderr 0) for Gaussian and mixture bases.  For a generic base the
     estimate is self-normalized importance sampling from the rejection
-    proposal with ``budget`` draws; the reported stderr is the largest
-    coordinatewise standard error of the mean.
+    proposal with ``budget`` draws, which raises ``EffectiveSampleSizeError``
+    below an effective sample size of ``DEFAULT_ESS_FLOOR``; the reported
+    stderr is the largest coordinatewise standard error of the mean.
     """
     if isinstance(m.base, GenericPotential):
-        return _generic_is_moments(m, budget, rng, ess_floor)
+        return _generic_is_moments(m, budget, rng)
     mean, cov = _mixture_moments(*m._closed_form[:3])
     return Moments(mean, 0.5 * (cov + cov.T), 0.0)
 
 
-def sample(
-    m: TiltedMeasure,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> np.ndarray:
+def sample(m: TiltedMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` samples from the tilted measure; deterministic given ``rng``.
 
     Gaussian and mixture bases are sampled exactly (component selection plus
     Cholesky).  Generic bases use rejection sampling from a Gaussian envelope,
-    exact in distribution; exceeding ``max_tries`` for one draw raises
-    ``SamplingBudgetError`` carrying the observed acceptance rate.
+    exact in distribution; needing more than ``DEFAULT_MAX_TRIES`` proposals
+    for one draw raises ``SamplingBudgetError`` carrying the observed
+    acceptance rate.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     if isinstance(m.base, GenericPotential):
-        return _generic_rejection_sample(m, n, rng, max_tries)
+        return _generic_rejection_sample(m, n, rng, DEFAULT_MAX_TRIES)
     w, means, covs, _ = m._closed_form
     return _mixture_draws(w, means, np.linalg.cholesky(covs), n, rng)
 
@@ -759,19 +719,21 @@ def tilt_plan(base: TargetMeasure, regs) -> Callable[[int], TiltStep]:
     scalars (capped at ``REG_CAP`` as ``tilt`` caps them) or ``(d, d)``
     symmetric PSD matrices (uncapped, as ``tilt`` leaves them); see ``TiltStep``
     for which take the eigenbasis formulas.  Gaussian and mixture bases only."""
-    d = base.dim
-    t = np.asarray(regs, dtype=float)
-    if t.ndim == 3:
-        if t.shape[1:] != (d, d):
-            raise ValueError(f"matrix regularizer shape {t.shape[1:]} does not match dimension {d}")
-        for r in t:
-            _check_spd(r, "regularizer", semidefinite=True)
-    else:
-        t = np.atleast_1d(t)
-        if t.ndim != 1 or not (np.isfinite(t) & (t >= 0.0)).all():
-            raise ValueError("scalar regularizers must be finite and nonnegative")
-        t = np.minimum(t, REG_CAP)
-    return _plan(base, t)
+    return _plan(base, _checked_regs(regs, base.dim))
+
+
+def _checked_regs(regs, d: int) -> np.ndarray:
+    """``regs`` checked, and scalars capped, as ``tilt_plan`` describes; ``tilt`` checks its one ``reg`` here too."""
+    t = np.atleast_1d(np.asarray(regs, dtype=float))
+    if t.ndim == 1:
+        if not (np.isfinite(t) & (t >= 0.0)).all():
+            raise ValueError("scalar regularizer must be finite and nonnegative")
+        return np.minimum(t, REG_CAP)
+    if t.shape[1:] != (d, d):
+        raise ValueError(f"matrix regularizer shape {t.shape[1:]} does not match dimension {d}")
+    for r in t:
+        _check_spd(r, "regularizer", semidefinite=True)
+    return t
 
 
 def _plan(base: TargetMeasure, t: np.ndarray) -> Callable[[int], TiltStep]:
@@ -781,13 +743,9 @@ def _plan(base: TargetMeasure, t: np.ndarray) -> Callable[[int], TiltStep]:
     return lambda k: TiltStep(t[k], inv[k], offset[k], shift, const[k])
 
 
-def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, t: float | TiltStep) -> np.ndarray:
-    """Posterior means of ``tilt(base, c_i, t)`` for rows ``c_i`` of ``tilts``.
-
-    ``t`` is a scalar regularizer, or a step ``tilt_plan(base, regs)(k)``,
-    which skips all path-independent work.
-    """
-    step = t if isinstance(t, TiltStep) else tilt_plan(base, [t])(0)
+def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, step: TiltStep) -> np.ndarray:
+    """Posterior means of ``tilt(base, c_i, regs[k])`` for rows ``c_i`` of
+    ``tilts``, from the step ``tilt_plan(base, regs)(k)``."""
     return _weighted_mean(*step.posterior(tilts))
 
 
@@ -808,15 +766,13 @@ def _tilt_means(base: TargetMeasure, regs, budget: int | None = None, rng: np.ra
     )
 
 
-def tilted_sampler(
-    base: TargetMeasure, t, *, max_tries: int = DEFAULT_MAX_TRIES
-) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
+def tilted_sampler(base: TargetMeasure, t) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
     """``(tilts, rng) ->`` one exact draw from each ``tilt(base, c_i, t)`` over
     the rows ``c_i`` of ``tilts``, with everything that does not depend on the
     tilts done once here: the closed-form ``TiltStep`` at ``t`` and its
     Cholesky factors for Gaussian and mixture bases.  A generic base draws the
     rows of a call through one rejection kernel, as ``sample`` does, with at
-    most ``max_tries`` proposals per row.  One row drawn with ``rng`` is
+    most ``DEFAULT_MAX_TRIES`` proposals per row.  One row drawn with ``rng`` is
     bitwise ``sample(tilt(base, c, t), 1, rng)``.
     """
     if isinstance(base, GenericPotential):
@@ -824,7 +780,7 @@ def tilted_sampler(
 
         def draw(tilts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             env = _generic_envelope(m, tilts)
-            return _rejection_rounds(m, env, np.arange(len(env.tilts)), rng, max_tries)
+            return _rejection_rounds(m, env, np.arange(len(env.tilts)), rng, DEFAULT_MAX_TRIES)
 
         return draw
     step = tilt_plan(base, [t])(0)
@@ -837,17 +793,10 @@ def tilted_sampler(
     return draw
 
 
-def sample_tilted_batch(
-    base: TargetMeasure,
-    tilts: np.ndarray,
-    t: float,
-    rng: np.random.Generator,
-    *,
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> np.ndarray:
+def sample_tilted_batch(base: TargetMeasure, tilts: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
     """One exact draw from each ``tilt(base, c_i, t)``: ``tilted_sampler`` at
     ``t`` applied once to the rows of ``tilts``."""
-    return tilted_sampler(base, t, max_tries=max_tries)(tilts, rng)
+    return tilted_sampler(base, t)(tilts, rng)
 
 
 # JSON construction and the builtin potential zoo.

@@ -296,6 +296,14 @@ class TestSinkhornAgainstLogDomain:
         assert res.converged and res.relaxation == 1.0
         assert res.iterations <= 1000
 
+    def test_stops_only_when_the_returned_coupling_meets_tol(self):
+        # At 1e-15 the loop's residual meets tol after 279 iterations while
+        # the coupling formed there reads 1.017e-15; the run goes on until the
+        # coupling's own residual meets tol.
+        mu, pi, r = self.local_kernel()
+        res = solve(mu, pi, r, tol=1e-15)
+        assert res.converged and res.iterations > 279
+
     def test_trace_ends_at_the_returned_residual(self):
         rng = np.random.default_rng(21)
         mu, pi = random_instance(rng, 6, 9)
@@ -501,7 +509,7 @@ class TestFollmerSampler:
         grid = TimeGrid.uniform(0.0, 1.0 - 1e-3, 200)
         noise = wiener_increments(grid, 2, seed=9, stream_id=0)
         terminal = polchinski_run(base, grid, noise).states[-1]
-        assert np.allclose(terminal, noise.terminal(), atol=1e-12)
+        assert np.allclose(terminal, noise.states[-1], atol=1e-12)
 
     def test_standard_normal_terminal_ks(self):
         base = GaussianMeasure([0.0], [[1.0]])

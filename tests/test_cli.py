@@ -108,6 +108,18 @@ class TestCliRuns:
             assert "config error: dt 1.0 leaves" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_too_few_paths_for_a_ks_check_exits_two(self, tmp_path, capsys):
+        for command in ("equiv", "rgd"):
+            out = tmp_path / command
+            assert main([command, "--paths", "10", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "diagnostics.MIN_KS_SAMPLES" in err
+            assert not out.exists()
+        # Neither subcommand runs a KS check, so a small ensemble is no config error.
+        assert main(["simulate", "--paths", "4", "--out", str(tmp_path / "simulate")]) == 0
+        assert main(["bridge", "--paths", "10", "--out", str(tmp_path / "bridge")]) in (0, 1)
+        assert "config error" not in capsys.readouterr().err
+
     def test_lsi_subcommand_tabulates(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["lsi", "--seed", "7", "--out", str(out)])

@@ -81,7 +81,7 @@ class TestWiener:
         grid = TimeGrid.uniform(0.0, 1.0, 1000)
         n = 10_000
         terminal = np.array(
-            [wiener_increments(grid, 1, seed=5, stream_id=s).terminal()[0] for s in range(n)]
+            [wiener_increments(grid, 1, seed=5, stream_id=s).states[-1][0] for s in range(n)]
         )
         assert abs(terminal.mean()) <= 4.0 / math.sqrt(n)
         assert abs(terminal.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
@@ -95,8 +95,8 @@ class TestWiener:
     def test_stream_independence_correlation(self):
         grid = TimeGrid.uniform(0.0, 1.0, 50)
         n = 4000
-        a = np.array([wiener_increments(grid, 1, 7, s).terminal()[0] for s in range(n)])
-        b = np.array([wiener_increments(grid, 1, 7, s + n).terminal()[0] for s in range(n)])
+        a = np.array([wiener_increments(grid, 1, 7, s).states[-1][0] for s in range(n)])
+        b = np.array([wiener_increments(grid, 1, 7, s + n).states[-1][0] for s in range(n)])
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
 
