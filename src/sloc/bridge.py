@@ -137,6 +137,8 @@ _GAP_SCALE = 0.75
 #: this many iterations finishes with plain scaling.  Converging relaxed runs
 #: on the test kernels go at most 24 iterations without one (72 at a forced
 #: relaxation of 1.98, whose residual then climbs back above the safeguard's).
+#: A run whose recomputed coupling residual sets no new minimum in this many
+#: checks in a row stops, flagged.
 _STALL = 100
 
 
@@ -186,8 +188,10 @@ def sinkhorn(
     with).  When it meets ``tol`` the coupling is formed and its residual
     recomputed, and the run stops only if that one meets ``tol`` too; the
     returned ``residual``, and the trace's last entry, are that of the
-    returned coupling.  Non-convergence within ``max_iter`` is flagged, not
-    raised.
+    returned coupling.  When ``_STALL`` such checks in a row set no new
+    minimum of the recomputed residual, ``tol`` lies below the floor that
+    residual reaches, and the run stops there, flagged, with the last coupling
+    checked.  Non-convergence within ``max_iter`` is flagged, not raised.
     """
     r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
     if np.any(r <= 0.0):
@@ -201,6 +205,7 @@ def sinkhorn(
     kv = kernel @ v
     trace, steps = [], []
     omega, floor, fallen, best, stalled = 1.0, math.inf, False, math.inf, 0
+    best_checked, misses = math.inf, 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if omega == 1.0:
@@ -219,7 +224,8 @@ def sinkhorn(
         trace.append(residual)
         if residual <= tol:
             coupling, checked = _coupling(kernel, u, v, a, b)
-            if checked <= tol:
+            best_checked, misses = (checked, 0) if checked < best_checked else (best_checked, misses + 1)
+            if checked <= tol or misses == _STALL:
                 break
         if iterations == _PLAIN:
             omega, floor = _relaxation(steps, a), residual

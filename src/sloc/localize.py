@@ -1,5 +1,5 @@
 """The tilt SDE, its Gaussian-channel construction, the weighted-particle
-measure process, and the anisotropic control-matrix step.
+measure process, and the control-matrix dynamics.
 
 The three constructions realize the same random measures: the tilt process
 ``dc_t = m_t dt + dW_t`` with ``m_t`` the mean of the tilted measure at
@@ -83,18 +83,28 @@ class ParticleCloud:
         return self.weights @ self.points
 
 
-def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, rng=None):
-    """Regularizers, start row and engine step of the tilt SDE on states ``[c, m]``.
-    The regularizer accumulates as ``t += dt``, so identity-control runs match bitwise."""
+def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, rng=None, control=None):
+    """Times, regularizers, start row and engine step on states ``[c, m]`` of the
+    tilt SDE or, given a control matrix ``C``, of ``dc = C C' m dt + C dW``,
+    ``dR = C C' dt``.  Time accumulates as ``t += dt`` and the matrix as
+    ``R += C C' dt``, so identity-control runs match the tilt SDE bitwise."""
+    if grid.times[0] != 0.0:
+        raise ValueError("the tilt process starts at time 0")
     d, dts = base.dim, grid.dts
-    t = np.cumsum(np.concatenate([grid.times[:1], dts]))
-    mean = targets._tilt_means(base, t, budget, rng)
+    t = regs = np.cumsum(np.concatenate([grid.times[:1], dts]))
+    if control is not None:
+        cc = control @ control.T
+        regs = np.cumsum(np.concatenate([np.zeros((1, d, d)), cc * dts[:, None, None]]), axis=0)
+    mean = targets._tilt_means(base, regs, budget, rng)
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        c = x[:, :d] + x[:, d:] * dts[k] + dw
+        m = x[:, d:]
+        if control is not None:
+            m, dw = m @ cc.T, dw @ control.T
+        c = x[:, :d] + m * dts[k] + dw
         return np.concatenate([c, mean(k + 1, c)], axis=1)
 
-    return t, np.concatenate([np.zeros((1, d)), mean(0, np.zeros((1, d)))], axis=1), step
+    return t, regs, np.concatenate([np.zeros((1, d)), mean(0, np.zeros((1, d)))], axis=1), step
 
 
 def tilt_sde_run(
@@ -116,10 +126,8 @@ def tilt_sde_run(
     """
     d = base.dim
     dw = _noise_increments(noise, grid, d)
-    if grid.times[0] != 0.0:
-        raise ValueError("the tilt process starts at time 0")
     rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
-    t, x0, step = _tilt_step(base, grid, budget, rng)
+    t, _, x0, step = _tilt_step(base, grid, budget, rng)
     snaps = _integrate(grid, x0, step, dw)
     return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, snaps.values())]
 
@@ -135,13 +143,13 @@ def tilt_sde_ensemble(
 ) -> dict[float, np.ndarray]:
     """Terminal (and requested intermediate) tilt vectors across an ensemble.
 
-    Paths use stream ids 0..n_paths-1; results are independent of chunking
-    and of the worker count.  Returns a map from snapshot time to an
-    ``(n_paths, d)`` array.  Only closed-form (Gaussian/mixture) bases are
-    supported here.
+    The grid must start at 0.  Paths use stream ids 0..n_paths-1; results
+    are independent of chunking and of the worker count.  Returns a map from
+    snapshot time to an ``(n_paths, d)`` array.  Only closed-form
+    (Gaussian/mixture) bases are supported here.
     """
     d = base.dim
-    _, x0, step = _tilt_step(base, grid)
+    _, _, x0, step = _tilt_step(base, grid)
     noise = partial(wiener_increment_array, grid, d, seed)
     snaps = _integrate(grid, np.repeat(x0, n_paths, axis=0), step, noise, snapshot_times, chunk, workers)
     return {s: x[:, :d].copy() for s, x in snaps.items()}
@@ -280,44 +288,24 @@ def particle_ensemble(
     return points, log_w, log_mass
 
 
-def anisotropic_step(
-    base: TargetMeasure,
-    state: SLState,
-    control: np.ndarray,
-    dt: float,
-    dw: np.ndarray,
-) -> SLState:
-    """One Euler step of the control-matrix dynamics on a Gaussian or mixture base.
+def anisotropic_run(base: TargetMeasure, grid: TimeGrid, noise: SamplePath, control: np.ndarray) -> list[SLState]:
+    """Euler-Maruyama on the control-matrix dynamics ``dc = C C' m dt + C dW``,
+    ``dR = C C' dt`` from ``c = 0``, ``R = 0`` at time 0, on a Gaussian or
+    mixture base; each state holds its regularizer as a matrix.
 
-    ``dc = C C' m dt + C dW`` and ``dReg = C C' dt``; the state must hold its
-    regularizer as a matrix.  The mean comes from a one-point matrix plan of
-    the kernel that ``tilt_sde_run`` steps through, so with ``C = I`` every
-    float operation reduces to the isotropic step and the two runs agree
-    bitwise on a shared noise path.
+    The means come from one matrix plan over the grid's regularizers, and the
+    run steps through the engine on the noise path's increments, as
+    ``tilt_sde_run`` does; with ``C = I`` every float operation reduces to the
+    isotropic step and the two runs agree bitwise on a shared noise path.
     """
-    if np.ndim(state.reg) != 2:
-        raise ValueError("anisotropic stepping requires a matrix regularizer")
-    d = state.c.size
+    d = base.dim
+    dw = _noise_increments(noise, grid, d)
     control = np.asarray(control, dtype=float)
     if control.shape != (d, d):
         raise ValueError(f"control matrix shape {control.shape} does not match dimension {d}")
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (d,):
-        raise ValueError("noise increment dimension mismatch")
-    cc = control @ control.T
-    c_new = state.c + (cc @ state.m) * dt + control @ dw
-    reg_new = np.asarray(state.reg) + cc * dt
-    m_new = targets._tilt_means(base, reg_new[None])(0, c_new[None])[0]
-    return SLState(state.t + dt, c_new, reg_new, m_new)
-
-
-def initial_anisotropic_state(base: TargetMeasure) -> SLState:
-    """Starting state (t=0, c=0, zero matrix regularizer) with its cached mean,
-    on a Gaussian or mixture base."""
-    d = base.dim
-    c = np.zeros(d)
-    reg = np.zeros((d, d))
-    return SLState(0.0, c, reg, targets._tilt_means(base, reg[None])(0, c[None])[0])
+    t, regs, x0, step = _tilt_step(base, grid, control=control)
+    snaps = _integrate(grid, x0, step, dw)
+    return [SLState(float(tk), x[0, :d], reg, x[0, d:]) for tk, reg, x in zip(t, regs, snaps.values())]
 
 
 def write_trajectory_csv(

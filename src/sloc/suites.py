@@ -26,10 +26,8 @@ from typing import Callable, Iterator, NamedTuple, ParamSpec
 import numpy as np
 
 from . import bridge, diagnostics, diffusion, localize, polchinski, rgd, targets
-from .sde import TimeGrid, generator, wiener_increments
+from .sde import TimeGrid, _fmt, generator, wiener_increments
 from .targets import GaussianMeasure, GaussianMixture, TargetMeasure
-
-_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,12 @@ class Report:
         # Runtimes are excluded so repeated runs stay byte-identical.
         lines = ["name,observed,tolerance,passed"]
         for c in self.checks:
-            lines.append(
-                f"{c.name},{format(c.observed, '.17g')},{format(c.tolerance, '.17g')},{int(c.passed)}"
-            )
+            lines.append(f"{c.name},{_fmt(c.observed)},{_fmt(c.tolerance)},{int(c.passed)}")
         return lines
 
 
 def _subseed(seed: int, k: int) -> int:
-    return (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _U64
+    return (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & targets._U64
 
 
 class _Verdict(NamedTuple):
@@ -607,16 +603,9 @@ def check_stability_and_reduction(budget: SuiteBudget) -> Iterator[_Verdict]:
     base = GaussianMeasure(np.zeros(2), np.eye(2))
     grid = TimeGrid.uniform(0.0, 1.0, 100)
     noise = wiener_increments(grid, 2, _subseed(budget.seed, 18), 0)
-    iso = localize.tilt_sde_run(base, grid, noise)
-    state = localize.initial_anisotropic_state(base)
-    eye = np.eye(2)
-    dw = noise.increments()
-    identical = np.array_equal(np.asarray(state.c), np.asarray(iso[0].c))
-    for k in range(grid.steps):
-        state = localize.anisotropic_step(base, state, eye, float(grid.dts[k]), dw[k])
-        same_c = state.c.tobytes() == iso[k + 1].c.tobytes()
-        same_m = state.m.tobytes() == iso[k + 1].m.tobytes()
-        identical = identical and same_c and same_m
+    runs = (localize.tilt_sde_run(base, grid, noise), localize.anisotropic_run(base, grid, noise, np.eye(2)))
+    iso, aniso = (np.array([np.concatenate([state.c, state.m]) for state in run]).tobytes() for run in runs)
+    identical = iso == aniso
     yield _Verdict(
         "stability/identity-control-reduction",
         0.0 if identical else 1.0,
@@ -671,8 +660,7 @@ def check_lsi_schedules(budget: SuiteBudget) -> Iterator[_Verdict]:
     )
 
 
-# The suites by name, as the CLI subcommands and scripts/run_equivalences.py
-# run them.
+# The suites by name, as the CLI subcommands run them.
 
 
 SUITES: dict[str, tuple[Callable[..., list[CheckResult]], ...]] = {

@@ -304,6 +304,14 @@ class TestSinkhornAgainstLogDomain:
         res = solve(mu, pi, r, tol=1e-15)
         assert res.converged and res.iterations > 279
 
+    def test_tol_below_the_recomputed_floor_stops_flagged(self):
+        # The recomputed residual levels off near 1.3e-16; below that the run
+        # stops after _STALL checks without a new minimum, not at max_iter.
+        mu, pi, r = self.local_kernel()
+        res = solve(mu, pi, r, tol=1e-16)
+        assert not res.converged and res.iterations < 1000
+        assert res.residual_trace[-1] == res.residual > 1e-16
+
     def test_trace_ends_at_the_returned_residual(self):
         rng = np.random.default_rng(21)
         mu, pi = random_instance(rng, 6, 9)

@@ -3,7 +3,8 @@
 Every ensemble path is a pure function of ``(seed, stream id)``: neither the
 chunk size nor the worker count may change a single bit, for a one-dimensional
 Gaussian base or for a three-dimensional mixture with unequal covariances.
-A single-path run is a row of its ensemble, and both fail on a non-finite state.
+A single-path run is a row of its ensemble, and both fail on a non-finite state;
+so does the control-matrix run, which with ``C = I`` is the tilt run bit for bit.
 """
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ import pytest
 from sloc import bridge, diffusion, localize, polchinski, sde
 from sloc.bridge import FollmerDrift, girsanov_energy
 from sloc.diffusion import backward_sde_ensemble, backward_sde_run
-from sloc.localize import channel_ensemble, particle_ensemble, particle_sl_run, tilt_sde_ensemble, tilt_sde_run
+from sloc.localize import (
+    anisotropic_run,
+    channel_ensemble,
+    particle_ensemble,
+    particle_sl_run,
+    tilt_sde_ensemble,
+    tilt_sde_run,
+)
 from sloc.polchinski import polchinski_ensemble, polchinski_run
 from sloc.sde import NonFiniteStateError, TimeGrid, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
@@ -155,6 +163,7 @@ SINGLE_DRIVERS = {
     "backward": lambda base, grid, noise: backward_sde_run(base, grid, noise),
     "flow": lambda base, grid, noise: polchinski_run(base, grid, noise),
     "particle": lambda base, grid, noise: particle_sl_run(base, 16, grid, noise, ess_floor=1.0),
+    "control": lambda base, grid, noise: anisotropic_run(base, grid, noise, np.eye(base.dim)),
 }
 
 
@@ -191,6 +200,29 @@ def test_non_finite_state_raises(monkeypatch, name, base_name):
             single_run(name, base, grid, wiener_increments(grid, base.dim, 32, BAD_STREAM))
     assert err.value.step == BAD_STEP + 1
     assert err.value.t == grid.times[BAD_STEP + 1]
+
+
+@pytest.mark.parametrize("base_name", sorted(BASES))
+def test_non_finite_control_state_raises(monkeypatch, base_name):
+    patch_noise(monkeypatch, inf_in_one_stream)
+    base, grid = BASES[base_name], SINGLE_GRIDS["tilt"][0]
+    noise = wiener_increments(grid, base.dim, 32, BAD_STREAM)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+        anisotropic_run(base, grid, noise, np.eye(base.dim))
+    assert err.value.step == BAD_STEP + 1
+    assert err.value.t == grid.times[BAD_STEP + 1]
+
+
+@pytest.mark.parametrize("base_name", sorted(BASES))
+def test_identity_control_run_is_bitwise_the_tilt_run(base_name):
+    base, grid = BASES[base_name], SINGLE_GRIDS["tilt"][0]
+    noise = wiener_increments(grid, base.dim, 36, 0)
+    iso = tilt_sde_run(base, grid, noise)
+    for state, ref in zip(anisotropic_run(base, grid, noise, np.eye(base.dim)), iso, strict=True):
+        assert state.t == ref.t
+        assert state.c.tobytes() == ref.c.tobytes()
+        assert state.m.tobytes() == ref.m.tobytes()
+        assert np.array_equal(state.reg, ref.reg * np.eye(base.dim))
 
 
 @pytest.mark.parametrize("base_name", sorted(BASES))

@@ -8,16 +8,15 @@ from sloc import localize, targets
 from sloc.diagnostics import ks_two_sample
 from sloc.localize import (
     WeightCollapseError,
-    anisotropic_step,
+    anisotropic_run,
     channel_ensemble,
     channel_path,
-    initial_anisotropic_state,
     particle_sl_run,
     tilt_sde_ensemble,
     tilt_sde_run,
     write_trajectory_csv,
 )
-from sloc.sde import TimeGrid, wiener_increment_array, wiener_increments
+from sloc.sde import SamplePath, TimeGrid, wiener_increment_array, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture, posterior_moments, tilt
 
 from oracles import centered_particle_reweighting
@@ -63,6 +62,12 @@ class TestTiltSde:
         noise = wiener_increments(grid, 1, 0, 0)
         with pytest.raises(ValueError, match="time 0"):
             tilt_sde_run(std_normal(), grid, noise)
+        # The ensemble and the control run share the check; unchecked, the
+        # ensemble would start the law of time 0 at time 0.5.
+        with pytest.raises(ValueError, match="time 0"):
+            tilt_sde_ensemble(std_normal(), grid, seed=1, n_paths=4)
+        with pytest.raises(ValueError, match="time 0"):
+            anisotropic_run(std_normal(), grid, noise, np.eye(1))
 
     def test_ensemble_matches_per_path_runner(self):
         base = GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]])
@@ -280,20 +285,20 @@ class TestAnisotropic:
         grid = TimeGrid.uniform(0.0, 1.0, 50)
         noise = wiener_increments(grid, 2, seed=15, stream_id=0)
         iso = tilt_sde_run(base, grid, noise)
-        state = initial_anisotropic_state(base)
-        dw = noise.increments()
+        run = anisotropic_run(base, grid, noise, np.eye(2))
+        state = run[0]
         assert state.c.tobytes() == iso[0].c.tobytes()
         assert state.m.tobytes() == iso[0].m.tobytes()
         for k in range(grid.steps):
-            state = anisotropic_step(base, state, np.eye(2), float(grid.dts[k]), dw[k])
+            state = run[k + 1]
             assert state.c.tobytes() == iso[k + 1].c.tobytes()
             assert state.m.tobytes() == iso[k + 1].m.tobytes()
             assert np.array_equal(np.diag(np.asarray(state.reg)), np.full(2, iso[k + 1].reg))
 
     def test_zero_control_freezes_state(self):
         base = GaussianMeasure(np.zeros(2), np.eye(2))
-        state = initial_anisotropic_state(base)
-        frozen = anisotropic_step(base, state, np.zeros((2, 2)), 0.1, np.ones(2))
+        noise = SamplePath(TimeGrid.uniform(0.0, 0.1, 1), [[0.0, 0.0], [1.0, 1.0]], seed=0, stream_id=0)
+        state, frozen = anisotropic_run(base, noise.grid, noise, np.zeros((2, 2)))
         assert np.array_equal(frozen.c, state.c)
         assert np.array_equal(np.asarray(frozen.reg), np.asarray(state.reg))
 
@@ -305,13 +310,9 @@ class TestAnisotropic:
         grid = TimeGrid.uniform(0.0, 1.0, 80)
         noise2 = wiener_increments(grid, 2, seed=16, stream_id=0)
         control = np.diag([1.0, 0.0])
-        state = initial_anisotropic_state(base2)
-        dw2 = noise2.increments()
-        cs = [state.c.copy()]
-        for k in range(grid.steps):
-            state = anisotropic_step(base2, state, control, float(grid.dts[k]), dw2[k])
-            cs.append(state.c.copy())
-        cs = np.array(cs)
+        run = anisotropic_run(base2, grid, noise2, control)
+        state, dw2 = run[-1], noise2.increments()
+        cs = np.array([s.c for s in run])
         assert np.all(cs[:, 1] == 0.0)
         assert np.allclose(np.asarray(state.reg), np.diag([grid.times[-1], 0.0]), atol=1e-12)
 
@@ -326,11 +327,11 @@ class TestAnisotropic:
             m = posterior_moments(tilt(base1, c, t)).mean
         assert c[0] == pytest.approx(cs[-1, 0], abs=1e-10)
 
-    def test_scalar_state_rejected(self):
-        base = std_normal()
-        state = localize.SLState(0.0, np.zeros(1), 0.0, np.zeros(1))
-        with pytest.raises(ValueError, match="matrix"):
-            anisotropic_step(base, state, np.eye(1), 0.1, np.zeros(1))
+    def test_misshapen_control_rejected(self):
+        grid = TimeGrid.uniform(0.0, 0.2, 2)
+        noise = wiener_increments(grid, 1, seed=17, stream_id=0)
+        with pytest.raises(ValueError, match="control matrix"):
+            anisotropic_run(std_normal(), grid, noise, np.eye(2))
 
 
 
