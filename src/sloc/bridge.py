@@ -133,12 +133,11 @@ class SinkhornResult:
 _PLAIN = 4
 #: ``sinkhorn`` sets its relaxation for ``1 - lambda`` scaled by this factor.
 _GAP_SCALE = 0.75
-#: An over-relaxed ``sinkhorn`` run whose residual sets no new minimum for
-#: this many iterations finishes with plain scaling.  Converging relaxed runs
-#: on the test kernels go at most 24 iterations without one (72 at a forced
-#: relaxation of 1.98, whose residual then climbs back above the safeguard's).
-#: A run whose recomputed coupling residual sets no new minimum in this many
-#: checks in a row stops, flagged.
+#: A ``sinkhorn`` run whose loop residual sets no new minimum for this many
+#: iterations changes course: a relaxed run finishes plain, a plain run stops,
+#: flagged.  Converging relaxed runs on the test kernels go at most 24
+#: iterations without one (10 at a forced relaxation of 1.98, before its
+#: residual climbs back above its value at the switch).
 _STALL = 100
 
 
@@ -171,27 +170,26 @@ def sinkhorn(
     which the largest Ritz value is a lower bound on ``lambda``.  A low
     ``omega`` costs far more than a high one (the rate's slope is infinite
     just below the optimum and 1 above it), so ``omega`` is set for ``1 -
-    lambda`` scaled by ``_GAP_SCALE``.  Safeguard: once the residual has
-    fallen below its value when ``omega`` was set, a residual above that
-    value ends the relaxation and the run finishes with ``omega = 1``; a
-    residual that is not finite does the same from the initial scalings.  On
-    the benchmark's lattice supports this takes 16 iterations where plain
-    scaling takes 25, and 37-39 where it takes 142-145; on a slow 30 x 40
-    heat kernel, 161 where it takes about 2900.  There the relaxed residual
-    stalls near 8e-16, above the floor plain scaling reaches, so a relaxed
-    run whose residual sets no new minimum for ``_STALL`` iterations also
-    finishes with ``omega = 1`` from its current scalings.
+    lambda`` scaled by ``_GAP_SCALE``.  On the benchmark's lattice supports
+    this takes 16 iterations where plain scaling takes 25, and 37-39 where it
+    takes 142-145; on a slow 30 x 40 heat kernel, 161 where it takes about
+    2900.
 
     The residual is the larger of the L1 row and column marginal violations
     of ``u K v'``, read off each iteration's two products (column sums
     ``v K'u``, row sums ``u K v`` from the product the next iteration starts
     with).  When it meets ``tol`` the coupling is formed and its residual
-    recomputed, and the run stops only if that one meets ``tol`` too; the
-    returned ``residual``, and the trace's last entry, are that of the
-    returned coupling.  When ``_STALL`` such checks in a row set no new
-    minimum of the recomputed residual, ``tol`` lies below the floor that
-    residual reaches, and the run stops there, flagged, with the last coupling
-    checked.  Non-convergence within ``max_iter`` is flagged, not raised.
+    recomputed, and the run stops converged only if that one meets ``tol``
+    too; the returned ``residual``, and the trace's last entry, are that of
+    the returned coupling.  One rule ends a course of iterations: the residual
+    is not finite, or it has set no new minimum for ``_STALL`` iterations, or
+    it climbs back above its value when ``omega`` was set after falling below
+    it.  A relaxed run then finishes plain, from ``u = v = 1`` if the residual
+    was not finite; a plain run stops there, flagged, as at ``max_iter``.  So
+    a relaxation that diverges or stalls (the slow heat kernel's stalls near
+    8e-16, above the floor plain scaling reaches) gives way to plain scaling,
+    and a ``tol`` below the residual's floor costs at most two stalls, not
+    ``max_iter`` iterations.
     """
     r = _checked_shape(ref_kernel, mu, pi, "reference kernel")
     if np.any(r <= 0.0):
@@ -204,9 +202,8 @@ def sinkhorn(
     u, v = np.ones(mu.n), np.ones(pi.n)
     kv = kernel @ v
     trace, steps = [], []
-    omega, floor, fallen, best, stalled = 1.0, math.inf, False, math.inf, 0
-    best_checked, misses = math.inf, 0
-    iterations = 0
+    omega, floor, best, stalled = 1.0, math.inf, math.inf, 0
+    checked, iterations = math.inf, 0
     for iterations in range(1, max_iter + 1):
         if omega == 1.0:
             step = a / kv
@@ -224,23 +221,21 @@ def sinkhorn(
         trace.append(residual)
         if residual <= tol:
             coupling, checked = _coupling(kernel, u, v, a, b)
-            best_checked, misses = (checked, 0) if checked < best_checked else (best_checked, misses + 1)
-            if checked <= tol or misses == _STALL:
+            if checked <= tol:
                 break
-        if iterations == _PLAIN:
-            omega, floor = _relaxation(steps, a), residual
-        elif omega != 1.0:
-            fallen = fallen or residual < floor
+        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+        if not math.isfinite(residual) or stalled == _STALL or best < floor < residual:
+            if omega == 1.0:
+                break
+            omega, floor, best, stalled = 1.0, math.inf, math.inf, 0
             if not math.isfinite(residual):
-                omega = 1.0
                 alpha, beta = np.zeros(mu.n), np.zeros(pi.n)
                 kernel = r
                 u, v = np.ones(mu.n), np.ones(pi.n)
                 kv = kernel @ v
                 continue
-            best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
-            if (fallen and residual > floor) or stalled == _STALL:
-                omega = 1.0
+        elif iterations == _PLAIN:
+            omega, floor = _relaxation(steps, a), residual
         if _out_of_range(u) or _out_of_range(v):
             alpha += np.log(u)
             beta += np.log(v)
@@ -250,7 +245,7 @@ def sinkhorn(
             np.exp(kernel, out=kernel)
             u, v = np.ones(mu.n), np.ones(pi.n)
             kv = kernel @ v
-    else:
+    if not checked <= tol:
         coupling, checked = _coupling(kernel, u, v, a, b)
     if trace:
         trace[-1] = checked

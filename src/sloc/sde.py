@@ -101,8 +101,11 @@ class TimeGrid:
         return cls(np.geomspace(start, stop, steps + 1))
 
     def including(self, *points: float) -> "TimeGrid":
-        """Union of this grid with extra time points, for exact snapshots."""
-        return TimeGrid(np.unique(np.concatenate([self.times, np.asarray(points, float)])))
+        """Union of this grid with extra time points, for exact snapshots.  A
+        point already on the grid up to round-off is left out, so no step is
+        of round-off size."""
+        new = [t for t in points if self._nearest(t) is None]
+        return TimeGrid(np.unique(np.concatenate([self.times, np.asarray(new, float)])))
 
     @property
     def dts(self) -> np.ndarray:
@@ -123,10 +126,15 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of a grid point equal to ``t`` up to round-off."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if not math.isclose(self.times[idx], t, rel_tol=1e-12, abs_tol=1e-12):
+        idx = self._nearest(t)
+        if idx is None:
             raise ValueError(f"time {t!r} is not a grid point")
         return idx
+
+    def _nearest(self, t: float) -> int | None:
+        """``index_of(t)``, or None where that raises."""
+        idx = int(np.argmin(np.abs(self.times - t)))
+        return idx if math.isclose(self.times[idx], t, rel_tol=1e-12, abs_tol=1e-12) else None
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,7 @@ def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = N
     gauss = base if base is not None else std_gaussian()
     snap_times = (0.5, 1.0)
     u_grid = TimeGrid.geometric(budget.eps_clip, 1.0, 2500).including(*snap_times)
-    t_grid = TimeGrid.uniform(0.0, 1.0, round(1.0 / budget.dt))
+    t_grid = TimeGrid.uniform(0.0, 1.0, round(1.0 / budget.dt)).including(*snap_times)
 
     for label, b in (("gaussian", gauss), ("mixture", test_mixture())):
         back = diffusion.backward_sde_ensemble(

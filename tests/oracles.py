@@ -77,27 +77,27 @@ def quad_moments_2d(unnormalized, xg: np.ndarray, yg: np.ndarray):
 def log_domain_sinkhorn(a, b, ref_kernel, tol: float, max_iter: int = 100_000, dtype=np.float64):
     """Sinkhorn scaling in log domain, every iteration forming the coupling.
 
-    Returns ``(f, g, gamma, iterations, residual)`` with ``gamma = R f g'``
-    and the residual the larger L1 marginal violation of ``gamma``.  With
-    ``dtype=np.longdouble`` it runs in extended precision where the platform
-    has it.
+    Returns ``(f, g, gamma, iterations, trace)`` with ``gamma = R f g'`` and
+    ``trace`` each iteration's residual, the larger L1 marginal violation of
+    that iteration's ``gamma``.  With ``dtype=np.longdouble`` it runs in
+    extended precision where the platform has it.
     """
     a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     log_r = np.log(np.asarray(ref_kernel, dtype))
     log_a, log_b = np.log(a), np.log(b)
     log_f, log_g = np.zeros(len(a), dtype), np.zeros(len(b), dtype)
-    iterations, residual = 0, math.inf
+    iterations, trace = 0, []
     for iterations in range(1, max_iter + 1):
         log_f = log_a - logsumexp(log_r + log_g[None, :], axis=1)
         log_g = log_b - logsumexp(log_r + log_f[:, None], axis=0)
         gamma = np.exp(log_r + log_f[:, None] + log_g[None, :])
         row = float(np.abs(gamma.sum(axis=1) - a).sum())
         col = float(np.abs(gamma.sum(axis=0) - b).sum())
-        residual = max(row, col)
-        if residual <= tol:
+        trace.append(max(row, col))
+        if trace[-1] <= tol:
             break
     gamma = np.exp(log_r + log_f[:, None] + log_g[None, :])
-    return np.exp(log_f), np.exp(log_g), gamma, iterations, residual
+    return np.exp(log_f), np.exp(log_g), gamma, iterations, np.array(trace)
 
 
 def heat_kernel_rows(mu_points, pi_points, mu_weights) -> np.ndarray:

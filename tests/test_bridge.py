@@ -159,7 +159,8 @@ class TestSinkhorn:
         mu, pi = random_instance(rng, 4, 5)
         ref = heat_kernel_reference(mu, pi)
         ref[1, 2] = np.nan
-        assert not sinkhorn(mu, pi, ref, max_iter=3).converged
+        res = sinkhorn(mu, pi, ref)
+        assert not res.converged and res.iterations <= 3
         ref[3, 0] = -1.0
         with pytest.raises(ValueError, match="positive"):
             sinkhorn(mu, pi, ref)
@@ -198,6 +199,14 @@ class TestSinkhornAgainstLogDomain:
         return mu, pi, np.exp(-690.0 * np.subtract.outer(x, y) ** 2)
 
     @staticmethod
+    def hard_lattice():
+        # Supports shaped as the benchmark's hard ones, at n = 200.
+        rng = np.random.default_rng(42)
+        mu = lattice_support(rng, 200, 4.0, 0.0)
+        pi = lattice_support(rng, 200, 4.0, 2.5)
+        return mu, pi, heat_kernel_reference(mu, pi)
+
+    @staticmethod
     def absorbing_solve(monkeypatch, mu, pi, r, absorb, tol):
         """``solve`` at ``tol``, failing unless the kernel absorbed the scalings."""
         from sloc import bridge
@@ -233,10 +242,10 @@ class TestSinkhornAgainstLogDomain:
 
     @staticmethod
     @functools.cache
-    def local_oracle(tol):
-        """The extended-precision log-domain run on ``local_kernel`` at ``tol``."""
+    def local_oracle():
+        """The extended-precision log-domain run on ``local_kernel`` to 2e-16."""
         mu, pi, r = TestSinkhornAgainstLogDomain.local_kernel()
-        return log_domain_sinkhorn(mu.weights, pi.weights, r, tol=tol, dtype=np.longdouble)
+        return log_domain_sinkhorn(mu.weights, pi.weights, r, tol=2e-16, dtype=np.longdouble)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
     @pytest.mark.parametrize("absorb", [None, 1e3])
@@ -248,17 +257,14 @@ class TestSinkhornAgainstLogDomain:
         mu, pi, r = self.local_kernel()
         assert r.min() < 1e-299 and r.max() == 1.0
         res = self.absorbing_solve(monkeypatch, mu, pi, r, absorb, tol=2e-15)
-        assert res.iterations <= self.local_oracle(2e-15)[3] / 5
-        f, g, gamma, _, _ = self.local_oracle(2e-16)
+        f, g, gamma, _, trace = self.local_oracle()
+        assert res.iterations <= (1 + np.argmax(trace <= 2e-15)) / 5
         self.assert_same_scalings(res, f, g, rtol=1e-13)
         normal = gamma >= np.finfo(float).tiny
         np.testing.assert_allclose(res.coupling.gamma[normal], gamma[normal], rtol=1e-12, atol=0.0)
 
     def test_hard_lattice_takes_a_third_of_the_oracle_iterations(self):
-        rng = np.random.default_rng(42)
-        mu = lattice_support(rng, 200, 4.0, 0.0)
-        pi = lattice_support(rng, 200, 4.0, 2.5)
-        ref = heat_kernel_reference(mu, pi)
+        mu, pi, ref = self.hard_lattice()
         res = solve(mu, pi, ref, tol=1e-13)
         f, g, gamma, iterations, _ = log_domain_sinkhorn(mu.weights, pi.weights, ref, tol=1e-13)
         assert iterations > 100
@@ -270,12 +276,10 @@ class TestSinkhornAgainstLogDomain:
         # At 1.98 the residual falls below its value at the switch and climbs
         # back above it; at 2.0 it overflows, and the run restarts from
         # u = v = 1.
-        rng = np.random.default_rng(42)
-        mu = lattice_support(rng, 200, 4.0, 0.0)
-        pi = lattice_support(rng, 200, 4.0, 2.5)
+        mu, pi, ref = self.hard_lattice()
         monkeypatch.setattr(bridge, "_relaxation", lambda steps, a: omega)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = solve(mu, pi, heat_kernel_reference(mu, pi), tol=1e-10)
+            res = solve(mu, pi, ref, tol=1e-10)
         assert res.converged and res.relaxation == 1.0
         trace = res.residual_trace
         switch = trace[bridge._PLAIN - 1]
@@ -304,13 +308,17 @@ class TestSinkhornAgainstLogDomain:
         res = solve(mu, pi, r, tol=1e-15)
         assert res.converged and res.iterations > 279
 
-    def test_tol_below_the_recomputed_floor_stops_flagged(self):
-        # The recomputed residual levels off near 1.3e-16; below that the run
-        # stops after _STALL checks without a new minimum, not at max_iter.
-        mu, pi, r = self.local_kernel()
-        res = solve(mu, pi, r, tol=1e-16)
+    @pytest.mark.parametrize("kernel, tol", [("local", 1e-16), ("hard", 1e-17)], ids=["local", "hard"])
+    def test_tol_below_the_floor_stops_flagged(self, kernel, tol):
+        # The local kernel's recomputed residual levels off near 1.3e-16; the
+        # hard lattice's loop residual never reaches 1e-17, so no coupling is
+        # checked.  Below the floor the run stops once its residual has set no
+        # new minimum for _STALL iterations relaxed and _STALL plain, not at
+        # max_iter.
+        mu, pi, r = self.local_kernel() if kernel == "local" else self.hard_lattice()
+        res = solve(mu, pi, r, tol=tol)
         assert not res.converged and res.iterations < 1000
-        assert res.residual_trace[-1] == res.residual > 1e-16
+        assert res.residual_trace[-1] == res.residual > tol
 
     def test_trace_ends_at_the_returned_residual(self):
         rng = np.random.default_rng(21)

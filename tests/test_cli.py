@@ -108,6 +108,14 @@ class TestCliRuns:
             assert "config error: dt 1.0 leaves" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_a_dt_whose_grid_misses_a_snapshot_time_runs(self, tmp_path, capsys):
+        # At dt 0.3 the tilt grid is 0, 1/3, 2/3, 1: t = 0.5 is joined to it.
+        out = tmp_path / "out"
+        assert main(["equiv", "--dt", "0.3", "--paths", "200", "--out", str(out)]) in (0, 1)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert (out / "report.json").exists()
+
     def test_too_few_paths_for_a_ks_check_exits_two(self, tmp_path, capsys):
         for command in ("equiv", "rgd"):
             out = tmp_path / command

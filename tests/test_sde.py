@@ -62,6 +62,10 @@ class TestTimeGrid:
     def test_including_inserts_snapshot(self):
         grid = TimeGrid.geometric(1e-3, 1.0, 50).including(0.5)
         assert grid.index_of(0.5) >= 0
+        # The middle point of 98 uniform steps is 0.5 less an ulp, and stands for it.
+        uniform = TimeGrid.uniform(0.0, 1.0, 98)
+        assert uniform.times[49] != 0.5
+        assert np.array_equal(uniform.including(0.5, 1.0).times, uniform.times)
 
 
 class TestWiener:
