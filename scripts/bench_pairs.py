@@ -14,6 +14,17 @@ digests (the hashes of each pass's outputs), and ``digests`` lists, per
 workload, the pairs whose two sides' digests match and those where they
 differ, so a claim that no output bit moved is checked on every pair.
 
+In the same alternating pairs, after the workloads, each side also times the
+runs a user makes, each in a fresh process so that its imports count: every
+subcommand of ``COMMANDS`` as ``sloc <command> --seed 42`` at the default
+budgets (through ``compare_outputs.run_outputs``), with a sha256 of every file
+it writes (``report.json`` without its checks' runtimes), and every acceptance
+criterion of ``CRITERIA`` as one ``pytest`` run of ``tests/test_acceptance.py``.
+The ``end_to_end`` block holds these runs, the summary of their wall times
+``wall_s`` by the same pair rule and ``verdict_s``'s regression bound, and the
+pairs whose output digests match and differ.  A criterion's time includes
+pytest's start-up.
+
 ``CHANGE_DIR/BENCH_<pr>.json`` holds the machine block, every run's final
 JSON line and the summary: per workload and end-to-end metric, each side's
 quartiles, the change's relative median shift, its wins over the pairs (ties
@@ -28,17 +39,23 @@ from __future__ import annotations
 import argparse
 import csv
 import gzip
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from collections import defaultdict
 from pathlib import Path
+
+from compare_outputs import COMMANDS, EXIT, STDOUT, _comparable, run_outputs
 
 SIDES = ("parent", "change")
 WORKLOADS = ("transport", "ensemble", "pointwise")
 SECONDS = 20
 TRACED_SEED = 42
+CRITERIA = range(1, 11)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -133,6 +150,44 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dic
     return json.loads(lines[-2])["detail"], json.loads(lines[-1])
 
 
+def output_digests(outputs: dict[str, bytes]) -> dict[str, str]:
+    """sha256 of every file of ``compare_outputs.run_outputs``' result, a
+    report as it is compared there (without its checks' runtimes)."""
+    digests = {}
+    for name, data in outputs.items():
+        if name not in (EXIT, STDOUT):
+            comparable = _comparable(name, data)
+            if not isinstance(comparable, bytes):
+                comparable = json.dumps(comparable, sort_keys=True).encode()
+            digests[name] = hashlib.sha256(comparable).hexdigest()
+    return digests
+
+
+def end_to_end_runs(checkout: Path) -> list[dict]:
+    """Every subcommand and acceptance criterion of ``checkout``, each in a
+    fresh process, as records ``{"workload", "exit", "result", "digests"}``
+    whose result holds the wall time ``wall_s``."""
+    runs = []
+
+    def add(name, seconds, code, digests):
+        runs.append({"workload": name, "exit": code, "digests": digests,
+                     "result": {"metrics": {"wall_s": {"value": seconds, "unit": "s"}}}})
+
+    for command in COMMANDS:
+        started = time.perf_counter()
+        outputs = run_outputs(checkout, command, TRACED_SEED)
+        add(f"sloc {command}", time.perf_counter() - started, int(outputs[EXIT]), output_digests(outputs))
+    env = {k: v for k, v in os.environ.items() if k != "SLOC_SEED"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    for k in CRITERIA:
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py",
+               "-k", f"test_criterion_{k}_"]
+        started = time.perf_counter()
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
+        add(f"criterion {k}", time.perf_counter() - started, done.returncode, {})
+    return runs
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -153,9 +208,14 @@ def main(argv=None) -> int:
                         f"per workload (odd pairs run the parent first), --seconds {SECONDS}, "
                         f"seeds {args.seed} + 100 * workload index + pair; a traced run of every workload "
                         f"at seed {TRACED_SEED} with per-pass span calls and raw self seconds; per workload, "
-                        f"the pairs whose pass digests match and differ"),
+                        f"the pairs whose pass digests match and differ; end_to_end: in the same "
+                        f"alternating pairs, the wall time of every subcommand at --seed {TRACED_SEED} "
+                        f"and every acceptance criterion, each in a fresh process, with the "
+                        f"sha256 of each output file"),
         "machine": None, "runs": [], "traced": [], "summary": {}, "digests": {},
+        "end_to_end": {"runs": [], "summary": {}, "digests": {}},
     }
+    wall = dict(next(m for m in metrics if m["name"] == "verdict_s"), name="wall_s")
 
     def record(side, workload, seed, trace, pair=None):
         detail, result = run_bench(checkouts[side], workload, seed, trace)
@@ -181,10 +241,21 @@ def main(argv=None) -> int:
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
                 record(side, workload, seed, 0, pair)
+    e2e = bench["end_to_end"]
+    for pair in range(1, args.pairs + 1):
+        for side in SIDES if pair % 2 else SIDES[::-1]:
+            for run in end_to_end_runs(checkouts[side]):
+                e2e["runs"].append(dict(run, side=side, pair=pair))
+                print(f"{run['workload']} {side} pair {pair}: exit {run['exit']} "
+                      f"wall_s={run['result']['metrics']['wall_s']['value']:.3f}", flush=True)
+            e2e["summary"] = summarize(e2e["runs"], [wall])
+            e2e["digests"] = digest_matches(e2e["runs"])
+            out.write_text(json.dumps(bench, indent=1) + "\n")
     for workload in WORKLOADS:
         for side in SIDES:
             record(side, workload, TRACED_SEED, 1)
-    print(json.dumps({"summary": bench["summary"], "digests": bench["digests"]}, indent=1))
+    print(json.dumps({"summary": bench["summary"], "digests": bench["digests"],
+                      "end_to_end": {k: e2e[k] for k in ("summary", "digests")}}, indent=1))
     return 0
 
 

@@ -84,6 +84,23 @@ def _step_errors(raw: dict) -> list[str]:
     return [f"dt {dt!r} leaves {name} = {span!r} with no grid step" for name, span in spans if round(span / dt) < 1]
 
 
+def _size_errors(raw: dict, dim: int) -> list[str]:
+    """A run whose largest single array would not fit in physical memory.
+    That array is a uniform grid of ``round(T / dt) + 1`` points, ``T`` the
+    longest interval a run steps over, or one engine chunk's noise of
+    ``min(4096, paths) x steps x d`` doubles."""
+    # In floats, so that a dt too small for any grid counts as infinitely many steps.
+    steps = max(raw["horizon"], 1.0, raw["tau"] / (1.0 - raw["tau"])) / raw["dt"]
+    rows = min(4096, raw["paths"])
+    largest = 8.0 * max(steps + 1.0, rows * steps * dim)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if largest <= memory:
+        return []
+    return [f"dt {raw['dt']!r} and paths {raw['paths']!r} need an array of {largest / 2**30:.3g} GiB "
+            f"({steps:.3g} steps, {rows} paths, d = {dim}), more than the {memory / 2**30:.3g} GiB of "
+            "physical memory; raise dt or lower paths"]
+
+
 def validate_config(
     path: str | None, overrides: dict | None = None
 ) -> tuple[ExperimentConfig | None, list[str], list[str]]:
@@ -113,13 +130,14 @@ def validate_config(
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     _validate_fields(raw, errors)
-    if not errors:
-        errors += _step_errors(raw)
+    fields_valid = not errors
     measure = None
     try:
         measure = targets.target_from_json(raw["target"])
     except (ValueError, TypeError, KeyError) as exc:
         errors.append(f"target: {exc}")
+    if fields_valid:
+        errors += _size_errors(raw, 1 if measure is None else measure.dim) or _step_errors(raw)
     if errors:
         return None, errors, warnings
     values = {key: type(default)(raw[key]) for key, default in DEFAULTS.items()}

@@ -197,16 +197,22 @@ def channel_ensemble(
 def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw: np.ndarray, dts: np.ndarray):
     """Particle clouds of the streams, drawn from their ``SALT_INIT`` blocks and
     reweighted along ``dw (R, steps, d)``: yields the fixed points ``(R, n, d)``,
-    normalized log-weights and weights ``(R, n)`` and log-masses ``(R,)`` at the
-    start and after each step.
+    the log-weights ``u - u_top`` and unnormalized weights ``e = exp(u - u_top)``
+    ``(R, n)``, relative to each run's top particle, and the log-totals
+    ``log sum e`` and log-masses ``(R,)``, at the start and after each step.
+    The normalized cloud is ``u - u_top - log_total``, or ``e / total``; the
+    yielded arrays are rewritten in place by the next step.
 
     The centred Ito step ``<x - m, dW> - dt |x - m|^2 / 2`` at the cloud mean m is
     ``<x, dW + m dt> - dt |x|^2 / 2 - kappa`` with ``kappa = <m, dW> + dt |m|^2 / 2``
     the same for all particles, so the log-weights are formed afresh each step
     from ``u = <x, C> - T |x|^2 / 2``, ``C = sum (dW + m dt)``, ``T = sum dt``.
-    ``u`` contracts the planes ``(x_1, .., x_d, |x|^2)`` with ``(C, -T/2)`` one
-    plane at a time, and no sum goes through BLAS, so a run is bitwise a row of
-    any ensemble.
+    The run keeps the planes ``(1, x_1, .., x_d, |x|^2)``.  A step makes five
+    passes over its ``(R, n)`` arrays: one contraction of ``e`` with the planes
+    ``(1, x)`` gives each cloud's total and weighted sum, whose ratio is the mean;
+    one contracts the planes ``(x, |x|^2)`` with ``(C, -T/2)`` into ``u``; then
+    the argmax, the shift by ``u_top`` and the exponential.  No sum goes through
+    BLAS, so a run is bitwise a row of any ensemble.
 
     The log-mass ``lse(u) - log n - sum kappa`` would cancel two sums that grow
     like T.  Each run instead carries ``a = u_top - sum kappa``, the centred
@@ -216,29 +222,29 @@ def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw
     a sum of terms of order one."""
     points = _gather(lambda r: targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)), streams)
     coords = list(np.moveaxis(points, -1, 0))
-    xs = np.stack(coords + [sum(x * x for x in coords)])
+    planes = np.stack([np.ones(points.shape[:2])] + coords + [sum(x * x for x in coords)])
     flat_points, offsets = points.reshape(-1, points.shape[-1]), np.arange(len(points)) * n_particles
-    coef, log_top, log_n = np.zeros((len(points), len(xs))), np.zeros(len(points)), math.log(n_particles)
+    coef, log_top, log_n = np.zeros((len(points), len(planes) - 1)), np.zeros(len(points)), math.log(n_particles)
     c, half_t = coef[:, :-1], coef[:, -1:]
-    w, x_top = np.full(points.shape[:2], 1.0 / n_particles), points[:, 0]
-    yield points, np.full(w.shape, -log_n), w, np.zeros(len(points))
-    for dw_k, dt in zip(np.moveaxis(dw, 1, 0), dts):
-        m = np.einsum("rn,jrn->rj", w, xs[:-1])
+    u, e, x_top = np.zeros(points.shape[:2]), np.ones(points.shape[:2]), points[:, 0]
+    for k in range(len(dts) + 1):
+        sums = np.einsum("rn,jrn->rj", e, planes[:-1])
+        log_total = np.log(sums[:, 0])
+        yield points, u, e, log_total, log_top - log_n + log_total
+        if k == len(dts):
+            return
+        dw_k, dt = dw[:, k], dts[k]
+        m = sums[:, 1:] / sums[:, :1]
         dev = x_top - m
         c += dw_k + dt * m
         half_t -= 0.5 * dt
-        u = np.einsum("jrn,rj->rn", xs, coef)
-        # The normalization of _log_normalize, at the top index it does not return.
+        np.einsum("jrn,rj->rn", planes[1:], coef, out=u)
+        # The shift of _log_normalize, at the top index it does not return.
         top = offsets + u.argmax(axis=1)
         x_old, x_top, u_top = x_top, flat_points.take(top, axis=0), u.take(top)
         log_top += (dev * (dw_k - (0.5 * dt) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))).sum(axis=1)
-        w = u - u_top[:, None]
-        np.exp(w, out=w)
-        total = w.sum(axis=1, keepdims=True)
-        w *= 1.0 / total
-        log_total = np.log(total[:, 0])
-        u -= (u_top + log_total)[:, None]
-        yield points, u, w, log_top - log_n + log_total
+        u -= u_top[:, None]
+        np.exp(u, out=e)
 
 
 def particle_sl_run(
@@ -256,11 +262,11 @@ def particle_sl_run(
         raise ValueError("need at least two particles")
     dw = _noise_increments(noise, grid, base.dim)[None]
     clouds, runs = [], _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
-    for k, (points, log_w, w, log_mass) in enumerate(runs):
-        ess = 1.0 / float(np.sum(w[0] ** 2))
+    for k, (points, u, e, log_total, log_mass) in enumerate(runs):
+        ess = math.exp(2.0 * log_total[0]) / float(np.sum(e[0] ** 2))
         if k and ess < ess_floor:
             raise WeightCollapseError(ess, ess_floor, float(grid.times[k]))
-        clouds.append(ParticleCloud(points[0], log_w[0], float(log_mass[0])))
+        clouds.append(ParticleCloud(points[0], u[0] - log_total[0], float(log_mass[0])))
     return clouds
 
 
@@ -275,8 +281,10 @@ def particle_ensemble(
 
     Returns ``(points (R, n, d), log_weights (R, n), log_mass (R,))`` at the
     grid's final time.  Run r uses stream id r, matching ``particle_sl_run``.
-    Runs step in blocks of about 2^15 weights, whose 256 KiB arrays stay in a
-    core's cache; rows never mix, so the blocks change no bit.
+    Runs step in blocks of about 2^15 weights: a block's ``(R, n)`` arrays of
+    256 KiB (its weights, log-weights and each plane) stay in a core's cache,
+    and only its last cloud is normalized.  Rows never mix, so the blocks
+    change no bit.
     """
     points, log_w = np.empty((n_runs, n_particles, base.dim)), np.empty((n_runs, n_particles))
     log_mass, rows = np.empty(n_runs), max(1, 2**15 // n_particles)
@@ -284,7 +292,8 @@ def particle_ensemble(
         streams = range(lo, min(lo + rows, n_runs))
         dw = _gather(partial(wiener_increment_array, grid, base.dim, seed), streams)
         clouds = _particle_runs(base, n_particles, seed, streams, dw, grid.dts)
-        points[lo:streams.stop], log_w[lo:streams.stop], _, log_mass[lo:streams.stop] = deque(clouds, 1)[0]
+        points[lo:streams.stop], u, _, log_total, log_mass[lo:streams.stop] = deque(clouds, 1)[0]
+        np.subtract(u, log_total[:, None], out=log_w[lo:streams.stop])
     return points, log_w, log_mass
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, ParamSpec
 import numpy as np
 
 from . import bridge, diagnostics, diffusion, localize, polchinski, rgd, targets
-from .sde import TimeGrid, _fmt, generator, wiener_increments
+from .sde import NonFiniteStateError, TimeGrid, _fmt, generator, wiener_increments
 from .targets import GaussianMeasure, GaussianMixture, TargetMeasure
 
 
@@ -94,20 +94,35 @@ class _Verdict(NamedTuple):
 
 _P = ParamSpec("_P")
 
+# The library's own run-time errors: a run the budget cannot carry through.
+_RUN_ERRORS = (
+    NonFiniteStateError,
+    localize.WeightCollapseError,
+    targets.SamplingBudgetError,
+    targets.EffectiveSampleSizeError,
+)
+
 
 def _recorded(body: Callable[_P, Iterator[_Verdict]]) -> Callable[_P, list[CheckResult]]:
-    """Run the check ``body`` to its end and return its verdicts as timed results."""
+    """Run the check ``body`` to its end and return its verdicts as timed results.
+    One of ``_RUN_ERRORS`` ends the body with a failed ``<check>/run-error``
+    result, whose detail is the error, after the verdicts it had yielded."""
 
     @functools.wraps(body)
     def check(*args: _P.args, **kwargs: _P.kwargs) -> list[CheckResult]:
         out = []
         t0 = time.perf_counter()
-        for v in body(*args, **kwargs):
-            t1 = time.perf_counter()
-            observed, tolerance = float(v.observed), float(v.tolerance)
-            passed = observed <= tolerance if v.passed is None else bool(v.passed)
-            out.append(CheckResult(v.name, observed, tolerance, passed, t1 - t0, v.detail))
-            t0 = t1
+        try:
+            for v in body(*args, **kwargs):
+                t1 = time.perf_counter()
+                observed, tolerance = float(v.observed), float(v.tolerance)
+                passed = observed <= tolerance if v.passed is None else bool(v.passed)
+                out.append(CheckResult(v.name, observed, tolerance, passed, t1 - t0, v.detail))
+                t0 = t1
+        except _RUN_ERRORS as exc:
+            name = body.__name__.removeprefix("check_").replace("_", "-")
+            detail = f"{type(exc).__name__}: {exc}"
+            out.append(CheckResult(f"{name}/run-error", math.nan, 0.0, False, time.perf_counter() - t0, detail))
         return out
 
     return check

@@ -77,6 +77,14 @@ class TestValidateConfig:
         cfg, errors, _ = validate_config(write_config(tmp_path, {"dt": 0.5, "horizon": 0.4, "tau": 0.3}))
         assert not errors and cfg.dt == 0.5
 
+    def test_a_run_larger_than_memory_is_a_config_error(self, tmp_path):
+        # Never run: at dt 1e-9 one chunk's noise alone is 4096 x 1e9 doubles.
+        for dt in (1e-9, 5e-324):
+            cfg, errors, _ = validate_config(write_config(tmp_path, {"dt": dt}))
+            assert cfg is None and len(errors) == 1
+            assert errors[0].startswith(f"dt {dt!r} and paths 10000 need an array of")
+            assert "physical memory; raise dt or lower paths" in errors[0]
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -115,6 +123,20 @@ class TestCliRuns:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert (out / "report.json").exists()
+
+    def test_a_non_finite_run_fails_its_check_and_the_rest_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"target": {"kind": "gaussian", "mean": [1e308], "cov": [[1.0]]}})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["equiv", "--paths", "200", "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        rows = (out / "report.csv").read_text().splitlines()
+        assert "backward-diffusion/run-error,nan,0,0" in rows
+        assert rows[-1].startswith("flow/potential-equation,")
+        report = json.loads((out / "report.json").read_text())
+        error = next(c for c in report["checks"] if c["name"] == "backward-diffusion/run-error")
+        assert error["detail"] == "NonFiniteStateError: non-finite state at step 2250 (time 0.5)"
 
     def test_too_few_paths_for_a_ks_check_exits_two(self, tmp_path, capsys):
         for command in ("equiv", "rgd"):

@@ -1,12 +1,18 @@
 """The runnable scripts, whose inputs are long runs, called as functions on
-synthetic inputs: the benchmark-pair summary and the output comparison."""
+synthetic inputs: the benchmark-pair summary, its end-to-end block and the
+output comparison."""
+import hashlib
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# The scripts import each other by module name, as they do when run from scripts/.
+sys.path.insert(0, str(ROOT / "scripts"))
 
 
 def load_script(name: str):
@@ -80,6 +86,45 @@ def test_bench_pairs_lists_the_pairs_whose_digests_differ():
                                           ("pointwise", "change", 1, "e")]]
     assert bench.digest_matches(runs) == {"ensemble": {"match": [1], "differ": [2]},
                                           "pointwise": {"match": [1], "differ": []}}
+
+
+def test_bench_pairs_end_to_end_times_every_subcommand_and_criterion(monkeypatch, tmp_path):
+    bench = load_script("bench_pairs.py")
+
+    def report(runtime):
+        return json.dumps({"global_pass": False, "checks": [{"name": "a", "runtime": runtime}]}).encode()
+
+    def fake_outputs(checkout, command, seed):
+        assert (checkout, seed) == (tmp_path, 42)
+        return {"<exit code>": b"1", "<stdout>": b"FAIL", "report.json": report(len(command)), "out.csv": b"x\n"}
+
+    criteria = []
+    monkeypatch.setattr(bench, "run_outputs", fake_outputs)
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda cmd, cwd, env, **kw: criteria.append((cmd[-1], cwd, env["PYTHONPATH"]))
+                        or types.SimpleNamespace(returncode=0))
+    runs = bench.end_to_end_runs(tmp_path)
+
+    assert [r["workload"] for r in runs] == (["sloc simulate", "sloc equiv", "sloc rgd", "sloc bridge", "sloc lsi"]
+                                             + [f"criterion {k}" for k in range(1, 11)])
+    assert criteria == [(f"test_criterion_{k}_", tmp_path, str(tmp_path / "src")) for k in range(1, 11)]
+    assert [r["exit"] for r in runs] == [1] * 5 + [0] * 10
+    assert all(r["result"]["metrics"]["wall_s"]["value"] >= 0.0 for r in runs)
+    # Every written file is digested; a report is digested without its runtimes.
+    digests = {r["workload"]: r["digests"] for r in runs}
+    assert digests["sloc equiv"].keys() == {"report.json", "out.csv"}
+    assert digests["sloc equiv"]["out.csv"] == hashlib.sha256(b"x\n").hexdigest()
+    assert digests["sloc equiv"] == digests["sloc lsi"] and digests["criterion 3"] == {}
+
+    # The records feed the pair summary and the digest comparison as they are.
+    moved = [dict(r, side="change", pair=1, digests={"out.csv": "y"} if r["workload"] == "sloc rgd" else r["digests"])
+             for r in runs]
+    records = [dict(r, side="parent", pair=1) for r in runs] + moved
+    wall = dict(METRICS[0], name="wall_s")
+    summary = bench.summarize(records, [wall])
+    assert summary.keys() == {r["workload"] for r in runs} and summary["criterion 10"]["wall_s"]["pairs"] == 1
+    matches = bench.digest_matches(records)
+    assert matches["sloc rgd"] == {"match": [], "differ": [1]} and matches["sloc equiv"]["match"] == [1]
 
 
 def test_compare_outputs_differences_ignore_only_report_runtimes():

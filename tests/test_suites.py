@@ -1,5 +1,6 @@
-"""The suite recorder: every check returns timed results, and a NaN anywhere in
-a worst case fails its result instead of being dropped."""
+"""The suite recorder: every check returns timed results, a NaN anywhere in a
+worst case fails its result instead of being dropped, and a library run-time
+error fails one result instead of ending the suite."""
 import dataclasses
 import math
 import time
@@ -7,7 +8,8 @@ import types
 
 import pytest
 
-from sloc import polchinski, rgd, suites
+from sloc import localize, polchinski, rgd, suites, targets
+from sloc.sde import NonFiniteStateError
 
 # Small enough that every check runs in well under a second.
 _TINY = suites.SuiteBudget(seed=7, paths=100, dt=0.05, particles=20)
@@ -131,3 +133,25 @@ def test_nan_transitions_fail_the_kernel_identity_ks_results(monkeypatch):
     _assert_failed_with_nan(
         suites.check_kernel_identity(_SMALL), "kernel-identity/ks-gaussian", "kernel-identity/ks-mixture"
     )
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NonFiniteStateError(3, 0.5),
+        localize.WeightCollapseError(2.0, 10.0, 0.25),
+        targets.SamplingBudgetError(100, 0),
+        targets.EffectiveSampleSizeError(1.5, 5.0),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_a_library_run_time_error_is_one_failed_result(error):
+    @suites._recorded
+    def check_something_run(budget):
+        yield suites._Verdict("something/first", 0.0, 1.0)
+        raise error
+
+    first, failed = check_something_run(_TINY)
+    assert first.passed and first.name == "something/first"
+    assert failed.name == "something-run/run-error" and failed.passed is False
+    assert math.isnan(failed.observed) and failed.detail == f"{type(error).__name__}: {error}"
