@@ -7,9 +7,12 @@ root, so each side benchmarks its own ``src``), ``--pairs`` pairs for each of
 ``WORKLOADS``.  Odd pairs run the parent first and even pairs the change; both
 runs of a pair share a seed, and pair ``i`` of a workload uses seed
 ``--seed + 100 * w + i``, with ``w`` the workload's position in ``WORKLOADS``.
-Each PR passes fresh seeds.  Then one traced run (``--trace 1``) of every
-workload per side at ``TRACED_SEED``, with per-pass calls and raw self seconds
-of every span name read from its span file.  Every run records its pass
+Each PR passes fresh seeds.  Before the first pair both checkouts' ``src`` is
+byte-compiled, so that neither side's ``setup_s`` includes compiling ``sloc``
+while the other side reads ``.pyc`` files it happened to hold.  Then one
+traced run (``--trace 1``) of every workload per side at ``TRACED_SEED``, with
+per-pass calls and raw self seconds of every span name read from its span
+file.  Every run records its pass
 digests (the hashes of each pass's outputs), and ``digests`` lists, per
 workload, the pairs whose two sides' digests match and those where they
 differ, so a claim that no output bit moved is checked on every pair.
@@ -37,6 +40,7 @@ file is rewritten after every run.
 from __future__ import annotations
 
 import argparse
+import compileall
 import csv
 import gzip
 import hashlib
@@ -141,6 +145,12 @@ def span_summary(path: Path) -> dict:
             "per_pass": {k: {"calls": calls[k] / n, "self_s": self_s[k] / n} for k in sorted(calls)}}
 
 
+def compile_sources(checkouts) -> None:
+    """Byte-compile the ``src`` tree of every checkout."""
+    for checkout in checkouts:
+        compileall.compile_dir(checkout / "src", quiet=1)
+
+
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """The detail and final JSON lines of one benchmark run in ``checkout``."""
     cmd = [sys.executable, "slocbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -235,6 +245,7 @@ def main(argv=None) -> int:
         print(f"{workload} {side} seed {seed} trace {trace}: correct={result['correct']} verdict_s={metric}",
               flush=True)
 
+    compile_sources(checkouts.values())
     for w_index, workload in enumerate(WORKLOADS):
         for pair in range(1, args.pairs + 1):
             seed = args.seed + 100 * w_index + pair

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import targets
 from .polchinski import _flow_drift, renorm_potential  # noqa: F401
-from .sde import TimeGrid, _emit, _fmt, _integrate, wiener_increment_array
+from .sde import TimeGrid, _emit, _integrate, _write_csv, wiener_increment_array
 from .targets import TargetMeasure
 
 #: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
@@ -428,8 +428,7 @@ def girsanov_energy(
 
 def write_coupling_csv(coupling: DiscreteCoupling, out: Union[str, Path, IO[str]]) -> None:
     """Dense coupling export: row i of the CSV is gamma[i, :]."""
-    lines = [",".join(_fmt(v) for v in row) for row in coupling.gamma]
-    _emit("\n".join(lines) + "\n", out)
+    _write_csv(None, coupling.gamma, out)
 
 
 def write_sinkhorn_trace_json(result: SinkhornResult, out: Union[str, Path, IO[str]]) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bridge, diagnostics, localize, polchinski, rgd, suites, targets
-from .sde import TimeGrid, _emit, _fmt, generator, wiener_increments, write_paths_csv
+from .sde import TimeGrid, _emit, _write_csv, generator, wiener_increments, write_paths_csv
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -147,7 +147,7 @@ def validate_config(
 def _suite_base(cfg: ExperimentConfig):
     """The configured target when the equivalence battery supports it."""
     t = cfg.measure
-    if isinstance(t, (targets.GaussianMeasure, targets.GaussianMixture)) and t.dim == 1:
+    if isinstance(t, targets.GaussianMixture) and t.dim == 1:
         return t
     sys.stderr.write(
         "warning: configured target is not a one-dimensional Gaussian/mixture; "
@@ -203,19 +203,18 @@ def _run_lsi_tables(cfg: ExperimentConfig) -> None:
     polchinski.write_schedule_csv(
         polchinski.lsi_schedule(cfg.alpha), taus, out_dir / "lsi_schedule.csv"
     )
-    etas = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
-    lines = ["eta,lsi_lower_bound,per_step_kl_factor"]
-    for eta in etas:
-        factor = 1.0 / (1.0 + cfg.alpha * eta) ** 2
-        lines.append(",".join(_fmt(v) for v in (eta, rgd.lsi_lower_bound(cfg.alpha, eta), factor)))
-    _emit("\n".join(lines) + "\n", out_dir / "lsi_bounds.csv")
+    rows = (
+        (eta, rgd.lsi_lower_bound(cfg.alpha, eta), 1.0 / (1.0 + cfg.alpha * eta) ** 2)
+        for eta in (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
+    )
+    _write_csv("eta,lsi_lower_bound,per_step_kl_factor", rows, out_dir / "lsi_bounds.csv")
 
 
 def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
     """Chain trace CSV and stability report JSON for the configured target."""
     out_dir = Path(cfg.out)
     target = cfg.measure
-    if not isinstance(target, (targets.GaussianMeasure, targets.GaussianMixture)):
+    if not isinstance(target, targets.GaussianMixture):
         sys.stderr.write(
             "warning: configured target is not a Gaussian/mixture; "
             "rgd artifacts use the standard normal instead\n"
@@ -231,16 +230,12 @@ def _write_rgd_artifacts(cfg: ExperimentConfig) -> None:
         )
     rgd.write_chain_csv(trace, out_dir / "chain_trace.csv", kls=kls)
     probes = generator(cfg.seed, 1, 22).standard_normal((50, d))
-    if isinstance(target, targets.GaussianMeasure):
-        alpha_claim = float(np.linalg.eigvalsh(target.cov).max())
-    else:
-        # Certified for equal component covariances: within-component top
-        # eigenvalue plus a quarter of the squared mean diameter.
-        top = max(float(np.linalg.eigvalsh(c).max()) for c in target.covs)
-        diam2 = max(
-            float(np.sum((a - b) ** 2)) for a in target.means for b in target.means
-        )
-        alpha_claim = top + 0.25 * diam2
+    # Certified for equal component covariances: within-component top
+    # eigenvalue plus a quarter of the squared mean diameter, which is 0 for a
+    # Gaussian, whose claim is thus its sharp constant.
+    top = max(float(np.linalg.eigvalsh(c).max()) for c in target.covs)
+    diam2 = max(float(np.sum((a - b) ** 2)) for a in target.means for b in target.means)
+    alpha_claim = top + 0.25 * diam2
     report = rgd.entropic_stability_probe(target, probes, alpha_claim)
     _emit(report.to_json() + "\n", out_dir / "stability_report.json")
 

@@ -26,11 +26,10 @@ from .sde import (
     SALT_IS,
     SamplePath,
     TimeGrid,
-    _emit,
-    _fmt,
     _gather,
     _integrate,
     _noise_increments,
+    _write_csv,
     generator,
     wiener_increment_array,
 )
@@ -326,9 +325,5 @@ def write_trajectory_csv(
         raise ValueError("no trajectories to write")
     first = next(iter(runs.values()))
     d = first[0].c.size
-    lines = [",".join(["stream_id", "t"] + [f"{v}_{k + 1}" for v in "cm" for k in range(d)])] + [
-        ",".join([str(s), _fmt(state.t)] + [_fmt(v) for v in np.concatenate([state.c, state.m])])
-        for s in sorted(runs)
-        for state in runs[s]
-    ]
-    _emit("\n".join(lines) + "\n", out)
+    header = ",".join(["stream_id", "t"] + [f"{v}_{k + 1}" for v in "cm" for k in range(d)])
+    _write_csv(header, ([s, state.t, *state.c, *state.m] for s in sorted(runs) for state in runs[s]), out)

@@ -31,15 +31,13 @@ from .sde import (
     SALT_IS,
     SamplePath,
     TimeGrid,
-    _emit,
-    _fmt,
     _integrate,
     _noise_increments,
+    _write_csv,
     generator,
     wiener_increment_array,
 )
 from .targets import (
-    GaussianMeasure,
     GaussianMixture,
     GenericPotential,
     TargetMeasure,
@@ -95,7 +93,7 @@ def renorm_potential(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fluct = fluctuation_measure(base, tau, x)
-    if isinstance(base, (GaussianMeasure, GaussianMixture)):
+    if isinstance(base, GaussianMixture):
         # E exp(-V_1(x + z)) is the fluctuation measure's partition function
         # times exp(-|x|^2 / (2 (1 - tau))) / (2 pi (1 - tau))^(d / 2).
         one_m = 1.0 - tau
@@ -225,18 +223,8 @@ def write_schedule_csv(
     schedule: LsiSchedule, taus: Sequence[float], out: Union[str, Path, IO[str]]
 ) -> None:
     """Tabulate (tau, lam, big_lam, gamma, factor) rows as CSV."""
-    lines = ["tau,lam,big_lam,gamma,factor"]
-    for tau in taus:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    tau,
-                    schedule.lam(tau),
-                    schedule.big_lam(tau),
-                    schedule.gamma(tau),
-                    stability_factor(schedule.alpha, tau),
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", out)
+    rows = (
+        (tau, schedule.lam(tau), schedule.big_lam(tau), schedule.gamma(tau), stability_factor(schedule.alpha, tau))
+        for tau in taus
+    )
+    _write_csv("tau,lam,big_lam,gamma,factor", rows, out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import targets
 from .diagnostics import _batch_means, gaussian_kl
-from .sde import _emit, _fmt, generator
+from .sde import _write_csv, generator
 from .targets import (
     GaussianMeasure,
     GaussianMixture,
@@ -215,7 +215,7 @@ def entropic_stability_probe(
     ``<y, b(T_y pi)> - log Z(y)``.  For Gaussian targets the report also
     records the sharp constant, the spectral norm of the covariance.
     """
-    if not isinstance(target, (GaussianMeasure, GaussianMixture)):
+    if not isinstance(target, GaussianMixture):
         raise TypeError("stability probes need a Gaussian or mixture target")
     ys = np.atleast_2d(np.asarray(probe_tilts, dtype=float))
     means, log_z = targets.tilt_plan(target, [0.0])(0).mean_and_log_partition(
@@ -310,12 +310,7 @@ def write_chain_csv(
     trace = np.atleast_2d(np.asarray(trace, dtype=float))
     d = trace.shape[1]
     header = "iteration," + ",".join(f"x_{k + 1}" for k in range(d))
-    if kls is not None:
-        header += ",kl"
-    lines = [header]
-    for i, row in enumerate(trace):
-        cells = [str(i)] + [_fmt(v) for v in row]
-        if kls is not None:
-            cells.append(_fmt(kls[i]))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", out)
+    if kls is None:
+        _write_csv(header, ([i, *x] for i, x in enumerate(trace)), out)
+    else:
+        _write_csv(header + ",kl", ([i, *x, kls[i]] for i, x in enumerate(trace)), out)

@@ -12,7 +12,7 @@ drawing OS entropy, so opening a stream's generator costs a few microseconds;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence, Union
 
@@ -145,6 +145,7 @@ class SamplePath:
     states: np.ndarray
     seed: int
     stream_id: int
+    _increments: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -163,7 +164,10 @@ class SamplePath:
         return self.states.shape[1]
 
     def increments(self) -> np.ndarray:
-        return np.diff(self.states, axis=0)
+        """State increments ``(steps, d)``: for a path of ``wiener_increments``
+        the draws its states are the running sums of, read-only, else
+        ``np.diff`` of the states, which can be an ulp off the draws."""
+        return np.diff(self.states, axis=0) if self._increments is None else self._increments
 
 
 def _gather(draw: Callable[[int], np.ndarray], ids: Sequence[int]) -> np.ndarray:
@@ -195,13 +199,17 @@ def wiener_increments(grid: TimeGrid, d: int, seed: int, stream_id: int = 0) -> 
     """A Wiener path on ``grid``, relative to the grid start (state 0 there).
 
     Increments over ``[t_k, t_{k+1}]`` are independent ``N(0, dt * I)``;
-    reproducible per ``(seed, stream_id)``.
+    reproducible per ``(seed, stream_id)``.  The path keeps those draws for
+    ``increments``, so a single-path run on it steps on exactly the noise of
+    the matching ensemble row.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     dw = wiener_increment_array(grid, d, seed, stream_id)
-    states = np.vstack([np.zeros((1, d)), np.cumsum(dw, axis=0)])
-    return SamplePath(grid, states, seed, stream_id)
+    path = SamplePath(grid, np.vstack([np.zeros((1, d)), np.cumsum(dw, axis=0)]), seed, stream_id)
+    dw.setflags(write=False)
+    object.__setattr__(path, "_increments", dw)
+    return path
 
 
 def _noise_increments(noise: SamplePath, grid: TimeGrid, d: int) -> np.ndarray:
@@ -261,7 +269,9 @@ def _integrate(
 
 
 def _fmt(x: float) -> str:
-    """Seventeen significant digits, which round-trip a double; shared by every writer."""
+    """Seventeen significant digits, which round-trip a double; shared by every
+    writer.  An integer below 2**53 in size, such as a stream id, prints as
+    ``str`` prints it."""
     return format(float(x), ".17g")
 
 
@@ -273,17 +283,19 @@ def _emit(text: str, out: Union[str, Path, IO[str]]) -> None:
         Path(out).write_text(text)
 
 
+def _write_csv(header: str | None, rows: Iterable[Iterable[float]], out: Union[str, Path, IO[str]]) -> None:
+    """Write CSV text: the ``header`` line, if any, then one line of ``_fmt``
+    cells per row of numbers."""
+    lines = [] if header is None else [header]
+    lines += (",".join(map(_fmt, row)) for row in rows)
+    _emit("\n".join(lines) + "\n", out)
+
+
 def write_paths_csv(paths: Iterable[SamplePath], out: Union[str, Path, IO[str]]) -> None:
     """Export paths as CSV with columns stream_id, time, x_1..x_d."""
     paths = list(paths)
     if not paths:
         raise ValueError("no paths to write")
-    d = paths[0].dim
-    header = "stream_id,time," + ",".join(f"x_{k + 1}" for k in range(d))
-    lines = [header]
-    for path in paths:
-        for t, row in zip(path.grid.times, path.states):
-            lines.append(
-                ",".join([str(path.stream_id), _fmt(t)] + [_fmt(v) for v in row])
-            )
-    _emit("\n".join(lines) + "\n", out)
+    header = "stream_id,time," + ",".join(f"x_{k + 1}" for k in range(paths[0].dim))
+    rows = ([path.stream_id, t, *x] for path in paths for t, x in zip(path.grid.times, path.states))
+    _write_csv(header, rows, out)

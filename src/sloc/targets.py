@@ -1,10 +1,10 @@
 """Base measures and their exponential tilts.
 
-Three target families are supported: multivariate Gaussians, finite Gaussian
-mixtures, and generic potentials carrying a strong-convexity certificate.
-Gaussians and mixtures admit closed-form tilted moments, partition functions,
-and exact samplers; generic potentials fall back to rejection sampling and
-self-normalized importance sampling.
+Two target families are supported: finite Gaussian mixtures, of which a
+multivariate Gaussian is the one-component case, and generic potentials
+carrying a strong-convexity certificate.  Mixtures admit closed-form tilted
+moments, partition functions, and exact samplers; generic potentials fall back
+to rejection sampling and self-normalized importance sampling.
 
 A tilt reweights the base density by ``exp(<c, x> - 0.5 * x' R x)`` and
 renormalizes, where the regularizer ``R`` is either a scalar ``t`` (meaning
@@ -105,62 +105,6 @@ def _check_spd(mat: np.ndarray, name: str, *, semidefinite: bool = False) -> Non
 
 
 @dataclass(frozen=True)
-class GaussianMeasure:
-    """Multivariate normal with an SPD covariance.
-
-    Attributes:
-        mean: Mean vector, shape ``(d,)``.
-        cov: Covariance, shape ``(d, d)``, symmetric positive definite.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match dimension {mean.size}"
-            )
-        _check_spd(cov, "covariance")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cov", _readonly(cov))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    @cached_property
-    def precision(self) -> np.ndarray:
-        return _readonly(np.linalg.solve(self.cov, np.eye(self.dim)))
-
-    @cached_property
-    def _mixture(self) -> "GaussianMixture":
-        """This Gaussian as the one-component mixture, whose tilt algebra it
-        uses.  Built without ``GaussianMixture``'s checks: the covariance was
-        checked here."""
-        mix = object.__new__(GaussianMixture)
-        for name, value in (("weights", np.ones(1)), ("means", self.mean[None]), ("covs", self.cov[None])):
-            object.__setattr__(mix, name, _readonly(value))
-        return mix
-
-    @cached_property
-    def _log_norm(self) -> float:
-        _, logdet = np.linalg.slogdet(self.cov)
-        return -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet)
-
-    def log_density(self, x) -> np.ndarray:
-        """Normalized log-density at one point ``(d,)`` or a batch ``(n, d)``."""
-        x = np.asarray(x, dtype=float)
-        diff = x - self.mean
-        q = np.einsum("...i,ij,...j->...", diff, self.precision, diff)
-        return -0.5 * q + self._log_norm
-
-
-@dataclass(frozen=True)
 class GaussianMixture:
     """Finite Gaussian mixture; weights in (0, 1] summing to one.
 
@@ -168,6 +112,8 @@ class GaussianMixture:
         weights: Component weights, shape ``(J,)``.
         means: Component means, shape ``(J, d)``.
         covs: Component covariances, shape ``(J, d, d)``.
+        mean, cov: The mixture's mean ``(d,)`` and covariance ``(d, d)``,
+            read-only; with one component, that component's.
     """
 
     weights: np.ndarray
@@ -238,8 +184,13 @@ class GaussianMixture:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return _readonly(_mixture_moments(self.weights, self.means, self.covs)[0])
+
+    @cached_property
     def cov(self) -> np.ndarray:
-        return _mixture_moments(self.weights, self.means, self.covs)[1]
+        return _readonly(_mixture_moments(self.weights, self.means, self.covs)[1])
 
     def log_density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -247,6 +198,26 @@ class GaussianMixture:
         q = np.einsum("...ji,jik,...jk->...j", diff, self._precisions, diff)
         comp = -0.5 * q + self._log_norms + np.log(self.weights)
         return _log_normalize(comp)[0]
+
+
+class GaussianMeasure(GaussianMixture):
+    """Multivariate normal ``N(mean, cov)`` with an SPD covariance: the
+    one-component mixture, whose ``mean`` and ``cov`` are that component's."""
+
+    def __init__(self, mean, cov):
+        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError("mean must be a vector")
+        if cov.shape != (mean.size, mean.size):
+            raise ValueError(
+                f"covariance shape {cov.shape} does not match dimension {mean.size}"
+            )
+        super().__init__(np.ones(1), mean[None], cov[None])
+
+    @property
+    def precision(self) -> np.ndarray:
+        return self._precisions[0]
 
 
 @dataclass(frozen=True)
@@ -324,7 +295,7 @@ def _on_rows(fn: Callable, points: np.ndarray, per_point: np.ndarray) -> Callabl
     return lambda xs: np.array([np.asarray(fn(x), dtype=float).reshape(tail) for x in xs]).reshape(-1, *tail)
 
 
-TargetMeasure = Union[GaussianMeasure, GaussianMixture, GenericPotential]
+TargetMeasure = Union[GaussianMixture, GenericPotential]
 
 
 def base_log_density(base: TargetMeasure, x) -> np.ndarray:
@@ -333,7 +304,7 @@ def base_log_density(base: TargetMeasure, x) -> np.ndarray:
     Normalized for Gaussian and mixture bases; for a generic potential this is
     the unnormalized value ``-V(x)``.
     """
-    if isinstance(base, (GaussianMeasure, GaussianMixture)):
+    if isinstance(base, GaussianMixture):
         return base.log_density(x)
     x = np.asarray(x, dtype=float)
     if x.ndim <= 1:
@@ -349,8 +320,7 @@ def sample_base(base: TargetMeasure, n: int, rng: np.random.Generator) -> np.nda
     """
     if isinstance(base, GenericPotential):
         return sample(tilt(base, np.zeros(base.dim), 0.0), n, rng)
-    mix = base._mixture if isinstance(base, GaussianMeasure) else base
-    return _mixture_draws(mix.weights, mix.means, mix._chols, n, rng)
+    return _mixture_draws(base.weights, base.means, base._chols, n, rng)
 
 
 def _mixture_draws(weights, means, chols, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -680,29 +650,28 @@ class TiltStep(NamedTuple):
         return means, _softmax(self._log_masses(ct, means), 0)[2]
 
 
-def _plan_step(base: GaussianMeasure | GaussianMixture, reg) -> TiltStep:
+def _plan_step(base: GaussianMixture, reg) -> TiltStep:
     """``TiltStep`` of ``base`` with leading axes ``(...)`` at validated
     regularizers ``reg``: scalars ``(...)`` or matrices ``(..., d, d)``.
     Scalars, and matrices exactly equal to ``t I``, read
     ``V diag(s / (1 + t s)) V'``, ``V diag(1 / (1 + t s)) V' mu`` and
     ``sum log1p(t s)`` off ``_spectral``; other matrices take ``inv`` and
     ``slogdet``."""
-    if not isinstance(base, (GaussianMeasure, GaussianMixture)):
+    if not isinstance(base, GaussianMixture):
         raise TypeError("the Gaussian-tilt kernel needs a Gaussian or mixture base")
-    mix = base._mixture if isinstance(base, GaussianMeasure) else base
-    evals, evecs, rot, shift, const0 = mix._spectral
+    evals, evecs, rot, shift, const0 = base._spectral
     if getattr(reg, "ndim", 0) > 1:
         t = reg[..., 0, 0]
-        eye = np.eye(mix.dim)
+        eye = np.eye(base.dim)
         iso = (reg == np.multiply.outer(t, eye)).all(axis=(-2, -1))
         if iso.all():
-            return _plan_step(mix, t)._replace(reg=reg)
+            return _plan_step(base, t)._replace(reg=reg)
         mats = np.expand_dims(reg, -3)
-        inv = np.linalg.inv(mix._precisions + mats)
+        inv = np.linalg.inv(base._precisions + mats)
         offset = np.einsum("...jab,jb->...ja", inv, shift)
-        const = const0 - 0.5 * np.linalg.slogdet(eye + mats @ mix.covs)[1]
+        const = const0 - 0.5 * np.linalg.slogdet(eye + mats @ base.covs)[1]
         if iso.any():
-            part = _plan_step(mix, t[iso])
+            part = _plan_step(base, t[iso])
             inv[iso], offset[iso], const[iso] = part.inv, part.offset, part.const
         return TiltStep(reg, inv, offset, shift, const)
     ts = np.multiply.outer(reg, evals)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -127,10 +128,14 @@ class TestCliRuns:
     def test_a_non_finite_run_fails_its_check_and_the_rest_run(self, tmp_path, capsys):
         config = write_config(tmp_path, {"target": {"kind": "gaussian", "mean": [1e308], "cov": [[1.0]]}})
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["equiv", "--paths", "200", "--config", config, "--out", str(out)]) == 1
+        # Every non-finite value fails a verdict or is a run error; numpy does not warn of it.
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
+        assert captured.err == ""
         rows = (out / "report.csv").read_text().splitlines()
         assert "backward-diffusion/run-error,nan,0,0" in rows
         assert rows[-1].startswith("flow/potential-equation,")

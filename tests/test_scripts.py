@@ -142,3 +142,29 @@ def test_compare_outputs_differences_ignore_only_report_runtimes():
     # A runtime elsewhere than in a report's checks is compared as bytes.
     assert compare.differences({"trace.json": b'{"runtime": 1}'}, {"trace.json": b'{"runtime": 2}'}) == ["trace.json"]
     assert compare.differences(parent, dict(parent, **{"<exit code>": b"1"})) == ["<exit code>"]
+
+
+def test_bench_pairs_compiles_both_sources_before_the_first_run(monkeypatch, tmp_path):
+    bench = load_script("bench_pairs.py")
+    modules = []
+    for side in ("parent", "change"):
+        module = tmp_path / side / "src" / "pkg" / "mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("X = 1\n")
+        modules.append(module)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    compiled = []
+
+    def fake_bench(checkout, workload, seed, trace):
+        compiled.append(all(Path(importlib.util.cache_from_source(str(m))).is_file() for m in modules))
+        metrics = {m["name"]: {"value": 1.0} for m in METRICS}
+        return {"environment": {}, "passes": [{"digest": "d"}], "spans": {"file": "s"}}, {
+            "correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(bench, "run_bench", fake_bench)
+    monkeypatch.setattr(bench, "end_to_end_runs", lambda checkout: [])
+    monkeypatch.setattr(bench, "span_summary", lambda path: {})
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pr", "0", "--pairs", "1", "--seed", "1"]
+    assert bench.main(args) == 0
+    # Three workloads, one pair and one traced run each, on both sides: all after compiling.
+    assert compiled == [True] * 12

@@ -96,6 +96,18 @@ class TestWiener:
         qv = float(np.sum(path.increments() ** 2))
         assert abs(qv - 1.0) <= 0.05
 
+    def test_increments_are_the_draws_the_states_sum(self):
+        # The cumsum/diff round trip is lossy; a Wiener path hands back its draws.
+        grid = TimeGrid.uniform(0.0, 1.0, 200)
+        path = wiener_increments(grid, 2, seed=4, stream_id=1)
+        draws = wiener_increment_array(grid, 2, 4, 1)
+        assert path.increments().tobytes() == draws.tobytes()
+        assert not path.increments().flags.writeable
+        assert not np.array_equal(np.diff(path.states, axis=0), draws)
+        # A caller-built path has no draws; its increments are the differences of its states.
+        built = SamplePath(grid, path.states, 4, 1)
+        assert np.array_equal(built.increments(), np.diff(path.states, axis=0))
+
     def test_stream_independence_correlation(self):
         grid = TimeGrid.uniform(0.0, 1.0, 50)
         n = 4000

@@ -180,7 +180,7 @@ class TestPosteriorMoments:
             [(0.5, [1e3], [[1e-6]]), (0.5, [1e3 + 1e-3], [[1e-6]])]
         )
         exact = 1e-6 + 0.25 * 1e-6
-        assert mix.cov()[0, 0] == pytest.approx(exact, rel=1e-9)
+        assert mix.cov[0, 0] == pytest.approx(exact, rel=1e-9)
         assert posterior_moments(tilt(mix, [0.0], 0.0)).cov[0, 0] == pytest.approx(exact, rel=1e-9)
 
 
@@ -667,9 +667,7 @@ def test_tilted_measure_reads_the_one_row_plan_step(name):
 
 @pytest.mark.parametrize("name", sorted(_CLOSED_FORM_BASES))
 def test_a_matrix_regularizer_is_checked_once_per_measure(name, monkeypatch):
-    # A fresh base, so its cached one-component mixture is built while counting.
-    shared = _CLOSED_FORM_BASES[name]
-    base = type(shared)(*(getattr(shared, f.name) for f in dataclasses.fields(shared)))
+    base = _CLOSED_FORM_BASES[name]
     c, reg = _tilt_vector(base), 0.5 * np.eye(base.dim) + 0.1
     calls = []
     check = targets._check_spd
@@ -721,8 +719,16 @@ class TestJson:
 
 
 def test_a_gaussian_base_mixture_equals_the_checked_one():
-    base = GaussianMeasure([0.5, -1.0], [[1.5, 0.3], [0.3, 0.8]])
-    checked = GaussianMixture(np.ones(1), base.mean[None], base.cov[None])
-    for f in dataclasses.fields(checked):
-        got, want = getattr(base._mixture, f.name), getattr(checked, f.name)
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape and not got.flags.writeable
+    mean, cov = np.array([0.5, -1.0]), np.array([[1.5, 0.3], [0.3, 0.8]])
+    base = GaussianMeasure(mean, cov)
+    checked = GaussianMixture(np.ones(1), mean[None], cov[None])
+    assert isinstance(base, GaussianMixture)
+    for name in [f.name for f in dataclasses.fields(checked)] + ["mean", "cov", "dim"]:
+        got, want = np.asarray(getattr(base, name)), np.asarray(getattr(checked, name))
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    # One component's moments are that component, bit for bit, and read-only.
+    assert base.mean.tobytes() == mean.tobytes() and base.cov.tobytes() == cov.tobytes()
+    assert not (base.mean.flags.writeable or base.cov.flags.writeable or base.precision.flags.writeable)
+    assert base.precision.tobytes() == np.linalg.solve(cov, np.eye(2)).tobytes()
+    xs = np.random.default_rng(5).standard_normal((7, 2))
+    assert base.log_density(xs).tobytes() == checked.log_density(xs).tobytes()
