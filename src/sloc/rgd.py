@@ -152,7 +152,7 @@ def chain_law_propagate(
         cov = gain @ blurred @ gain.T + post_cov
         cov = 0.5 * (cov + cov.T)
         laws.append(ChainLaw(mean, cov))
-        kls.append(gaussian_kl(GaussianMeasure(mean, cov), target))
+        kls.append(gaussian_kl(laws[-1], target))
     return laws, np.asarray(kls)
 
 

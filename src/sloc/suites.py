@@ -11,9 +11,7 @@ one recorder turns the verdicts into ``CheckResult`` records.  A result's
 ``runtime`` is the wall time, in seconds, since the previous result of the
 same call, or since the call began for its first result, so the runtimes of
 one call add up to its wall time.  A result thus carries the simulations it is
-the first to read and any one-time import made on the way: the first KS result
-of a process includes the deferred ``scipy.stats`` import (1-2 s on a 2-core
-VM), and ``lsi/gamma-at-one`` the ``scipy.integrate`` one.
+the first to read.
 """
 from __future__ import annotations
 
@@ -626,10 +624,21 @@ def check_stability_and_reduction(budget: SuiteBudget) -> Iterator[_Verdict]:
 # Criterion 10: constant-schedule identities.
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return tuple(targets._readonly(a) for a in np.polynomial.legendre.leggauss(64))
+
+
+def _integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """``int_lo^hi f`` by the 64-node Gauss-Legendre rule; ``f`` takes the nodes
+    as one array."""
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    return half * float(np.sum(weights * f(0.5 * (lo + hi) + half * nodes)))
+
+
 @_recorded
 def check_lsi_schedules(budget: SuiteBudget) -> Iterator[_Verdict]:
-    from scipy.integrate import quad  # deferred, so that importing sloc does not load scipy
-
     rng = generator(_subseed(budget.seed, 19), 0, 15)
 
     alphas = rng.uniform(0.05, 20.0, 100)
@@ -642,8 +651,7 @@ def check_lsi_schedules(budget: SuiteBudget) -> Iterator[_Verdict]:
     for alpha in (0.5, 1.0, 2.0):
         schedule = polchinski.lsi_schedule(alpha)
         for tau in np.linspace(0.05, 0.95, 10):
-            integral, _ = quad(lambda s: float(schedule.gamma(s)), tau, 1.0)
-            target = 1.0 - math.exp(-integral)
+            target = 1.0 - math.exp(-_integral(schedule.gamma, tau, 1.0))
             devs.append(abs(polchinski.stability_factor(alpha, tau) - target))
     yield _Verdict(
         "lsi/factor-integral-identity",

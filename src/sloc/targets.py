@@ -128,6 +128,9 @@ class GaussianMixture:
             covs = covs[None, :, :]
         if w.size < 1:
             raise ValueError("mixture needs at least one component")
+        for name, values in (("weights", w), ("means", means), ("covariances", covs)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"mixture {name} must be finite")
         if np.any(w <= 0.0) or np.any(w > 1.0):
             raise ValueError("mixture weights must lie in (0, 1]")
         if abs(float(w.sum()) - 1.0) > 1e-12:

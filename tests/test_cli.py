@@ -1,8 +1,10 @@
 import json
+import math
 import warnings
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from sloc import rgd, targets
 from sloc.cli import DEFAULTS, main, validate_config
@@ -101,6 +103,30 @@ class TestValidateConfig:
 
 
 class TestCliRuns:
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ({"kind": "gaussian", "mean": [math.inf], "cov": [[1.0]]}, "mixture means must be finite"),
+            ({"kind": "gaussian", "mean": [math.nan], "cov": [[1.0]]}, "mixture means must be finite"),
+            ({"kind": "gaussian", "mean": [0.0], "cov": [[math.inf]]}, "mixture covariances must be finite"),
+            (
+                {"kind": "mixture", "components": [
+                    {"weight": math.nan, "mean": [-1.0], "cov": [[1.0]]},
+                    {"weight": 0.5, "mean": [1.0], "cov": [[1.0]]},
+                ]},
+                "mixture weights must be finite",
+            ),
+            ({"kind": "dirac"}, "unknown target kind 'dirac'"),
+        ],
+    )
+    def test_a_bad_target_is_one_config_error(self, tmp_path, capsys, target, message):
+        # json writes the non-finite floats as Infinity and NaN, which json reads back.
+        out = tmp_path / "out"
+        assert main(["equiv", "--paths", "200", "--config", write_config(tmp_path, {"target": target}),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: target: {message}\n"
+        assert not out.exists()
+
     def test_config_error_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"dt": -1})
         code = main(["lsi", "--config", path, "--out", str(tmp_path / "out")])

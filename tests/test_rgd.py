@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sloc import rgd, sde, targets
-from sloc.diagnostics import ks_two_sample
+from sloc.diagnostics import gaussian_kl, ks_two_sample
 from sloc.rgd import (
     ChainLaw,
     RgdConfig,
@@ -165,6 +165,26 @@ class TestChainLaw:
     def test_chain_covariance_must_stay_spd(self):
         with pytest.raises(ValueError):
             ChainLaw([0.0], [[0.0]])
+
+    def test_kls_are_those_of_checked_gaussians_without_building_one(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((3, 3))
+        target = GaussianMeasure(rng.standard_normal(3), a @ a.T + 0.3 * np.eye(3))
+        init = GaussianMeasure(rng.standard_normal(3), np.eye(3))
+        real, built = GaussianMixture.__post_init__, []
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(GaussianMixture, "__post_init__", counted)
+        laws, kls = chain_law_propagate(init, target, 0.7, 8)
+        assert built == []
+        monkeypatch.undo()
+        for law, kl in zip(laws, kls, strict=True):
+            assert kl == gaussian_kl(GaussianMeasure(law.mean, law.cov), target)
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            gaussian_kl(ChainLaw([0.0], [[1.0]]), target)
 
 
 class TestLsiBound:

@@ -6,7 +6,9 @@ import math
 import time
 import types
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sloc import localize, polchinski, rgd, suites, targets
 from sloc.sde import NonFiniteStateError
@@ -70,6 +72,14 @@ def _assert_failed_with_nan(results, *names):
         assert math.isnan(found[name].observed), name
 
 
+def test_the_lsi_quadrature_is_scipys_at_the_checks_probes():
+    for alpha in (0.5, 1.0, 2.0):
+        schedule = polchinski.lsi_schedule(alpha)
+        for tau in np.linspace(0.05, 0.95, 10):
+            reference, _ = quad(lambda s: float(schedule.gamma(s)), tau, 1.0)
+            assert suites._integral(schedule.gamma, tau, 1.0) == pytest.approx(reference, rel=0, abs=1e-12)
+
+
 def test_nan_stability_factor_fails_both_lsi_identities(monkeypatch):
     monkeypatch.setattr(polchinski, "stability_factor", lambda alpha, tau: math.nan)
     _assert_failed_with_nan(
@@ -77,7 +87,6 @@ def test_nan_stability_factor_fails_both_lsi_identities(monkeypatch):
     )
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_nan_gamma_after_the_first_alpha_fails_gamma_at_one(monkeypatch):
     # Builtin max keeps a NaN only when it comes first, so spoil all but the first.
     real = polchinski.lsi_schedule
@@ -127,7 +136,7 @@ def test_nan_quartic_ratio_fails_quartic_target(monkeypatch):
 
 
 def test_nan_transitions_fail_the_kernel_identity_ks_results(monkeypatch):
-    # scipy's KS test gives a NaN p-value for a sample holding a NaN.
+    # diagnostics.ks_two_sample gives a NaN p-value for a sample holding a NaN.
     real = rgd.rgd_transition_batch
     monkeypatch.setattr(rgd, "rgd_transition_batch", lambda *args: real(*args) * math.nan)
     _assert_failed_with_nan(

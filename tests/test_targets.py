@@ -56,6 +56,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GaussianMixture([], np.empty((0, 1)), np.empty((0, 1, 1)))
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: GaussianMixture([0.5, math.nan], [[0.0], [1.0]], [[[1.0]], [[1.0]]]), "weights"),
+            (lambda: GaussianMixture([0.5, 0.5], [[0.0], [math.inf]], [[[1.0]], [[1.0]]]), "means"),
+            (lambda: GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[math.nan]]]), "covariances"),
+            (lambda: GaussianMeasure([math.inf], [[1.0]]), "means"),
+            (lambda: GaussianMeasure([math.nan], [[1.0]]), "means"),
+            (lambda: GaussianMeasure([0.0], [[math.inf]]), "covariances"),
+            (lambda: GaussianMeasure([0.0, 0.0], [[1.0, -math.inf], [-math.inf, 1.0]]), "covariances"),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected(self, build, field):
+        # A NaN weight passes every comparison-based check, and an infinite
+        # covariance passes the symmetry test; only a finiteness check stops them.
+        with pytest.raises(ValueError, match=f"mixture {field} must be finite"):
+            build()
+
     def test_generic_gradient_check_catches_mismatch(self):
         with pytest.raises(ValueError, match="finite differences"):
             GenericPotential(
