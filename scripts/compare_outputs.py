@@ -8,12 +8,16 @@ from a fresh temporary directory, at the default budgets.  Every file the run
 writes is compared byte for byte, and so are its exit code and standard
 output; ``report.json`` is compared with each check's ``runtime`` left out,
 since wall time is never reproducible.  Prints every output that differs and
-exits 1 if any does, 0 if none does.
+exits 1 if any does, 0 if none does.  For a CSV that differs it also prints
+how far its bits moved: the largest relative change over its cells, and the
+rows whose ``passed`` cell flipped.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +65,46 @@ def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]
     ]
 
 
+def _relative_change(old: str, new: str) -> float:
+    """``|new - old| / |old|`` of two cells: 0 when they are equal as text or
+    both NaN, inf when either is not a number or ``old`` is 0."""
+    if old == new:
+        return 0.0
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if math.isnan(a) and math.isnan(b):
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def csv_moves(parent: bytes, change: bytes) -> tuple[float, list[str]]:
+    """How far the cells of two CSV texts moved: the largest relative change
+    over cells in the same place outside a ``passed`` column (inf where the
+    row or column counts differ), and ``"<first cell>: <old> -> <new>"`` for
+    each row whose ``passed`` cell differs."""
+    old, new = (list(csv.reader(data.decode().splitlines())) for data in (parent, change))
+    if [len(r) for r in old] != [len(r) for r in new]:
+        return math.inf, []
+    passed = old[0].index("passed") if old and "passed" in old[0] else None
+    largest = max((_relative_change(a, b) for ro, rn in zip(old, new) for i, (a, b) in enumerate(zip(ro, rn))
+                   if i != passed), default=0.0)
+    flipped = [f"{ro[0]}: {ro[passed]} -> {rn[passed]}" for ro, rn in zip(old[1:], new[1:])
+               if passed is not None and passed < len(ro) and ro[passed] != rn[passed]]
+    return largest, flipped
+
+
+def describe(name: str, parent: dict[str, bytes], change: dict[str, bytes]) -> str:
+    """``"<name> differs"``, and for a CSV both runs wrote, how far it moved."""
+    text = f"{name} differs"
+    if name.endswith(".csv") and name in parent and name in change:
+        largest, flipped = csv_moves(parent[name], change[name])
+        text += f" (largest relative change {largest:.3g}"
+        text += f"; passed flipped: {', '.join(flipped)})" if flipped else ")"
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout whose outputs are the reference")
@@ -69,10 +113,11 @@ def main(argv: list[str] | None = None) -> int:
     differing = 0
     for command in COMMANDS:
         for seed in SEEDS:
-            diff = differences(run_outputs(args.parent, command, seed), run_outputs(args.change, command, seed))
+            parent, change = run_outputs(args.parent, command, seed), run_outputs(args.change, command, seed)
+            diff = differences(parent, change)
             differing += len(diff)
             for name in diff:
-                print(f"sloc {command} --seed {seed}: {name} differs")
+                print(f"sloc {command} --seed {seed}: {describe(name, parent, change)}")
             if not diff:
                 print(f"sloc {command} --seed {seed}: identical")
     print(f"{differing} differing outputs")

@@ -409,14 +409,14 @@ def girsanov_energy(
     """
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the drift grid must start at 0 and stay below 1")
-    d, dts = drift.base.dim, tau_grid.dts
+    d, dts = drift.base.dim, tau_grid.dts.tolist()
     flow = _flow_drift(drift.base, tau_grid.times[:-1], drift.budget)
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         v = x[:, :d]
         u = flow(k, v)
-        energy = x[:, d] + 0.5 * np.sum(u**2, axis=1) * dts[k]
-        return np.column_stack([v + u * dts[k] + dw, energy])
+        energy = x[:, d:] + 0.5 * np.add.reduce(u * u, axis=1, keepdims=True) * dts[k]
+        return np.concatenate([v + u * dts[k] + dw, energy], axis=1)
 
     noise = partial(wiener_increment_array, tau_grid, d, seed)
     end = _integrate(tau_grid, np.zeros((n_paths, d + 1)), step, noise, (), chunk, workers)

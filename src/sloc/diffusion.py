@@ -22,6 +22,7 @@ from .sde import (
     SALT_IS,
     SamplePath,
     TimeGrid,
+    _affine_step,
     _gather,
     _integrate,
     _noise_increments,
@@ -80,30 +81,26 @@ def tweedie_score(base: TargetMeasure, spec: NoisyChannelSpec, y, budget: int = 
     return (s * post.mean - y) / v
 
 
-def _to_tilt(u: float, x):
+def _to_tilt(u, x):
     """The backward diffusion's time change to tilt coordinates: ``(u, x)``
-    maps to ``(t, c) = (u, sqrt(u (u + 1)) x)``."""
-    return u, math.sqrt(u * (u + 1.0)) * x
+    maps to ``(t, c) = (u, sqrt(u (u + 1)) x)``; ``u`` may be an array."""
+    return u, np.sqrt(u * (u + 1.0)) * x
 
 
 def _backward_step(base: TargetMeasure, u_grid: TimeGrid, budget: int | None = None, rng=None):
-    """Engine step of the backward SDE; the grid must avoid u = 0.  The
-    posterior mean ``m`` at ``(u, x)`` is that of the exact tilt at the tilt
-    coordinates of ``(u, x)``, and the score is ``(s m - x) / v`` with the OU
-    parameters ``s = sqrt(u / (u + 1))`` and ``v = 1 / (u + 1)``."""
+    """Engine step of the backward SDE; the grid must avoid u = 0.  With
+    ``uu = u (u + 1)``, the Euler step of ``dx = [x / (2 uu) + score / uu] du +
+    dW / sqrt(uu)``, whose score ``(u + 1) (sqrt(u / (u + 1)) m - x)`` reads the
+    posterior mean ``m`` of the exact tilt at the tilt coordinates ``(u, s x)``,
+    ``s = sqrt(uu)``, is ``x' = a x + g (b m + dw)`` with ``a = 1 + du / (2 uu)
+    - du / u``, ``b = du`` and ``g = 1 / sqrt(uu)``, all tabulated once over
+    the grid."""
     if u_grid.times[0] <= 0.0:
         raise ValueError("the backward grid must be clipped away from u = 0")
-    us, dus = u_grid.times, u_grid.dts
-    mean = targets._tilt_means(base, us[:-1], budget, rng)
-    u_list = us.tolist()  # Python floats index faster per step than numpy scalars
-
-    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        u = u_list[k]
-        uu = u * (u + 1.0)
-        score = (u + 1.0) * (math.sqrt(u / (u + 1.0)) * mean(k, _to_tilt(u, x)[1]) - x)
-        return x + (x / (2.0 * uu) + score / uu) * dus[k] + dw / math.sqrt(uu)
-
-    return step
+    us, dus = u_grid.times[:-1], u_grid.dts
+    uu = us * (us + 1.0)
+    mean = targets._tilt_means(base, us, budget, rng)
+    return _affine_step(mean, _to_tilt(us, 1.0)[1], 1.0 + dus / (2.0 * uu) - dus / us, dus, 1.0 / np.sqrt(uu))
 
 
 def backward_sde_run(
@@ -126,8 +123,8 @@ def backward_sde_run(
     dw = _noise_increments(noise, u_grid, base.dim)
     x0 = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal((1, base.dim))
     rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
-    snaps = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), dw)
-    return [BackwardState(u, x[0]) for u, x in snaps.items()]
+    states = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), dw)
+    return [BackwardState(u, x[0]) for u, x in zip(u_grid.times.tolist(), states)]
 
 
 def backward_sde_ensemble(

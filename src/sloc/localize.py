@@ -127,8 +127,8 @@ def tilt_sde_run(
     dw = _noise_increments(noise, grid, d)
     rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
     t, _, x0, step = _tilt_step(base, grid, budget, rng)
-    snaps = _integrate(grid, x0, step, dw)
-    return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, snaps.values())]
+    states = _integrate(grid, x0, step, dw)
+    return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, states)]
 
 
 def tilt_sde_ensemble(
@@ -312,8 +312,8 @@ def anisotropic_run(base: TargetMeasure, grid: TimeGrid, noise: SamplePath, cont
     if control.shape != (d, d):
         raise ValueError(f"control matrix shape {control.shape} does not match dimension {d}")
     t, regs, x0, step = _tilt_step(base, grid, control=control)
-    snaps = _integrate(grid, x0, step, dw)
-    return [SLState(float(tk), x[0, :d], reg, x[0, d:]) for tk, reg, x in zip(t, regs, snaps.values())]
+    states = _integrate(grid, x0, step, dw)
+    return [SLState(float(tk), x[0, :d], reg, x[0, d:]) for tk, reg, x in zip(t, regs, states)]
 
 
 def write_trajectory_csv(

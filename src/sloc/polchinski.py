@@ -31,6 +31,7 @@ from .sde import (
     SALT_IS,
     SamplePath,
     TimeGrid,
+    _affine_step,
     _integrate,
     _noise_increments,
     _write_csv,
@@ -110,30 +111,30 @@ def renorm_potential(
 
 def _flow_drift(base: TargetMeasure, taus: np.ndarray, budget: int | None = None, rng=None):
     """``(k, v) ->`` the flow drift ``(m - v) / (1 - tau)`` at rows ``v`` and
-    time ``taus[k]``, with ``m`` the fluctuation-measure means.  The flow SDE,
-    ``FollmerDrift`` and ``bridge.girsanov_energy`` all read it; a generic base
+    time ``taus[k]``, with ``m`` the fluctuation-measure means.
+    ``FollmerDrift`` and ``bridge.girsanov_energy`` read it; a generic base
     needs a ``budget`` and goes row by row through ``posterior_moments``."""
     mean = targets._tilt_means(base, _to_tilt(taus)[0], budget, rng)
-    tau_list = taus.tolist()  # Python floats index faster per step than numpy scalars
+    one_m = (1.0 - taus).tolist()  # Python floats index faster per step than numpy scalars
 
     def drift(k: int, v: np.ndarray) -> np.ndarray:
-        tau = tau_list[k]
-        return (mean(k, _to_tilt(tau, v)[1]) - v) / (1.0 - tau)
+        return (mean(k, v / one_m[k]) - v) / one_m[k]
 
     return drift
 
 
 def _flow_step(base: TargetMeasure, tau_grid: TimeGrid, budget: int | None = None, rng=None):
-    """Engine step of the flow SDE; the grid must start at 0 and stay below 1."""
+    """Engine step of the flow SDE; the grid must start at 0 and stay below 1.
+    The Euler step of ``dv = (m - v) / (1 - tau) dtau + dW``, with ``m`` the
+    fluctuation-measure mean at the tilt coordinates ``(t, s v)``,
+    ``s = 1 / (1 - tau)``, is ``v' = a v + g (b m + dw)`` with ``a = 1 - dtau s``,
+    ``b = dtau s`` and ``g = 1``, all tabulated once over the grid."""
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the flow grid must start at 0 and stay below 1")
-    dts = tau_grid.dts
-    drift = _flow_drift(base, tau_grid.times[:-1], budget, rng)
-
-    def step(k: int, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        return v + drift(k, v) * dts[k] + dw
-
-    return step
+    taus, dts = tau_grid.times[:-1], tau_grid.dts
+    t, s = _to_tilt(taus, 1.0)
+    mean = targets._tilt_means(base, t, budget, rng)
+    return _affine_step(mean, s, 1.0 - dts * s, dts * s, np.ones_like(taus))
 
 
 def polchinski_run(
@@ -155,8 +156,8 @@ def polchinski_run(
     dw = _noise_increments(noise, tau_grid, base.dim)
     rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
     step = _flow_step(base, tau_grid, budget, rng)
-    snaps = _integrate(tau_grid, np.zeros((1, base.dim)), step, dw)
-    return SamplePath(tau_grid, np.concatenate(list(snaps.values())), noise.seed, noise.stream_id)
+    states = _integrate(tau_grid, np.zeros((1, base.dim)), step, dw)
+    return SamplePath(tau_grid, states[:, 0], noise.seed, noise.stream_id)
 
 
 def polchinski_ensemble(

@@ -27,6 +27,17 @@ SALT_INIT = 1
 SALT_IS = 2
 
 
+def _counter(salt: int) -> np.ndarray:
+    """The read-only Philox counter ``[0, salt, 0, 0]``."""
+    counter = np.array([0, salt & _U64, 0, 0], dtype=np.uint64)
+    counter.setflags(write=False)
+    return counter
+
+
+#: The named salts' counters, built once: Philox reads an array faster than a list.
+_COUNTERS = {salt: _counter(salt) for salt in (SALT_NOISE, SALT_INIT, SALT_IS)}
+
+
 class NonFiniteStateError(RuntimeError):
     """An integration step produced a non-finite state."""
 
@@ -46,7 +57,8 @@ def generator(seed: int, stream_id: int, salt: int = SALT_NOISE) -> np.random.Ge
     0])``; its key is set without drawing OS entropy, and ``spawn`` raises
     ``TypeError``.
     """
-    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream_id), counter=[0, salt & _U64, 0, 0]))
+    counter = _COUNTERS[salt] if salt in _COUNTERS else _counter(salt)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream_id), counter=counter))
 
 
 def map_chunks(run_chunk, n: int, chunk: int, workers: int = 1) -> None:
@@ -222,6 +234,25 @@ def _noise_increments(noise: SamplePath, grid: TimeGrid, d: int) -> np.ndarray:
     return noise.increments()
 
 
+def _affine_step(
+    mean: Callable[[int, np.ndarray], np.ndarray], s: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
+) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+    """Engine step ``x' = a_k x + g_k (b_k m + dw)`` with ``m = mean(k, s_k x)``,
+    from coefficient columns tabulated once over the grid's left endpoints:
+    one kernel call and six array operations a step."""
+    rows = list(zip(s.tolist(), a.tolist(), b.tolist(), g.tolist()))  # Python floats index fastest
+
+    def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        sk, ak, bk, gk = rows[k]
+        y = bk * mean(k, sk * x)
+        y += dw
+        y *= gk
+        y += ak * x
+        return y
+
+    return step
+
+
 def _integrate(
     grid: TimeGrid,
     x0: np.ndarray,
@@ -230,7 +261,7 @@ def _integrate(
     snapshot_times: Sequence[float] | None = None,
     chunk: int = 4096,
     workers: int = 1,
-) -> dict[float, np.ndarray]:
+) -> Union[dict[float, np.ndarray], np.ndarray]:
     """The Euler stepping engine behind every path process.
 
     Row ``s`` of ``x0 (n, w)`` starts path ``s``; ``step(k, x, dw)`` advances
@@ -240,32 +271,37 @@ def _integrate(
     holds one noise array ``(rows, steps, d)``, and each stream is copied into
     its row as it is drawn, so no list of streams is held beside it.  Returns
     the states at ``snapshot_times`` and the grid's end, keyed by requested
-    time, or at every grid point, keyed by grid time, when that is None.  A
-    kept state that is not finite raises ``NonFiniteStateError``; a non-finite
-    state stays so under every drift here, so keeping every point finds the
-    exact step.
+    time, or, when that is None, the states at every grid point as one array
+    ``(steps + 1, n, w)``.  A kept state that is not finite raises
+    ``NonFiniteStateError``; a non-finite state stays so under every drift
+    here, so keeping every point finds the exact step.
     """
     if snapshot_times is None:
-        wanted = {float(t): k for k, t in enumerate(grid.times)}
+        kept = range(len(grid))
     else:
         times = sorted(set(float(s) for s in snapshot_times) | {float(grid.times[-1])})
-        wanted = {s: grid.index_of(s) for s in times}
-    keep = {k: np.empty(x0.shape) for k in wanted.values()}
+        index = {s: grid.index_of(s) for s in times}
+        kept = sorted(set(index.values()))
+    states = np.empty((len(kept),) + x0.shape)
+    slot = [None] * len(grid)  # grid index -> row of ``states``, or None where not kept
+    for i, k in enumerate(kept):
+        slot[k] = i
 
     def run_chunk(lo: int, hi: int) -> None:
         dw = noise[None] if isinstance(noise, np.ndarray) else _gather(noise, range(lo, hi))
         x = x0[lo:hi]
-        if 0 in keep:
-            keep[0][lo:hi] = x
+        if slot[0] is not None:
+            states[slot[0], lo:hi] = x
         for k in range(grid.steps):
             x = step(k, x, dw[:, k])
-            if k + 1 in keep:
+            i = slot[k + 1]
+            if i is not None:
                 if not np.isfinite(x).all():
                     raise NonFiniteStateError(k + 1, float(grid.times[k + 1]))
-                keep[k + 1][lo:hi] = x
+                states[i, lo:hi] = x
 
     map_chunks(run_chunk, x0.shape[0], chunk, workers)
-    return {s: keep[k] for s, k in wanted.items()}
+    return states if snapshot_times is None else {s: states[slot[k]] for s, k in index.items()}
 
 
 def _fmt(x: float) -> str:

@@ -606,20 +606,20 @@ class TiltStep(NamedTuple):
     shift: np.ndarray
     const: np.ndarray
 
-    def _columns(self, tilts) -> np.ndarray:
-        """Tilt rows as columns ``(d, n)``, checked against the base dimension."""
-        ct = np.atleast_2d(np.asarray(tilts, dtype=float)).T
-        d = self.shift.shape[1]
+    def _means(self, tilts) -> tuple[np.ndarray, np.ndarray]:
+        """Tilt rows as columns ``ct`` ``(d, n)``, checked against the base
+        dimension, and the component posterior means ``(J, d, n)``.  A 2-D
+        float64 array is read as it is, without a conversion call."""
+        if type(tilts) is not np.ndarray or tilts.ndim != 2 or tilts.dtype != np.float64:
+            tilts = np.atleast_2d(np.asarray(tilts, dtype=float))
+        ct, inv = tilts.T, self.inv
+        d = inv.shape[1]
         if ct.shape[0] != d:
             raise ValueError(f"tilt vectors have {ct.shape[0]} columns, the base has dimension {d}")
-        return ct
-
-    def _means(self, ct: np.ndarray) -> np.ndarray:
-        """Component posterior means ``(J, d, ...)`` of tilt columns ``ct`` ``(d, ...)``."""
-        means = ct[0] * self.inv[:, :, 0] + self.offset
-        for e in range(1, ct.shape[0]):
-            means += ct[e] * self.inv[:, :, e]
-        return means
+        means = ct[0] * inv[:, :, 0] + self.offset
+        for e in range(1, d):
+            means += ct[e] * inv[:, :, e]
+        return ct, means
 
     def _log_masses(self, ct: np.ndarray, means: np.ndarray) -> np.ndarray:
         """Unnormalized component log-masses ``(J, ...)``, ``const + (c + P mu)' m / 2``."""
@@ -632,8 +632,7 @@ class TiltStep(NamedTuple):
     def _components(self, tilts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Component posterior means ``(J, d, n)``, log-partitions ``(n,)`` and
         component weights ``(J, n)`` for the rows of ``tilts``."""
-        ct = self._columns(tilts)
-        means = self._means(ct)
+        ct, means = self._means(tilts)
         return (means, *_log_normalize(self._log_masses(ct, means), axis=0))
 
     def mean_and_log_partition(self, tilts) -> tuple[np.ndarray, np.ndarray]:
@@ -646,8 +645,7 @@ class TiltStep(NamedTuple):
         """Component posterior means ``(J, d, n)`` and weights ``(J, n)``, or
         ``None`` when J = 1, for the rows of ``tilts``.  Sums run elementwise
         in a fixed order, never through BLAS, so no row depends on another."""
-        ct = self._columns(tilts)
-        means = self._means(ct)
+        ct, means = self._means(tilts)
         if means.shape[0] == 1:
             return means, None
         return means, _softmax(self._log_masses(ct, means), 0)[2]
@@ -710,9 +708,10 @@ def _checked_regs(regs, d: int) -> np.ndarray:
 
 def _plan(base: TargetMeasure, t: np.ndarray) -> Callable[[int], TiltStep]:
     """``tilt_plan`` at regularizers ``t`` already checked and capped, as
-    ``TiltedMeasure`` holds them."""
+    ``TiltedMeasure`` holds them; every point's ``TiltStep`` is built here, so
+    a step only looks it up."""
     _, inv, offset, shift, const = (a[..., None] for a in _plan_step(base, t))
-    return lambda k: TiltStep(t[k], inv[k], offset[k], shift, const[k])
+    return [TiltStep(r, i, o, shift, c) for r, i, o, c in zip(t, inv, offset, const)].__getitem__
 
 
 def posterior_mean_batch(base: TargetMeasure, tilts: np.ndarray, step: TiltStep) -> np.ndarray:

@@ -152,21 +152,36 @@ class TestCliRuns:
         assert (out / "report.json").exists()
 
     def test_a_non_finite_run_fails_its_check_and_the_rest_run(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"target": {"kind": "gaussian", "mean": [1e308], "cov": [[1.0]]}})
-        out = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["equiv", "--paths", "200", "--config", config, "--out", str(out)]) == 1
-        # Every non-finite value fails a verdict or is a run error; numpy does not warn of it.
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.out + captured.err
-        assert captured.err == ""
-        rows = (out / "report.csv").read_text().splitlines()
-        assert "backward-diffusion/run-error,nan,0,0" in rows
-        assert rows[-1].startswith("flow/potential-equation,")
-        report = json.loads((out / "report.json").read_text())
-        error = next(c for c in report["checks"] if c["name"] == "backward-diffusion/run-error")
+        # A Gaussian of mean 1e308 keeps every path finite and fails its checks
+        # as verdicts; the +-1e308 mixture's log-masses are inf - inf, so each
+        # ensemble check stops with a NonFiniteStateError.
+        huge = [{"weight": 0.5, "mean": [m], "cov": [[1.0]]} for m in (-1e308, 1e308)]
+        runs = {"gaussian": {"kind": "gaussian", "mean": [1e308], "cov": [[1.0]]},
+                "mixture": {"kind": "mixture", "components": huge}}
+        rows, reports = {}, {}
+        for label, target in runs.items():
+            out = tmp_path / label
+            config = write_config(tmp_path, {"target": target})
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["equiv", "--paths", "200", "--config", config, "--out", str(out)]) == 1
+            # Every non-finite value fails a verdict or is a run error; numpy does not warn of it.
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert captured.err == ""
+            rows[label] = (out / "report.csv").read_text().splitlines()
+            reports[label] = json.loads((out / "report.json").read_text())
+        ks = next(row for row in rows["gaussian"] if row.startswith("backward-vs-tilt/ks-gaussian,"))
+        assert ks.endswith(",0")
+        assert not any("run-error" in row for row in rows["gaussian"])
+        assert rows["gaussian"][-1].startswith("flow/potential-equation,")
+        # One failed run-error row per check that met the error, and the checks after it still run.
+        errors = [row.split(",")[0] for row in rows["mixture"] if "/run-error," in row]
+        assert errors == ["tilt-vs-channel/run-error", "particles/run-error", "backward-diffusion/run-error",
+                          "renormalization-flow/run-error"]
+        assert "backward-diffusion/run-error,nan,0,0" in rows["mixture"]
+        error = next(c for c in reports["mixture"]["checks"] if c["name"] == "backward-diffusion/run-error")
         assert error["detail"] == "NonFiniteStateError: non-finite state at step 2250 (time 0.5)"
 
     def test_too_few_paths_for_a_ks_check_exits_two(self, tmp_path, capsys):

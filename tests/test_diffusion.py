@@ -13,7 +13,7 @@ from sloc.diffusion import (
     ou_marginal_params,
     tweedie_score,
 )
-from sloc.sde import TimeGrid, wiener_increments
+from sloc.sde import TimeGrid, wiener_increment_array, wiener_increments
 from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
 
 from oracles import gaussian_pdf, grid_1d, mixture_pdf
@@ -219,3 +219,50 @@ class TestTimeChangeAlgebra:
             assert s == pytest.approx(math.sqrt(u / (u + 1.0)), abs=1e-12)
             assert v == pytest.approx(1.0 / (u + 1.0), abs=1e-12)
             assert s * s / v == pytest.approx(u, abs=1e-10)
+
+
+class TestTabulatedStep:
+    """The backward step reads its coefficients from a table built once per
+    run, ``x' = a x + g (b m + dw)`` at tilt ``s x``; it is the textbook Euler
+    recursion of ``backward_sde_run`` up to rounding: within ``RTOL`` in
+    ``|got - want| / (1 + |want|)`` after 2 501 steps."""
+
+    GRID = TimeGrid.geometric(1e-3, 1.0, 2500).including(0.5)
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("base", [std_normal(), GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]])],
+                             ids=["gaussian", "mixture"])
+    def test_matches_the_textbook_euler_recursion(self, base):
+        grid, seed, n = self.GRID, 23, 64
+        u0, half = float(grid.times[0]), grid.index_of(0.5)
+        snaps = backward_sde_ensemble(base, grid, seed, n, snapshot_times=(u0, 0.5))
+        dw = np.stack([wiener_increment_array(grid, 1, seed, s) for s in range(n)])
+        plan = targets.tilt_plan(base, grid.times[:-1])
+        x, want = snaps[u0], {}
+        for k, (u, du) in enumerate(zip(grid.times[:-1].tolist(), grid.dts.tolist())):
+            uu = u * (u + 1.0)
+            s, v = math.sqrt(u / (u + 1.0)), 1.0 / (u + 1.0)
+            m = targets.posterior_mean_batch(base, math.sqrt(uu) * x, plan(k))
+            x = x + (x / (2.0 * uu) + ((s * m - x) / v) / uu) * du + dw[:, k] / math.sqrt(uu)
+            if k + 1 == half:
+                want[0.5] = x
+        want[1.0] = x
+        for u, ref in want.items():
+            err = np.max(np.abs(snaps[u] - ref) / (1.0 + np.abs(ref)))
+            assert err <= self.RTOL
+
+    def test_the_tilt_column_is_the_time_change(self, monkeypatch):
+        seen = []
+        original = targets.posterior_mean_batch
+
+        def spy(base, tilts, t):
+            seen.append((np.array(tilts), t.reg))
+            return original(base, tilts, t)
+
+        monkeypatch.setattr(targets, "posterior_mean_batch", spy)
+        grid = TimeGrid.geometric(1e-3, 1.0, 40)
+        states = backward_sde_run(std_normal(), grid, wiener_increments(grid, 1, 4, 0))
+        assert len(seen) == grid.steps
+        for (c, reg), u, state in zip(seen, grid.times, states):
+            assert reg == u
+            assert np.array_equal(c, _to_tilt(u, state.x[None])[1])

@@ -15,7 +15,7 @@ from sloc.polchinski import (
     renorm_potential,
     stability_factor,
 )
-from sloc.sde import TimeGrid, wiener_increments
+from sloc.sde import TimeGrid, wiener_increment_array, wiener_increments
 from sloc.targets import (
     GaussianMeasure,
     GaussianMixture,
@@ -270,3 +270,47 @@ class TestStabilityBounds:
 
         residuals = renorm_equation_residuals(two_mixture(), seed=11)
         assert residuals.max() <= 1e-3
+
+
+class TestTabulatedStep:
+    """The flow step reads its coefficients from a table built once per run,
+    ``v' = a v + g (b m + dw)`` at tilt ``s v``; it is the textbook Euler
+    recursion of the flow SDE up to rounding: within ``RTOL`` in
+    ``|got - want| / (1 + |want|)`` after 500 steps."""
+
+    GRID = TimeGrid.uniform(0.0, 0.5, 500)
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("base", [GaussianMeasure([2.0], [[1.0]]), two_mixture()], ids=["gaussian", "mixture"])
+    def test_matches_the_textbook_euler_recursion(self, base):
+        grid, seed, n = self.GRID, 29, 64
+        snaps = polchinski_ensemble(base, grid, seed, n, snapshot_times=(0.25,))
+        dw = np.stack([wiener_increment_array(grid, 1, seed, s) for s in range(n)])
+        plan = targets.tilt_plan(base, polchinski._to_tilt(grid.times[:-1])[0])
+        v, want = np.zeros((n, 1)), {}
+        for k, (tau, dt) in enumerate(zip(grid.times[:-1].tolist(), grid.dts.tolist())):
+            one_m = 1.0 - tau
+            m = targets.posterior_mean_batch(base, v / one_m, plan(k))
+            v = v + (m - v) / one_m * dt + dw[:, k]
+            if k + 1 == grid.index_of(0.25):
+                want[0.25] = v
+        want[0.5] = v
+        for tau, ref in want.items():
+            assert np.max(np.abs(snaps[tau] - ref) / (1.0 + np.abs(ref))) <= self.RTOL
+
+    def test_the_tilt_column_is_the_time_change(self, monkeypatch):
+        seen = []
+        original = targets.posterior_mean_batch
+
+        def spy(base, tilts, t):
+            seen.append((np.array(tilts), t.reg))
+            return original(base, tilts, t)
+
+        monkeypatch.setattr(targets, "posterior_mean_batch", spy)
+        grid = TimeGrid.uniform(0.0, 0.5, 40)
+        path = polchinski_run(two_mixture(), grid, wiener_increments(grid, 1, 4, 0))
+        t, s = polchinski._to_tilt(grid.times[:-1], 1.0)
+        assert len(seen) == grid.steps
+        for k, (c, reg) in enumerate(seen):
+            assert reg == t[k]
+            assert np.array_equal(c, s[k] * path.states[k][None])

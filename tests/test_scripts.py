@@ -168,3 +168,21 @@ def test_bench_pairs_compiles_both_sources_before_the_first_run(monkeypatch, tmp
     assert bench.main(args) == 0
     # Three workloads, one pair and one traced run each, on both sides: all after compiling.
     assert compiled == [True] * 12
+
+
+def test_compare_outputs_says_how_far_a_csv_moved():
+    compare = load_script("compare_outputs.py")
+    parent = b"name,observed,tolerance,passed\na,0.25,0.01,1\nb,2,1,0\nc,nan,0,0\n"
+    change = b"name,observed,tolerance,passed\na,0.2500001,0.01,1\nb,0.5,1,1\nc,nan,0,0\n"
+    largest, flipped = compare.csv_moves(parent, change)
+    assert largest == pytest.approx(0.75) and flipped == ["b: 0 -> 1"]
+    assert compare.csv_moves(parent, parent) == (0.0, [])
+    # A cell that is not a number, or a row too many, moved without bound.
+    assert compare.csv_moves(b"x\n1\n", b"x\none\n")[0] == float("inf")
+    assert compare.csv_moves(b"x\n1\n", b"x\n1\n2\n")[0] == float("inf")
+    outputs = {"report.csv": parent, "report.json": b"{}"}
+    moved = dict(outputs, **{"report.csv": change, "report.json": b"[]"})
+    assert compare.describe("report.csv", outputs, moved) == (
+        "report.csv differs (largest relative change 0.75; passed flipped: b: 0 -> 1)")
+    assert compare.describe("report.json", outputs, moved) == "report.json differs"
+    assert compare.describe("x.csv", {}, {"x.csv": b"1\n"}) == "x.csv differs"
