@@ -28,14 +28,17 @@ The ``end_to_end`` block holds these runs, the summary of their wall times
 pairs whose output digests match and differ.  A criterion's time includes
 pytest's start-up.
 
-``CHANGE_DIR/BENCH_<pr>.json`` holds the machine block, every run's final
-JSON line and the summary: per workload and end-to-end metric, each side's
-quartiles, the change's relative median shift, its wins over the pairs (ties
-count for neither), whether a gain holds (wins in at least nine tenths of the
-pairs and medians further apart than the parent's interquartile range),
-whether the change's median is within the metric's regression bound from
-``BENCHMARK.json``, and whether the parent's spread resolves that bound.  The
-file is rewritten after every run.
+``CHANGE_DIR/BENCH_<pr>.json``, the file to commit, holds the machine block,
+every workload run's final JSON line (traced runs' included), the digests and
+the summaries: per workload and end-to-end metric, each side's quartiles, the
+change's relative median shift, its wins over the pairs (ties count for
+neither), whether a gain holds (wins in at least nine tenths of the pairs and
+medians further apart than the parent's interquartile range), whether the
+change's median is within the metric's regression bound from
+``BENCHMARK.json``, and whether the parent's spread resolves that bound.
+``CHANGE_DIR/.slocbench_out/BENCH_<pr>.raw.json`` holds all that plus the
+traced runs' span tables and the end-to-end block's per-run records.  Both
+files are rewritten after every run.
 """
 from __future__ import annotations
 
@@ -145,6 +148,25 @@ def span_summary(path: Path) -> dict:
             "per_pass": {k: {"calls": calls[k] / n, "self_s": self_s[k] / n} for k in sorted(calls)}}
 
 
+def committed(bench: dict) -> dict:
+    """``bench`` without the traced runs' span tables and the end-to-end
+    block's per-run records, which only the raw file keeps."""
+    return dict(bench, traced=[{k: v for k, v in run.items() if k != "spans"} for run in bench["traced"]],
+                end_to_end={k: v for k, v in bench["end_to_end"].items() if k != "runs"})
+
+
+def dumps(obj, depth: int = 3, indent: str = "") -> str:
+    """``obj`` as JSON, one item a line down to ``depth`` levels of nesting and
+    compact below, so that each run record or metric summary takes a few lines."""
+    if depth == 0 or not isinstance(obj, (dict, list)) or not obj:
+        return json.dumps(obj)
+    inner = indent + " "
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(k)}: {dumps(v, depth - 1, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    return "[\n" + ",\n".join(inner + dumps(v, depth - 1, inner) for v in obj) + "\n" + indent + "]"
+
+
 def compile_sources(checkouts) -> None:
     """Byte-compile the ``src`` tree of every checkout."""
     for checkout in checkouts:
@@ -212,6 +234,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = checkouts["change"] / f"BENCH_{args.pr}.json"
+    raw = checkouts["change"] / ".slocbench_out" / f"BENCH_{args.pr}.raw.json"
+    raw.parent.mkdir(exist_ok=True)
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     bench = {
         "description": (f"slocbench/run.py final JSON lines, parent vs change, {args.pairs} alternating pairs "
@@ -221,11 +245,16 @@ def main(argv=None) -> int:
                         f"the pairs whose pass digests match and differ; end_to_end: in the same "
                         f"alternating pairs, the wall time of every subcommand at --seed {TRACED_SEED} "
                         f"and every acceptance criterion, each in a fresh process, with the "
-                        f"sha256 of each output file"),
+                        f"sha256 of each output file; the traced span tables and the end-to-end "
+                        f"per-run records are kept in .slocbench_out/BENCH_{args.pr}.raw.json"),
         "machine": None, "runs": [], "traced": [], "summary": {}, "digests": {},
         "end_to_end": {"runs": [], "summary": {}, "digests": {}},
     }
     wall = dict(next(m for m in metrics if m["name"] == "verdict_s"), name="wall_s")
+
+    def write():
+        raw.write_text(json.dumps(bench, indent=1) + "\n")
+        out.write_text(dumps(committed(bench)) + "\n")
 
     def record(side, workload, seed, trace, pair=None):
         detail, result = run_bench(checkouts[side], workload, seed, trace)
@@ -240,7 +269,7 @@ def main(argv=None) -> int:
             bench["runs"].append(entry)
             bench["summary"] = summarize(bench["runs"], metrics)
             bench["digests"] = digest_matches(bench["runs"])
-        out.write_text(json.dumps(bench, indent=1) + "\n")
+        write()
         metric = result["metrics"].get("verdict_s", {}).get("value")
         print(f"{workload} {side} seed {seed} trace {trace}: correct={result['correct']} verdict_s={metric}",
               flush=True)
@@ -261,7 +290,7 @@ def main(argv=None) -> int:
                       f"wall_s={run['result']['metrics']['wall_s']['value']:.3f}", flush=True)
             e2e["summary"] = summarize(e2e["runs"], [wall])
             e2e["digests"] = digest_matches(e2e["runs"])
-            out.write_text(json.dumps(bench, indent=1) + "\n")
+            write()
     for workload in WORKLOADS:
         for side in SIDES:
             record(side, workload, TRACED_SEED, 1)

@@ -413,10 +413,12 @@ def girsanov_energy(
     flow = _flow_drift(drift.base, tau_grid.times[:-1], drift.budget)
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        v = x[:, :d]
-        u = flow(k, v)
-        energy = x[:, d:] + 0.5 * np.add.reduce(u * u, axis=1, keepdims=True) * dts[k]
-        return np.concatenate([v + u * dts[k] + dw, energy], axis=1)
+        v, energy = x[:d], x[d:]
+        u = flow(k, v.T).T
+        energy += 0.5 * np.add.reduce(u * u, axis=0, keepdims=True) * dts[k]
+        v += u * dts[k]
+        v += dw
+        return x
 
     noise = partial(wiener_increment_array, tau_grid, d, seed)
     end = _integrate(tau_grid, np.zeros((n_paths, d + 1)), step, noise, (), chunk, workers)

@@ -86,7 +86,9 @@ def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, r
     """Times, regularizers, start row and engine step on states ``[c, m]`` of the
     tilt SDE or, given a control matrix ``C``, of ``dc = C C' m dt + C dW``,
     ``dR = C C' dt``.  Time accumulates as ``t += dt`` and the matrix as
-    ``R += C C' dt``, so identity-control runs match the tilt SDE bitwise."""
+    ``R += C C' dt``, so identity-control runs match the tilt SDE bitwise.
+    The step updates the engine's column state ``(2d, rows)`` in place; the
+    control products are taken in row form on transposed views."""
     if grid.times[0] != 0.0:
         raise ValueError("the tilt process starts at time 0")
     d, dts = base.dim, grid.dts
@@ -97,11 +99,13 @@ def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, r
     mean = targets._tilt_means(base, regs, budget, rng)
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        m = x[:, d:]
+        c, m = x[:d], x[d:]
         if control is not None:
-            m, dw = m @ cc.T, dw @ control.T
-        c = x[:, :d] + m * dts[k] + dw
-        return np.concatenate([c, mean(k + 1, c)], axis=1)
+            m, dw = (m.T @ cc.T).T, (dw.T @ control.T).T
+        c += m * dts[k]
+        c += dw
+        x[d:] = mean(k + 1, c.T).T
+        return x
 
     return t, regs, np.concatenate([np.zeros((1, d)), mean(0, np.zeros((1, d)))], axis=1), step
 

@@ -12,6 +12,7 @@ drawing OS entropy, so opening a stream's generator costs a few microseconds;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence, Union
@@ -65,8 +66,11 @@ def map_chunks(run_chunk, n: int, chunk: int, workers: int = 1) -> None:
     """Apply ``run_chunk(lo, hi)`` over consecutive index ranges.
 
     Chunks write into disjoint, stream-keyed output slices, so results are
-    identical for any worker count or scheduling order.
+    identical for any worker count or scheduling order.  ``chunk`` must be an
+    integer of at least 1; anything else raises ``ValueError``.
     """
+    if not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(f"chunk must be an integer of at least 1, got {chunk!r}")
     ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if workers <= 1 or len(ranges) <= 1:
         for lo, hi in ranges:
@@ -239,12 +243,14 @@ def _affine_step(
 ) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
     """Engine step ``x' = a_k x + g_k (b_k m + dw)`` with ``m = mean(k, s_k x)``,
     from coefficient columns tabulated once over the grid's left endpoints:
-    one kernel call and six array operations a step."""
+    one kernel call and six elementwise array operations a step on the column
+    state ``x (d, rows)``.  The kernel reads the row view ``(s_k x).T`` and its
+    means are turned back into columns."""
     rows = list(zip(s.tolist(), a.tolist(), b.tolist(), g.tolist()))  # Python floats index fastest
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         sk, ak, bk, gk = rows[k]
-        y = bk * mean(k, sk * x)
+        y = bk * mean(k, (sk * x).T).T
         y += dw
         y *= gk
         y += ak * x
@@ -264,12 +270,17 @@ def _integrate(
 ) -> Union[dict[float, np.ndarray], np.ndarray]:
     """The Euler stepping engine behind every path process.
 
-    Row ``s`` of ``x0 (n, w)`` starts path ``s``; ``step(k, x, dw)`` advances
-    rows ``x`` over grid interval ``k`` on their increments ``dw (rows, d)``.
-    ``noise`` is one path's increments ``(steps, d)`` (then ``n = 1``) or a map
-    from stream id to increments, drawn per chunk of ``map_chunks``.  A chunk
-    holds one noise array ``(rows, steps, d)``, and each stream is copied into
-    its row as it is drawn, so no list of streams is held beside it.  Returns
+    Row ``s`` of ``x0 (n, w)`` starts path ``s``.  Each chunk of ``map_chunks``
+    steps a column state ``(w, rows)``, path ``s`` in its column, copied once
+    from ``x0[lo:hi].T``: ``step(k, x, dw)`` advances the columns ``x (w, rows)``
+    over grid interval ``k`` on their increments ``dw (d, rows)`` and returns
+    the new column state, which may be ``x`` updated in place.  A step that
+    calls the posterior-mean kernel passes it the row view ``c.T`` of its
+    columns ``c``, which the kernel reads as contiguous columns.  ``noise`` is
+    one path's increments ``(steps, d)`` (then ``n = 1``) or a map from stream
+    id to increments, drawn per chunk.  A chunk holds one noise array ``(rows,
+    steps, d)``, and each stream is copied into its row as it is drawn, so no
+    list of streams is held beside it; a step reads the view ``[:, k].T``.  Returns
     the states at ``snapshot_times`` and the grid's end, keyed by requested
     time, or, when that is None, the states at every grid point as one array
     ``(steps + 1, n, w)``.  A kept state that is not finite raises
@@ -289,16 +300,16 @@ def _integrate(
 
     def run_chunk(lo: int, hi: int) -> None:
         dw = noise[None] if isinstance(noise, np.ndarray) else _gather(noise, range(lo, hi))
-        x = x0[lo:hi]
+        x = x0[lo:hi].T.copy()
         if slot[0] is not None:
-            states[slot[0], lo:hi] = x
+            states[slot[0], lo:hi] = x.T
         for k in range(grid.steps):
-            x = step(k, x, dw[:, k])
+            x = step(k, x, dw[:, k].T)
             i = slot[k + 1]
             if i is not None:
                 if not np.isfinite(x).all():
                     raise NonFiniteStateError(k + 1, float(grid.times[k + 1]))
-                states[i, lo:hi] = x
+                states[i, lo:hi] = x.T
 
     map_chunks(run_chunk, x0.shape[0], chunk, workers)
     return states if snapshot_times is None else {s: states[slot[k]] for s, k in index.items()}

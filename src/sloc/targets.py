@@ -595,9 +595,11 @@ class TiltStep(NamedTuple):
     ``(P + R)^-1``, ``offset[j]`` is ``(P + R)^-1 P mu``, ``shift[j]``
     is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + R S) / 2``,
     each with a trailing unit axis that broadcasts over a batch laid out as (d, n).
-    A scalar ``t``, or a matrix exactly equal to ``t I``, reads them elementwise
-    off the base's cached eigendecomposition ``S = V diag(s) V'``; any other
-    matrix goes through ``inv`` and ``slogdet``.
+    Callers pass tilt rows ``(n, d)``; the stepping engine passes the row view
+    ``c.T`` of its column state ``c (d, n)``, whose transpose ``_means`` then
+    reads as contiguous columns.  A scalar ``t``, or a matrix exactly equal to
+    ``t I``, reads them elementwise off the base's cached eigendecomposition
+    ``S = V diag(s) V'``; any other matrix goes through ``inv`` and ``slogdet``.
     """
 
     reg: Union[float, np.ndarray]

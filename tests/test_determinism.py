@@ -37,15 +37,18 @@ def mixture_d3() -> GaussianMixture:
 BASES = {"std-normal": GaussianMeasure([0.0], [[1.0]]), "mixture-d3": mixture_d3()}
 
 
+ENSEMBLES = {
+    "tilt": lambda base, **kw: tilt_sde_ensemble(base, TimeGrid.uniform(0.0, 1.0, 60), 11, N_PATHS, (0.5,), **kw),
+    "backward": lambda base, **kw: backward_sde_ensemble(
+        base, TimeGrid.geometric(1e-3, 1.0, 60).including(0.5), 12, N_PATHS, (0.5,), **kw
+    ),
+    "flow": lambda base, **kw: polchinski_ensemble(base, TimeGrid.uniform(0.0, 0.5, 60), 13, N_PATHS, (0.25,), **kw),
+    "energy": lambda base, **kw: girsanov_energy(FollmerDrift(base), TimeGrid.uniform(0.0, 0.9, 60), N_PATHS, 14, **kw),
+}
+
+
 def ensemble_outputs(base, **kwargs) -> dict:
-    return {
-        "tilt": tilt_sde_ensemble(base, TimeGrid.uniform(0.0, 1.0, 60), 11, N_PATHS, (0.5,), **kwargs),
-        "backward": backward_sde_ensemble(
-            base, TimeGrid.geometric(1e-3, 1.0, 60).including(0.5), 12, N_PATHS, (0.5,), **kwargs
-        ),
-        "flow": polchinski_ensemble(base, TimeGrid.uniform(0.0, 0.5, 60), 13, N_PATHS, (0.25,), **kwargs),
-        "energy": girsanov_energy(FollmerDrift(base), TimeGrid.uniform(0.0, 0.9, 60), N_PATHS, 14, **kwargs),
-    }
+    return {name: run(base, **kwargs) for name, run in ENSEMBLES.items()}
 
 
 @pytest.fixture(scope="module", params=sorted(BASES))
@@ -65,6 +68,14 @@ def test_ensembles_bitwise_independent_of_chunk_and_workers(reference, kwargs):
         assert got[name].keys() == expected[name].keys()
         for t, snap in expected[name].items():
             assert np.array_equal(got[name][t], snap), (name, t)
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5], ids=["zero", "negative", "fraction"])
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_chunk_must_be_a_positive_integer(name, chunk):
+    # Unchecked, a negative chunk returned the never-written output buffer.
+    with pytest.raises(ValueError, match="chunk must be an integer of at least 1"):
+        ENSEMBLES[name](BASES["std-normal"], chunk=chunk)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))

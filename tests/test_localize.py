@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sloc import localize, targets
+from sloc.bridge import FollmerDrift, girsanov_energy
 from sloc.diagnostics import ks_two_sample
 from sloc.localize import (
     WeightCollapseError,
@@ -20,6 +21,7 @@ from sloc.sde import SamplePath, TimeGrid, wiener_increment_array, wiener_increm
 from sloc.targets import GaussianMeasure, GaussianMixture, posterior_moments, tilt
 
 from oracles import centered_particle_reweighting
+from test_determinism import mixture_d3
 
 
 def std_normal():
@@ -76,7 +78,7 @@ class TestTiltSde:
         for stream in range(3):
             noise = wiener_increments(grid, 1, 3, stream)
             states = tilt_sde_run(base, grid, noise)
-            assert states[-1].c[0] == pytest.approx(snaps[0.5][stream, 0], abs=1e-10)
+            assert states[-1].c[0] == snaps[0.5][stream, 0]
 
     def test_generic_base_runs_with_sampling_budget(self):
         # A quadratic potential is the same law as the closed-form Gaussian;
@@ -115,6 +117,46 @@ class TestTiltSde:
             assert np.trace(mom.cov) == pytest.approx(expected, abs=1e-10)
             traces.append(np.trace(mom.cov))
         assert traces[-1] < traces[0]
+
+
+class TestColumnState:
+    """The engine steps each chunk as columns ``(w, rows)`` and hands the kernel
+    row views; no bit depends on that layout.  The row-major textbook
+    recursions on the ensembles' own noise reproduce them exactly."""
+
+    @pytest.mark.parametrize("base", [GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[0.5]]]), mixture_d3()],
+                             ids=["mixture-d1", "mixture-d3"])
+    def test_tilt_ensemble_is_the_row_major_recursion(self, base):
+        grid, seed, n, d = TimeGrid.uniform(0.0, 1.0, 200), 31, 50, base.dim
+        snaps = tilt_sde_ensemble(base, grid, seed, n, snapshot_times=(0.5,), chunk=16)
+        dw = np.stack([wiener_increment_array(grid, d, seed, s) for s in range(n)])
+        # The regularizer accumulates as t += dt, as the run documents.
+        plan = targets.tilt_plan(base, np.cumsum(np.concatenate([[0.0], grid.dts])))
+        c, want = np.zeros((n, d)), {}
+        m = targets.posterior_mean_batch(base, c, plan(0))
+        for k, dt in enumerate(grid.dts.tolist()):
+            c = c + m * dt + dw[:, k]
+            m = targets.posterior_mean_batch(base, c, plan(k + 1))
+            if k + 1 == grid.index_of(0.5):
+                want[0.5] = c
+        want[1.0] = c
+        assert snaps.keys() == want.keys()
+        for t, ref in want.items():
+            assert np.array_equal(snaps[t], ref), t
+
+    def test_energy_is_the_row_major_euler_sum(self):
+        base, grid, seed, n = mixture_d3(), TimeGrid.uniform(0.0, 0.9, 120), 37, 50
+        got = girsanov_energy(FollmerDrift(base), grid, n, seed, chunk=16)
+        dw = np.stack([wiener_increment_array(grid, base.dim, seed, s) for s in range(n)])
+        taus = grid.times[:-1]
+        plan = targets.tilt_plan(base, taus / (1.0 - taus))
+        v, energy = np.zeros((n, base.dim)), np.zeros(n)
+        for k, (tau, dt) in enumerate(zip(taus.tolist(), grid.dts.tolist())):
+            one_m = 1.0 - tau
+            u = (targets.posterior_mean_batch(base, v / one_m, plan(k)) - v) / one_m
+            energy = energy + 0.5 * (u * u).sum(axis=1) * dt
+            v = v + u * dt + dw[:, k]
+        assert got == (float(energy.mean()), float(energy.std(ddof=1) / math.sqrt(n)))
 
 
 class TestChannel:

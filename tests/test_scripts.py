@@ -161,13 +161,24 @@ def test_bench_pairs_compiles_both_sources_before_the_first_run(monkeypatch, tmp
         return {"environment": {}, "passes": [{"digest": "d"}], "spans": {"file": "s"}}, {
             "correct": True, "metrics": metrics}
 
+    e2e_run = {"workload": "sloc lsi", "exit": 0, "digests": {}, "result": {"metrics": {"wall_s": {"value": 1.0}}}}
     monkeypatch.setattr(bench, "run_bench", fake_bench)
-    monkeypatch.setattr(bench, "end_to_end_runs", lambda checkout: [])
-    monkeypatch.setattr(bench, "span_summary", lambda path: {})
+    monkeypatch.setattr(bench, "end_to_end_runs", lambda checkout: [e2e_run])
+    monkeypatch.setattr(bench, "span_summary", lambda path: {"passes": 1, "per_pass": {}})
     args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pr", "0", "--pairs", "1", "--seed", "1"]
     assert bench.main(args) == 0
     # Three workloads, one pair and one traced run each, on both sides: all after compiling.
     assert compiled == [True] * 12
+
+    # The committed file keeps every final metric line, the summaries and the
+    # digests; the span tables and the end-to-end per-run records stay raw.
+    kept = json.loads((tmp_path / "change" / "BENCH_0.json").read_text())
+    raw = json.loads((tmp_path / "change" / ".slocbench_out" / "BENCH_0.raw.json").read_text())
+    assert "runs" not in kept["end_to_end"] and len(raw["end_to_end"]["runs"]) == 2
+    assert kept["end_to_end"]["summary"]["sloc lsi"]["wall_s"]["pairs"] == 1
+    assert len(kept["runs"]) == 6 and len(kept["traced"]) == 6
+    assert all("spans" not in run and "spans" in full for run, full in zip(kept["traced"], raw["traced"]))
+    assert kept == bench.committed(raw)
 
 
 def test_compare_outputs_says_how_far_a_csv_moved():
