@@ -138,6 +138,12 @@ def validate_config(
         errors.append(f"target: {exc}")
     if fields_valid:
         errors += _size_errors(raw, 1 if measure is None else measure.dim) or _step_errors(raw)
+        if isinstance(measure, targets.GenericPotential) and raw["samples"] <= targets.DEFAULT_ESS_FLOOR:
+            # The effective sample size of ``samples`` weighted draws is at most ``samples``.
+            errors.append(
+                f"samples must exceed the effective-sample-size floor {targets.DEFAULT_ESS_FLOOR:g} "
+                f"for a generic target, got {raw['samples']!r}"
+            )
     if errors:
         return None, errors, warnings
     values = {key: type(default)(raw[key]) for key, default in DEFAULTS.items()}
@@ -167,21 +173,26 @@ def _print_report(report_dict: dict) -> None:
 
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
+    """Trajectory CSVs and their manifest.  A library run-time error (one of
+    ``suites._RUN_ERRORS``) writes no file: it is one ``run error:`` line on
+    stderr and exit 1."""
     out_dir = Path(cfg.out)
     steps = round(cfg.horizon / cfg.dt)
     grid = TimeGrid.uniform(0.0, cfg.horizon, steps)
     n_traj = min(cfg.paths, 16)
 
-    runs = {}
-    for stream in range(n_traj):
-        noise = wiener_increments(grid, cfg.measure.dim, cfg.seed, stream)
-        runs[stream] = localize.tilt_sde_run(cfg.measure, grid, noise, budget=cfg.samples)
+    runs, channel_paths = {}, []
+    try:
+        for stream in range(n_traj):
+            noise = wiener_increments(grid, cfg.measure.dim, cfg.seed, stream)
+            runs[stream] = localize.tilt_sde_run(cfg.measure, grid, noise, budget=cfg.samples)
+        for stream in range(n_traj):
+            _, path = localize.channel_path(cfg.measure, grid, cfg.seed + 1, stream)
+            channel_paths.append(path)
+    except suites._RUN_ERRORS as exc:
+        sys.stderr.write(f"run error: {type(exc).__name__}: {exc}\n")
+        return 1
     localize.write_trajectory_csv(runs, out_dir / "tilt_trajectories.csv")
-
-    channel_paths = []
-    for stream in range(n_traj):
-        _, path = localize.channel_path(cfg.measure, grid, cfg.seed + 1, stream)
-        channel_paths.append(path)
     write_paths_csv(channel_paths, out_dir / "channel_trajectories.csv")
 
     manifest = {

@@ -231,12 +231,13 @@ def entropic_stability_probe(
     return StabilityReport(alpha_claim, ys, lhs, rhs, sharp)
 
 
-def _transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndarray, eta: float) -> np.ndarray:
-    """Density of one chain step from ``p0`` on the uniform grid ``xs``:
-    ``mu1(x') = pi(x') int nu(y) k(x' - y) / Z(y) dy`` with ``k`` the
-    ``N(0, eta)`` density, ``nu = k * p0`` the blurred start and ``Z = k * pi``
-    the restricted-stage normalizer.  Each integral against ``k`` is one
-    ``np.convolve`` with ``k`` at the ``2 n - 1`` grid offsets."""
+def _transition_density(xs: np.ndarray, pi_density: np.ndarray, init: GaussianMeasure, eta: float) -> np.ndarray:
+    """Density of one chain step from the one-dimensional Gaussian start
+    ``init`` on the uniform grid ``xs``: ``mu1(x') = pi(x') int nu(y) k(x' - y)
+    / Z(y) dy`` with ``k`` the ``N(0, eta)`` density, ``nu = k * init`` the
+    blurred start, in closed form the ``N(mean, var + eta)`` density, and
+    ``Z = k * pi`` the restricted-stage normalizer.  Each of the two integrals
+    against ``k`` is one ``np.convolve`` with ``k`` at the ``2 n - 1`` grid offsets."""
     dx = xs[1] - xs[0]
     offsets = dx * np.arange(1 - xs.size, xs.size)
     k = np.exp(-0.5 * offsets**2 / eta) / math.sqrt(2.0 * math.pi * eta) * dx
@@ -244,7 +245,7 @@ def _transition_density(xs: np.ndarray, pi_density: np.ndarray, p0: np.ndarray, 
     def smooth(v: np.ndarray) -> np.ndarray:
         return np.convolve(v, k, mode="valid")
 
-    nu = smooth(p0)
+    nu = np.exp(GaussianMeasure(init.mean, init.cov + eta).log_density(xs[:, None]))
     z_post = smooth(pi_density)
     return pi_density * smooth(nu / z_post)
 
@@ -266,7 +267,10 @@ def heat_flow_contraction_mc(
     ``rgd_transition_batch`` (exact log-densities, stderr from 32 batch
     means); the input KL is a deterministic quadrature value.  Potentials are
     evaluated on the grid and on the draws in one ``potential_rows`` call each.
+    Raises ``ValueError`` for ``n_paths < 2``, which leaves no standard error.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for a standard error, got {n_paths}")
     if isinstance(target, GaussianMeasure):
         _, kls = chain_law_propagate(init, target, eta, 1)
         return float(kls[1] / kls[0]), 0.0
@@ -281,10 +285,10 @@ def heat_flow_contraction_mc(
     log_pi = log_pi_un - log_z_pi
     pi_density = np.exp(log_pi)
 
-    p0 = np.exp(init.log_density(xs[:, None]))
-    kl0 = float(np.trapezoid(p0 * (init.log_density(xs[:, None]) - log_pi), xs))
+    log_p0 = init.log_density(xs[:, None])
+    kl0 = float(np.trapezoid(np.exp(log_p0) * (log_p0 - log_pi), xs))
 
-    mu1 = _transition_density(xs, pi_density, p0, eta)
+    mu1 = _transition_density(xs, pi_density, init, eta)
     mass = float(np.trapezoid(mu1, xs))
     if abs(mass - 1.0) > 1e-6:
         raise RuntimeError(f"quadrature grid too narrow: transition mass {mass:.8f}")

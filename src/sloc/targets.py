@@ -28,6 +28,20 @@ REG_CAP = 1e12
 GRAD_CHECK_TOL = 1e-5
 BATCH_PROBE_RTOL = 1e-12
 MODE_SEARCH_STEPS = 50
+"""Cap on the iterations of ``_generic_envelope``'s mode search.  Each
+iteration evaluates one gradient row for every tilt still searching, so an
+envelope of K tilts costs at most ``K * (MODE_SEARCH_STEPS + 1)`` gradient
+rows; a row that meets ``MODE_SEARCH_TOL`` stops well before the cap."""
+MODE_SEARCH_TOL = 1e-9
+"""Gradient norm at which a row of the mode search stops.  The envelope is
+exact wherever the search ends; the tolerance decides only how much
+acceptance is lost.  Against the envelope at the exact mode, g-convexity
+bounds the loss in log acceptance rate by ``|grad U(x_hat)|^2 / (2 g)``: half
+the square of the gradient times the proposal scale ``1 / sqrt(g)``.  At
+1e-9 that is below 5e-17 for every ``g >= 1e-2``, under double-precision
+resolution, so no accept decision is expected to move.  The gradient's
+rounding floor, about ``eps * L |x|``, lies orders of magnitude lower at the
+tilts the chains and tilt runs reach."""
 DEFAULT_MAX_TRIES = 10_000
 DEFAULT_ESS_FLOOR = 64.0
 # Uniform weights give an ESS equal to the budget only up to rounding.
@@ -434,13 +448,25 @@ def _generic_envelope(m: TiltedMeasure, tilts=None) -> _Envelope:
     With alpha the base's convexity, beta its smoothness and lambda_min,
     lambda_max the regularizer's extreme eigenvalues, the tilted potential U
     is ``g``-convex and ``L``-smooth for ``g = alpha + lambda_min`` and
-    ``L = beta + lambda_max``.  The mode search, run for all K tilts at once
-    from 0, is Nesterov's accelerated descent for strongly convex functions:
-    ``MODE_SEARCH_STEPS`` gradient steps of size ``1 / L`` with constant
-    momentum ``(sqrt(k) - 1) / (sqrt(k) + 1)``, ``k = L / g``, then one
-    gradient at its end point ``x_hat``.  The proposal has precision ``g`` and
-    is centered at the gradient-corrected point ``x_hat - grad U(x_hat) / g``,
-    so the envelope stays valid wherever the search ends.
+    ``L = beta + lambda_max``.  The mode search is gradient descent with
+    Barzilai-Borwein two-point steps (IMA J. Numer. Anal. 8, 1988): from
+    ``x = 0`` a first step of ``1 / L``, then per row ``s's / s'y`` from its
+    last move ``s`` and gradient change ``y``, clipped to ``[1 / L, 1 / g]``.
+    A step that raised the row's ``|grad U|`` is followed by a step of
+    ``1 / L``, which never raises it (an L-smooth convex gradient is
+    co-coercive): where the curvature jumps near the mode, two-point steps
+    alone overshoot across the jump again and again and can stall.
+    Each row stops on its own once ``|grad U| <= MODE_SEARCH_TOL``, after
+    ``MODE_SEARCH_STEPS`` steps at most, and ``x_hat``, ``g_hat`` are the
+    iterate with the smallest gradient the row has seen and that gradient:
+    the BB step is not monotone, and a row whose gradient turns non-finite
+    stops and falls back to its best iterate, so ``x_hat`` and ``g_hat`` stay
+    finite whenever the gradient at 0 is.  Every operation is elementwise or
+    a reduction within a row, so no row's iterates depend on another's: for
+    a potential evaluated row by row, a batched envelope is bitwise its
+    single-tilt envelopes.  The proposal has precision ``g`` and is centered
+    at the gradient-corrected point ``x_hat - grad U(x_hat) / g``, so the
+    envelope stays valid wherever the search ends.
     """
     base = m.base
     lam_min, lam_max = _reg_extremes(m.reg)
@@ -454,17 +480,47 @@ def _generic_envelope(m: TiltedMeasure, tilts=None) -> _Envelope:
     cs = m.c[None] if tilts is None else np.atleast_2d(np.asarray(tilts, dtype=float))
     if cs.ndim != 2 or cs.shape[1] != m.dim:
         raise ValueError(f"tilt vectors of shape {cs.shape} do not match dimension {m.dim}")
-    top = base.smoothness + lam_max
-    root = math.sqrt(top / g)
-    step, momentum = 1.0 / top, (root - 1.0) / (root + 1.0)
-    x = y = np.zeros(cs.shape)
-    for _ in range(MODE_SEARCH_STEPS):
-        x_next = y - step * _tilted_gradient(base, cs, m.reg, y)
-        y = x_next + momentum * (x_next - x)
-        x = x_next
-    u_hat = _tilted_potential(base, cs, m.reg, x)
-    g_hat = _tilted_gradient(base, cs, m.reg, x)
-    return _Envelope(cs, x, u_hat, g_hat, g, x - g_hat / g)
+    shortest, longest = 1.0 / (base.smoothness + lam_max), 1.0 / g
+    tol2 = MODE_SEARCH_TOL**2
+    # The searching rows keep their iterate x, gradient grad, squared norm g2
+    # and step, and their best iterate so far (bx, bg, bn); a row that stops
+    # leaves its best in the outputs x_hat and g_hat and the rest are compacted.
+    x_hat, g_hat = np.empty(cs.shape), np.empty(cs.shape)
+    rows, c, x = np.arange(len(cs)), cs, np.zeros(cs.shape)
+    grad = _tilted_gradient(base, c, m.reg, x)
+    g2 = np.vecdot(grad, grad)
+    step, bx, bg, bn = np.full(len(cs), shortest), x, grad, np.full(len(cs), math.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(MODE_SEARCH_STEPS + 1):
+            better = g2 < bn
+            if np.count_nonzero(better & (g2 > tol2)) == rows.size:
+                bx, bg, bn = x, grad, g2
+            else:
+                keep = better[:, None]
+                bx, bg, bn = np.where(keep, x, bx), np.where(keep, grad, bg), np.fmin(bn, g2)
+                go = (g2 > tol2) & (g2 < math.inf)
+                if not go.any():
+                    break
+                if not go.all():
+                    done = rows[~go]
+                    x_hat[done], g_hat[done] = bx[~go], bg[~go]
+                    rows, c, x, grad, g2, step, bx, bg, bn = (
+                        a[go] for a in (rows, c, x, grad, g2, step, bx, bg, bn)
+                    )
+            if k == MODE_SEARCH_STEPS:
+                break
+            x_next = x - step[:, None] * grad
+            grad_next = _tilted_gradient(base, c, m.reg, x_next)
+            gg = np.vecdot(grad_next, grad_next)
+            # The two-point step s's / s'y with s = -step * grad and
+            # y = grad_next - grad, over the row's own squared norms.  After a
+            # step that raised |grad U| the next is 1 / L, which never does.
+            bb = step * g2 / (g2 - np.vecdot(grad_next, grad))
+            step = np.where(gg > g2, shortest, np.fmin(np.fmax(bb, shortest), longest))
+            x, grad, g2 = x_next, grad_next, gg
+    x_hat[rows], g_hat[rows] = bx, bg
+    u_hat = _tilted_potential(base, cs, m.reg, x_hat)
+    return _Envelope(cs, x_hat, u_hat, g_hat, g, x_hat - g_hat / g)
 
 
 def _generic_rejection_sample(

@@ -237,6 +237,31 @@ class TestCliRuns:
             out_b / "tilt_trajectories.csv"
         ).read_bytes()
 
+    def test_simulate_with_samples_at_the_ess_floor_of_a_generic_target_exits_two(self, tmp_path, capsys):
+        # The effective sample size of 64 weighted draws is at most 64, so it can never clear the floor.
+        config = {"target": {"kind": "potential-ref", "name": "quartic"}, "samples": int(targets.DEFAULT_ESS_FLOOR)}
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, config), "--seed", "7", "--paths", "4", "--dt", "0.01"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: samples must exceed the effective-sample-size floor 64 for a generic target, got 64\n"
+        )
+        assert not out.exists()
+
+    def test_a_run_error_in_simulate_is_one_line_and_exit_one(self, tmp_path, capsys, monkeypatch):
+        def collapsed(m, budget, rng):
+            raise targets.EffectiveSampleSizeError(58.6, targets.DEFAULT_ESS_FLOOR)
+
+        monkeypatch.setattr(targets, "_generic_is_moments", collapsed)
+        config = {"target": {"kind": "potential-ref", "name": "quartic"}, "samples": 80}
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, config), "--seed", "7", "--paths", "4", "--dt", "0.01"]
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run error: EffectiveSampleSizeError: {targets.EffectiveSampleSizeError(58.6, 64.0)}\n"
+        assert list(out.iterdir()) == []
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("SLOC_SEED", "123")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sloc import localize, targets
+from sloc import bridge, localize, targets
 from sloc.bridge import FollmerDrift, girsanov_energy
 from sloc.diagnostics import ks_two_sample
 from sloc.localize import (
@@ -144,7 +144,17 @@ class TestColumnState:
         for t, ref in want.items():
             assert np.array_equal(snaps[t], ref), t
 
-    def test_energy_is_the_row_major_euler_sum(self):
+    def test_energy_is_the_row_major_euler_sum(self, monkeypatch):
+        # The estimate and its standard error absorb an ulp moved in one
+        # step's |u|^2, so the per-path end energies are compared too: they
+        # pin the coordinate order of the sum, left to right.
+        real, ends = bridge._integrate, []
+
+        def integrate(*args):
+            ends.append(real(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(bridge, "_integrate", integrate)
         base, grid, seed, n = mixture_d3(), TimeGrid.uniform(0.0, 0.9, 120), 37, 50
         got = girsanov_energy(FollmerDrift(base), grid, n, seed, chunk=16)
         dw = np.stack([wiener_increment_array(grid, base.dim, seed, s) for s in range(n)])
@@ -154,9 +164,14 @@ class TestColumnState:
         for k, (tau, dt) in enumerate(zip(taus.tolist(), grid.dts.tolist())):
             one_m = 1.0 - tau
             u = (targets.posterior_mean_batch(base, v / one_m, plan(k)) - v) / one_m
-            energy = energy + 0.5 * (u * u).sum(axis=1) * dt
+            u2 = u[:, 0] * u[:, 0]
+            for j in range(1, base.dim):
+                u2 = u2 + u[:, j] * u[:, j]
+            energy = energy + 0.5 * u2 * dt
             v = v + u * dt + dw[:, k]
         assert got == (float(energy.mean()), float(energy.std(ddof=1) / math.sqrt(n)))
+        (end,) = ends
+        assert end[float(grid.times[-1])][:, base.dim].tobytes() == energy.tobytes()
 
 
 class TestChannel:

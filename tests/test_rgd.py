@@ -291,7 +291,7 @@ class TestHeatFlowContraction:
         log_pi = -(0.5 * xs**2 + 0.1 * xs**4)
         pi_density = np.exp(log_pi) / np.trapezoid(np.exp(log_pi), xs)
         p0 = gaussian_pdf(2.0, 1.0)(xs)
-        got = rgd._transition_density(xs, pi_density, p0, eta)
+        got = rgd._transition_density(xs, pi_density, GaussianMeasure([2.0], [[1.0]]), eta)
         want = dense_transition_density(xs, pi_density, p0, eta)
         assert np.abs(got - want).max() <= 1e-10
         assert np.trapezoid(got, xs) == pytest.approx(1.0, abs=1e-6)
@@ -308,6 +308,11 @@ class TestHeatFlowContraction:
         for eta in (0.5, 1.0):
             ratio, se = heat_flow_contraction_mc(quartic, init, eta, n_paths=1500, seed=20)
             assert ratio <= 1.0 / (1.0 + eta) ** 2 + 4.0 * se
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_fewer_than_two_paths_rejected(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths"):
+            heat_flow_contraction_mc(quartic_potential(dim=1), GaussianMeasure([2.0], [[1.0]]), 1.0, n_paths=n_paths)
 
     def test_unsupported_target_rejected(self):
         with pytest.raises(TypeError):

@@ -410,11 +410,67 @@ def _mode_search_tilts() -> dict[float, np.ndarray]:
     return {t: 3.0 * g.standard_normal((100, 1)) + 2.0 * t for t in (0.0, 0.3, 1.0, 2.0)}
 
 
+def _kinked_potential(kink: float) -> GenericPotential:
+    """``z^2 / 2`` left of ``z = x - kink = 0`` and ``40 z^2 / 2`` right of it:
+    the curvature jumps from ``g = 1`` to ``L = 40`` at the kink."""
+
+    def gradient(x):
+        z = np.asarray(x, dtype=float) - kink
+        return np.where(z < 0.0, 1.0, 40.0) * z
+
+    def potential(x):
+        z = np.asarray(x, dtype=float) - kink
+        return np.sum(0.5 * np.where(z < 0.0, 1.0, 40.0) * z * z, axis=-1)
+
+    return GenericPotential(1, potential, gradient, strong_convexity=1.0, smoothness=40.0)
+
+
+def _search_cases() -> list:
+    """``(potential, t, tilts)``: the quartic at ``_mode_search_tilts()``, the
+    d = 3 quartic at 100 tilts per regularizer, and curvature jumps: at
+    ``x = -1`` and ``x = 1`` with tilts 30 to 300 away, where the searches
+    from 0 cross the jump, from the stiff half into the soft one or back, and
+    at ``x = 20`` with tilts in (0, 3], which put the mode just past the jump
+    from the soft side: there two-point steps alone stall at the cap."""
+    well, g = quartic_potential(dim=1), rng(24)
+    cases = [pytest.param(well, t, cs, id=f"quartic-t{t:g}") for t, cs in _mode_search_tilts().items()]
+    cases += [pytest.param(quartic_potential(dim=3), t, 3.0 * g.standard_normal((100, 3)), id=f"quartic-d3-t{t:g}")
+              for t in (0.0, 1.0)]
+    far = np.array([[-300.0], [-100.0], [-30.0], [30.0], [100.0], [300.0]])
+    cases += [pytest.param(_kinked_potential(kink), 0.0, far, id=f"kinked-at-{kink:g}") for kink in (-1.0, 1.0)]
+    cases += [pytest.param(_kinked_potential(20.0), 0.0, np.linspace(0.1, 3.0, 30)[:, None], id="kinked-at-20")]
+    return cases
+
+
 class TestModeSearch:
+    @pytest.mark.parametrize("pot, t, cs", _search_cases())
+    def test_every_row_ends_within_the_tolerance_single_and_batched(self, pot, t, cs):
+        batched = targets._generic_envelope(tilt(pot, np.zeros(pot.dim), t), cs)
+        assert np.all(np.linalg.norm(batched.g_hat, axis=1) <= targets.MODE_SEARCH_TOL)
+        for k, c in enumerate(cs):
+            single = targets._generic_envelope(tilt(pot, c, t))
+            assert np.linalg.norm(single.g_hat) <= targets.MODE_SEARCH_TOL
+            # Row independence: each batched row is its single-tilt envelope, bit for bit.
+            for got, want in zip(batched[1:4] + batched[5:], single[1:4] + single[5:]):
+                assert got[k].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("kink, c", [(1.0, 100.0), (20.0, 1.0)], ids=["far-tilt", "mode-past-the-jump"])
+    def test_a_curvature_jump_keeps_the_envelope_finite_and_the_draws_exact(self, kink, c):
+        from scipy import stats
+
+        pot = _kinked_potential(kink)
+        m = tilt(pot, [c], 0.0)
+        env = targets._generic_envelope(m)
+        assert all(np.all(np.isfinite(a)) for a in (env.x_hat, env.u_hat, env.g_hat, env.center))
+        xs = np.linspace(env.x_hat[0, 0] - 12.0, env.x_hat[0, 0] + 12.0, 200_001)
+        log_p = c * xs - pot.potential_rows(xs[:, None])
+        cdf = np.cumsum(np.exp(log_p - log_p.max()))
+        draws = sample(m, 4000, rng(25))[:, 0]
+        assert stats.kstest(draws, lambda x: np.interp(x, xs, cdf / cdf[-1])).pvalue > 0.01
+
     def test_accelerated_search_ends_nearer_the_mode_than_200_plain_steps(self):
-        # Worst |grad U(x_hat)| over all tilts.  The weak tilts decide it: at
-        # t = 0 the 50 accelerated steps end at 3e-4 and the 200 plain steps at
-        # 1.3e-3; at t = 2 plain descent ends nearer, but both are below 1e-6.
+        # Worst |grad U(x_hat)| over all tilts: the mode search stops every row
+        # at MODE_SEARCH_TOL, and the weak tilts leave 200 plain steps at 1.3e-3.
         well = quartic_potential(dim=1)
         plain, single, batched = [], [], []
         for t, cs in _mode_search_tilts().items():
