@@ -405,8 +405,11 @@ def girsanov_energy(
 
     Monte Carlo over paths with a left-endpoint quadrature in time; returns
     the estimate and its standard error.  At the optimum this equals the KL
-    divergence from the base to the standard normal.
+    divergence from the base to the standard normal.  Raises ``ValueError``
+    for ``n_paths < 1``; one path gives an infinite standard error.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the drift grid must start at 0 and stay below 1")
     d, dts = drift.base.dim, tau_grid.dts.tolist()

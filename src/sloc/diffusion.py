@@ -18,15 +18,13 @@ import numpy as np
 
 from . import targets
 from .sde import (
-    SALT_INIT,
-    SALT_IS,
     SamplePath,
     TimeGrid,
     _affine_step,
-    _gather,
+    _estimates,
     _integrate,
     _noise_increments,
-    generator,
+    _starts,
     wiener_increment_array,
 )
 from .targets import TargetMeasure, posterior_moments, tilt
@@ -117,13 +115,12 @@ def backward_sde_run(
     final u the terminal law approximates the base up to a residual Gaussian
     smoothing of variance 1 / (u_max + 1).  A generic base's per-step
     importance-sampling estimates draw from ``rng``, by default the noise
-    path's own ``SALT_IS`` block.  The run is the n=1 case of
+    path's own ``sde.SALT_IS`` block.  The run is the n=1 case of
     ``backward_sde_ensemble`` on the noise path's increments.
     """
     dw = _noise_increments(noise, u_grid, base.dim)
-    x0 = generator(noise.seed, noise.stream_id, SALT_INIT).standard_normal((1, base.dim))
-    rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
-    states = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, rng), dw)
+    x0 = _starts(lambda g: g.standard_normal(base.dim), noise.seed, [noise.stream_id])
+    states = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, _estimates(noise, rng)), dw)
     return [BackwardState(u, x[0]) for u, x in zip(u_grid.times.tolist(), states)]
 
 
@@ -141,7 +138,7 @@ def backward_sde_ensemble(
     Vectorized over paths for Gaussian/mixture bases; stream ids 0..n_paths-1.
     """
     d = base.dim
-    x0 = _gather(lambda s: generator(seed, s, SALT_INIT).standard_normal(d), range(n_paths))
+    x0 = _starts(lambda g: g.standard_normal(d), seed, range(n_paths))
     noise = partial(wiener_increment_array, u_grid, d, seed)
     return _integrate(u_grid, x0, _backward_step(base, u_grid), noise, snapshot_times, chunk, workers)
 

@@ -22,15 +22,14 @@ import numpy as np
 
 from . import targets
 from .sde import (
-    SALT_INIT,
-    SALT_IS,
     SamplePath,
     TimeGrid,
+    _estimates,
     _gather,
     _integrate,
     _noise_increments,
+    _starts,
     _write_csv,
-    generator,
     wiener_increment_array,
 )
 from .targets import TargetMeasure, posterior_moments  # noqa: F401
@@ -123,14 +122,13 @@ def tilt_sde_run(
     accumulated as t += dt so that a control-matrix run with identity
     matrices reproduces this one bitwise.  ``budget`` is the per-step
     importance-sampling budget for generic bases; their estimates draw from
-    ``rng``, by default the noise path's own ``SALT_IS`` block, so successive
-    steps' errors are independent.  The run is the n=1 case of
+    ``rng``, by default the noise path's own ``sde.SALT_IS`` block, so
+    successive steps' errors are independent.  The run is the n=1 case of
     ``tilt_sde_ensemble`` on the noise path's increments.
     """
     d = base.dim
     dw = _noise_increments(noise, grid, d)
-    rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
-    t, _, x0, step = _tilt_step(base, grid, budget, rng)
+    t, _, x0, step = _tilt_step(base, grid, budget, _estimates(noise, rng))
     states = _integrate(grid, x0, step, dw)
     return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, states)]
 
@@ -162,12 +160,12 @@ def _channel(base: TargetMeasure, times, seed: int, streams) -> tuple[np.ndarray
     """Hidden draws ``x (R, d)`` of the given streams and their observations
     ``c_t = t x + B_t`` at increasing ``times``, shape ``(len(times), R, d)``.
 
-    ``x`` comes from each stream's ``SALT_INIT`` block and ``B`` is the Wiener
-    path of its noise block on the requested times, with 0 put in front when
-    they start later."""
+    ``x`` comes from each stream's ``sde.SALT_INIT`` block and ``B`` is the
+    Wiener path of its noise block on the requested times, with 0 put in front
+    when they start later."""
     times = np.asarray(times, dtype=float)
     grid = TimeGrid(times if times.size and times[0] == 0.0 else np.concatenate([[0.0], times]))
-    x = _gather(lambda s: targets.sample_base(base, 1, generator(seed, s, SALT_INIT))[0], streams)
+    x = _starts(lambda g: targets.sample_base(base, 1, g)[0], seed, streams)
     b = np.cumsum(_gather(partial(wiener_increment_array, grid, base.dim, seed), streams), axis=1).swapaxes(0, 1)
     # B is 0 at the grid's start; keep the rows of the requested times.
     b = np.concatenate([np.zeros((1,) + b.shape[1:]), b])[len(grid) - times.size:]
@@ -180,9 +178,9 @@ def channel_path(
     """Exact-law noisy observation path ``c_t = t x + B_t`` with ``x`` from the base.
 
     The posterior of ``x`` given ``c_t`` is ``tilt(base, c_t, t)``.  The hidden
-    draw uses the stream's dedicated counter block, the observation noise the
-    stream's noise block, so the pair is reproducible per (seed, stream).  The
-    path is the one-stream case of ``channel_ensemble`` on the grid's times.
+    draw uses the stream's start block ``sde.SALT_INIT``, the observation noise
+    the stream's noise block, so the pair is reproducible per (seed, stream).
+    The path is the one-stream case of ``channel_ensemble`` on the grid's times.
     """
     x, states = _channel(base, grid.times, seed, [stream_id])
     return x[0], SamplePath(grid, states[:, 0], seed, stream_id)
@@ -198,7 +196,7 @@ def channel_ensemble(
 
 
 def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw: np.ndarray, dts: np.ndarray):
-    """Particle clouds of the streams, drawn from their ``SALT_INIT`` blocks and
+    """Particle clouds of the streams, drawn from their ``sde.SALT_INIT`` blocks and
     reweighted along ``dw (R, steps, d)``: yields the fixed points ``(R, n, d)``,
     the log-weights ``u - u_top`` and unnormalized weights ``e = exp(u - u_top)``
     ``(R, n)``, relative to each run's top particle, and the log-totals
@@ -223,7 +221,7 @@ def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw
     ``u_new - u_old = <x_new - x_old, C - T (x_new + x_old) / 2>`` when the top
     particle changes.  The log-mass is ``a - log n + log sum exp(u - u_top)``,
     a sum of terms of order one."""
-    points = _gather(lambda r: targets.sample_base(base, n_particles, generator(seed, r, SALT_INIT)), streams)
+    points = _starts(partial(targets.sample_base, base, n_particles), seed, streams)
     coords = list(np.moveaxis(points, -1, 0))
     planes = np.stack([np.ones(points.shape[:2])] + coords + [sum(x * x for x in coords)])
     flat_points, offsets = points.reshape(-1, points.shape[-1]), np.arange(len(points)) * n_particles
@@ -287,8 +285,10 @@ def particle_ensemble(
     Runs step in blocks of about 2^15 weights: a block's ``(R, n)`` arrays of
     256 KiB (its weights, log-weights and each plane) stay in a core's cache,
     and only its last cloud is normalized.  Rows never mix, so the blocks
-    change no bit.
+    change no bit.  Like ``particle_sl_run`` it needs at least two particles.
     """
+    if n_particles < 2:
+        raise ValueError("need at least two particles")
     points, log_w = np.empty((n_runs, n_particles, base.dim)), np.empty((n_runs, n_particles))
     log_mass, rows = np.empty(n_runs), max(1, 2**15 // n_particles)
     for lo in range(0, n_runs, rows):

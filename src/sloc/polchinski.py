@@ -28,10 +28,10 @@ import numpy as np
 
 from . import targets
 from .sde import (
-    SALT_IS,
     SamplePath,
     TimeGrid,
     _affine_step,
+    _estimates,
     _integrate,
     _noise_increments,
     _write_csv,
@@ -102,7 +102,7 @@ def renorm_potential(
         value = gauss - log_partition(fluct)
     else:
         if rng is None:
-            rng = targets._keyed_generator(_MC_KEY)
+            rng = generator(_MC_KEY, 0)
         value = _renorm_value_mc(base, tau, x, budget, rng)
     m = posterior_moments(fluct, budget, rng=rng).mean
     grad = (x - m) / (1.0 - tau)
@@ -150,12 +150,11 @@ def polchinski_run(
     must be clipped below tau = 1 (the identification tests all run at
     tau <= 0.5 where clipping is irrelevant).  A generic base's per-step
     importance-sampling estimates draw from ``rng``, by default the noise
-    path's own ``SALT_IS`` block.  The run is the n=1 case of
+    path's own ``sde.SALT_IS`` block.  The run is the n=1 case of
     ``polchinski_ensemble`` on the noise path's increments.
     """
     dw = _noise_increments(noise, tau_grid, base.dim)
-    rng = generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
-    step = _flow_step(base, tau_grid, budget, rng)
+    step = _flow_step(base, tau_grid, budget, _estimates(noise, rng))
     states = _integrate(tau_grid, np.zeros((1, base.dim)), step, dw)
     return SamplePath(tau_grid, states[:, 0], noise.seed, noise.stream_id)
 

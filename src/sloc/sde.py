@@ -8,6 +8,20 @@ stream ids are independent by construction.  Keys are set directly, without
 drawing OS entropy, so opening a stream's generator costs a few microseconds;
 ``Generator.spawn`` is unsupported on these generators (it raises
 ``TypeError``).
+
+This module builds every generator of the package.  A stream's counter
+blocks are its salts:
+
+- ``SALT_NOISE``, the Wiener increments (``wiener_increment_array``);
+- ``SALT_INIT``, a run's start: the backward diffusion's standard normal
+  start, the channel's hidden draw and the particle cloud (``_starts``);
+- ``SALT_IS``, a single-path run's importance-sampling estimates on a generic
+  base when the caller passes no generator (``_estimates``).
+
+The checks, chains and CLI runs outside the path processes open salts of their
+own through ``generator``.  A standalone estimate on a generic base, outside
+any stream, uses a fixed key ``k`` through ``generator(k, 0)``, which draws
+bitwise as ``Philox(key=k)``.
 """
 from __future__ import annotations
 
@@ -19,13 +33,24 @@ from typing import IO, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .targets import _U64, _PhiloxKey
-
 SALT_NOISE = 0
 SALT_INIT = 1
-#: Counter block of a single-path run's importance-sampling estimates on a
-#: generic base, when the caller passes no generator.
 SALT_IS = 2
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A fixed Philox key as a seed sequence.  ``Philox(key=...)`` first builds
+    a ``SeedSequence`` from OS entropy and then discards it; seeding with this
+    object sets the same key words without that syscall."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, stream_id: int):
+        self.words = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words.view(dtype)[:n_words]
 
 
 def _counter(salt: int) -> np.ndarray:
@@ -202,6 +227,16 @@ def _gather(draw: Callable[[int], np.ndarray], ids: Sequence[int]) -> np.ndarray
     if out is None:
         raise ValueError("no draws to gather")
     return out
+
+
+def _starts(draw: Callable[[np.random.Generator], np.ndarray], seed: int, streams: Sequence[int]) -> np.ndarray:
+    """``draw`` on each stream's ``SALT_INIT`` generator, stacked by ``_gather``."""
+    return _gather(lambda s: draw(generator(seed, s, SALT_INIT)), streams)
+
+
+def _estimates(noise: SamplePath, rng: np.random.Generator | None) -> np.random.Generator:
+    """``rng``, or by default the ``SALT_IS`` generator of ``noise``'s stream."""
+    return generator(noise.seed, noise.stream_id, SALT_IS) if rng is None else rng
 
 
 def wiener_increment_array(grid: TimeGrid, d: int, seed: int, stream_id: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, NamedTuple, ParamSpec
 import numpy as np
 
 from . import bridge, diagnostics, diffusion, localize, polchinski, rgd, targets
-from .sde import NonFiniteStateError, TimeGrid, _fmt, generator, wiener_increments
+from .sde import NonFiniteStateError, TimeGrid, _U64, _fmt, generator, wiener_increments
 from .targets import GaussianMeasure, GaussianMixture, TargetMeasure
 
 
@@ -76,7 +76,7 @@ class Report:
 
 
 def _subseed(seed: int, k: int) -> int:
-    return (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & targets._U64
+    return (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _U64
 
 
 class _Verdict(NamedTuple):

@@ -23,6 +23,8 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .sde import generator
+
 SYM_RTOL = 1e-12
 REG_CAP = 1e12
 GRAD_CHECK_TOL = 1e-5
@@ -49,26 +51,6 @@ ESS_FLOOR_RTOL = 1e-9
 
 _GRAD_PROBE_SEED = 20351
 _DEFAULT_IS_SEED = 71993
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """A fixed Philox key as a seed sequence.  ``Philox(key=...)`` first builds
-    a ``SeedSequence`` from OS entropy and then discards it; seeding with this
-    object sets the same key words without that syscall."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, seed: int, stream_id: int):
-        self.words = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words.view(dtype)[:n_words]
-
-
-def _keyed_generator(key: int) -> np.random.Generator:
-    """A generator whose draws are bitwise those of ``Philox(key=key)``."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key, 0)))
 
 
 class SamplingBudgetError(RuntimeError):
@@ -273,7 +255,7 @@ class GenericPotential:
             raise ValueError("strong_convexity must be nonnegative")
         if self.smoothness is not None and self.smoothness < self.strong_convexity:
             raise ValueError("smoothness bound must be at least strong_convexity")
-        points = _keyed_generator(_GRAD_PROBE_SEED).standard_normal((5, self.dim))
+        points = generator(_GRAD_PROBE_SEED, 0).standard_normal((5, self.dim))
         values = np.array([float(self.potential(x)) for x in points])
         grads = np.array([np.atleast_1d(np.asarray(self.gradient(x), dtype=float)) for x in points])
         object.__setattr__(self, "potential_rows", _on_rows(self.potential, points, values))
@@ -576,7 +558,7 @@ def _generic_is_moments(m: TiltedMeasure, budget: int, rng: np.random.Generator 
     if budget <= 0:
         raise ValueError("a positive budget is required for a generic base")
     if rng is None:
-        rng = _keyed_generator(_DEFAULT_IS_SEED)
+        rng = generator(_DEFAULT_IS_SEED, 0)
     env = _generic_envelope(m)
     d = m.dim
     draws = env.center + rng.standard_normal((budget, d)) / math.sqrt(env.g)

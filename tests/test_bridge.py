@@ -621,6 +621,18 @@ class TestGirsanovEnergy:
         m = posterior_moments(polchinski.fluctuation_measure(pot, tau, row), 200).mean
         assert np.array_equal(drift(row, tau), (m - row) / (1.0 - tau))
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_fewer_than_one_path_is_refused(self, n):
+        grid = TimeGrid.uniform(0.0, 0.5, 5)
+        with pytest.raises(ValueError, match="n_paths"):
+            girsanov_energy(FollmerDrift(GaussianMeasure([1.0], [[1.0]])), grid, n, seed=3)
+
+    def test_one_path_has_an_infinite_standard_error(self):
+        grid = TimeGrid.uniform(0.0, 0.5, 5)
+        energy, se = girsanov_energy(FollmerDrift(GaussianMeasure([1.0], [[1.0]])), grid, 1, seed=3)
+        assert math.isfinite(energy) and energy > 0.0
+        assert se == math.inf
+
     def test_variance_case_matches_gaussian_kl(self):
         # Frozen oracle: KL(N(0,2) || N(0,1)) = (1 - log 2)/2 = 0.15342640972.
         base = GaussianMeasure([0.0], [[2.0]])

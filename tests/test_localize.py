@@ -279,6 +279,15 @@ class TestParticles:
         with pytest.raises(WeightCollapseError):
             particle_sl_run(std_normal(), 3, grid, noise, ess_floor=2.9)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_particles_are_refused_by_run_and_ensemble(self, n):
+        grid = TimeGrid.uniform(0.0, 0.5, 5)
+        noise = wiener_increments(grid, 1, seed=13, stream_id=0)
+        with pytest.raises(ValueError, match="need at least two particles"):
+            particle_sl_run(std_normal(), n, grid, noise)
+        with pytest.raises(ValueError, match="need at least two particles"):
+            localize.particle_ensemble(std_normal(), n, grid, seed=13, n_runs=3)
+
     @pytest.mark.parametrize("name", ["gauss-d1", "pm1-mixture", "mixture-d3"])
     def test_ensemble_matches_the_centered_update(self, name):
         # log_mass is a log, so its absolute tolerance is a relative one on the mass.

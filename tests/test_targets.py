@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloc import polchinski, targets
+from sloc import polchinski, sde, targets
 from sloc.targets import (
     EffectiveSampleSizeError,
     GaussianMeasure,
@@ -497,9 +497,9 @@ class TestModeSearch:
 @pytest.mark.parametrize("key", [targets._GRAD_PROBE_SEED, targets._DEFAULT_IS_SEED, polchinski._MC_KEY])
 def test_fixed_keys_draw_bitwise_as_philox_keyed_directly(key):
     want = np.random.Generator(np.random.Philox(key=key)).standard_normal(64)
-    seeded = np.random.Generator(np.random.Philox(targets._PhiloxKey(key, 0))).standard_normal(64)
+    seeded = np.random.Generator(np.random.Philox(sde._PhiloxKey(key, 0))).standard_normal(64)
     assert seeded.tobytes() == want.tobytes()
-    assert targets._keyed_generator(key).standard_normal(64).tobytes() == want.tobytes()
+    assert sde.generator(key, 0).standard_normal(64).tobytes() == want.tobytes()
 
 
 class TestInvariants:
