@@ -56,7 +56,7 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-from compare_outputs import COMMANDS, EXIT, STDOUT, _comparable, run_outputs
+from compare_outputs import COMMANDS, EXIT, STDOUT, _comparable, pass_digests, run_outputs
 
 SIDES = ("parent", "change")
 WORKLOADS = ("transport", "ensemble", "pointwise")
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
         detail, result = run_bench(checkouts[side], workload, seed, trace)
         bench["machine"] = bench["machine"] or detail["environment"]
         entry = {"workload": workload, "side": side, "seed": seed, "trace": trace, "result": result,
-                 "digests": sorted({p["digest"] for p in detail["passes"]})}
+                 "digests": pass_digests(detail)}
         if trace:
             entry["spans"] = span_summary(checkouts[side] / detail["spans"]["file"])
             bench["traced"].append(entry)

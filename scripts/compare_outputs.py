@@ -1,4 +1,4 @@
-"""Byte comparison of every CLI output of two checkouts.
+"""Byte comparison of every CLI output and benchmark pass digest of two checkouts.
 
     python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
@@ -11,6 +11,12 @@ since wall time is never reproducible.  Prints every output that differs and
 exits 1 if any does, 0 if none does.  For a CSV that differs it also prints
 how far its bits moved: the largest relative change over its cells, and the
 rows whose ``passed`` cell flipped.
+
+It then runs each checkout's benchmark, ``slocbench/run.py``, for each of
+``WORKLOADS`` at ``--seed`` ``BENCH_SEED`` (at least three passes, from the
+checkout's root) and compares the distinct pass digests, the hashes of each
+pass's outputs; a workload whose digests differ counts as one differing
+output.  Exit 0 therefore means that no output bit moved.
 """
 from __future__ import annotations
 
@@ -26,6 +32,8 @@ from pathlib import Path
 
 COMMANDS = ("simulate", "equiv", "rgd", "bridge", "lsi")
 SEEDS = (7, 42)
+WORKLOADS = ("ensemble", "pointwise", "transport")
+BENCH_SEED = 42
 EXIT, STDOUT = "<exit code>", "<stdout>"
 
 
@@ -42,6 +50,19 @@ def run_outputs(checkout: Path, command: str, seed: int) -> dict[str, bytes]:
         out = Path(work) / "out"
         files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     return {EXIT: str(run.returncode).encode(), STDOUT: run.stdout, **files}
+
+
+def pass_digests(detail: dict) -> list[str]:
+    """The distinct pass digests of a benchmark run's detail line, sorted."""
+    return sorted({p["digest"] for p in detail["passes"]})
+
+
+def bench_digests(checkout: Path, workload: str, seed: int = BENCH_SEED) -> list[str]:
+    """``pass_digests`` of one short benchmark run of ``workload`` in ``checkout``:
+    ``--seconds`` so small that it makes the benchmark's minimum of three passes."""
+    cmd = [sys.executable, "slocbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0.01"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return pass_digests(json.loads(done.stdout.strip().splitlines()[-2])["detail"])
 
 
 def _comparable(name: str, data: bytes):
@@ -120,6 +141,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"sloc {command} --seed {seed}: {describe(name, parent, change)}")
             if not diff:
                 print(f"sloc {command} --seed {seed}: identical")
+    for workload in WORKLOADS:
+        same = bench_digests(args.parent, workload) == bench_digests(args.change, workload)
+        differing += not same
+        print(f"slocbench {workload} --seed {BENCH_SEED}: pass digests {'identical' if same else 'differ'}")
     print(f"{differing} differing outputs")
     return 1 if differing else 0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import targets
 from .polchinski import _flow_drift, renorm_potential  # noqa: F401
-from .sde import TimeGrid, _emit, _integrate, _write_csv, wiener_increment_array
+from .sde import TimeGrid, _check_count, _emit, _integrate, _write_csv, wiener_increment_array
 from .targets import TargetMeasure
 
 #: Sinkhorn folds its scaling vectors into the kernel once an entry leaves
@@ -408,8 +408,7 @@ def girsanov_energy(
     divergence from the base to the standard normal.  Raises ``ValueError``
     for ``n_paths < 1``; one path gives an infinite standard error.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    _check_count(n_paths, "n_paths")
     if tau_grid.times[0] != 0.0 or tau_grid.times[-1] >= 1.0:
         raise ValueError("the drift grid must start at 0 and stay below 1")
     d, dts = drift.base.dim, tau_grid.dts.tolist()

@@ -21,6 +21,7 @@ from .sde import (
     SamplePath,
     TimeGrid,
     _affine_step,
+    _check_count,
     _estimates,
     _integrate,
     _noise_increments,
@@ -136,7 +137,9 @@ def backward_sde_ensemble(
     """Backward states at the requested grid times across an ensemble.
 
     Vectorized over paths for Gaussian/mixture bases; stream ids 0..n_paths-1.
+    Raises ``ValueError`` for ``n_paths < 1``.
     """
+    _check_count(n_paths, "n_paths")
     d = base.dim
     x0 = _starts(lambda g: g.standard_normal(d), seed, range(n_paths))
     noise = partial(wiener_increment_array, u_grid, d, seed)

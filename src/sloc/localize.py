@@ -24,6 +24,7 @@ from . import targets
 from .sde import (
     SamplePath,
     TimeGrid,
+    _check_count,
     _estimates,
     _gather,
     _integrate,
@@ -96,12 +97,13 @@ def _tilt_step(base: TargetMeasure, grid: TimeGrid, budget: int | None = None, r
         cc = control @ control.T
         regs = np.cumsum(np.concatenate([np.zeros((1, d, d)), cc * dts[:, None, None]]), axis=0)
     mean = targets._tilt_means(base, regs, budget, rng)
+    dt = dts.tolist()  # Python floats index faster per step than numpy scalars
 
     def step(k: int, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         c, m = x[:d], x[d:]
         if control is not None:
             m, dw = (m.T @ cc.T).T, (dw.T @ control.T).T
-        c += m * dts[k]
+        c += m * dt[k]
         c += dw
         x[d:] = mean(k + 1, c.T).T
         return x
@@ -147,8 +149,10 @@ def tilt_sde_ensemble(
     The grid must start at 0.  Paths use stream ids 0..n_paths-1; results
     are independent of chunking and of the worker count.  Returns a map from
     snapshot time to an ``(n_paths, d)`` array.  Only closed-form
-    (Gaussian/mixture) bases are supported here.
+    (Gaussian/mixture) bases are supported here.  Raises ``ValueError`` for
+    ``n_paths < 1``.
     """
+    _check_count(n_paths, "n_paths")
     d = base.dim
     _, _, x0, step = _tilt_step(base, grid)
     noise = partial(wiener_increment_array, grid, d, seed)
@@ -190,7 +194,9 @@ def channel_ensemble(
     base: TargetMeasure, times: Sequence[float], seed: int, n_paths: int
 ) -> dict[float, np.ndarray]:
     """Exact channel marginals ``c_t = t x + B_t`` at the requested times,
-    streams 0..n_paths-1; repeated times are observed once."""
+    streams 0..n_paths-1; repeated times are observed once.  Raises
+    ``ValueError`` for ``n_paths < 1``."""
+    _check_count(n_paths, "n_paths")
     ts = sorted(set(float(t) for t in times))
     return dict(zip(ts, _channel(base, ts, seed, range(n_paths))[1]))
 
@@ -228,6 +234,7 @@ def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw
     coef, log_top, log_n = np.zeros((len(points), len(planes) - 1)), np.zeros(len(points)), math.log(n_particles)
     c, half_t = coef[:, :-1], coef[:, -1:]
     u, e, x_top = np.zeros(points.shape[:2]), np.ones(points.shape[:2]), points[:, 0]
+    dts = dts.tolist()  # Python floats index faster per step than numpy scalars
     for k in range(len(dts) + 1):
         sums = np.einsum("rn,jrn->rj", e, planes[:-1])
         log_total = np.log(sums[:, 0])
@@ -243,7 +250,8 @@ def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw
         # The shift of _log_normalize, at the top index it does not return.
         top = offsets + u.argmax(axis=1)
         x_old, x_top, u_top = x_top, flat_points.take(top, axis=0), u.take(top)
-        log_top += (dev * (dw_k - (0.5 * dt) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))).sum(axis=1)
+        delta = dev * (dw_k - (0.5 * dt) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))
+        log_top += np.add.reduce(delta, axis=1)
         u -= u_top[:, None]
         np.exp(u, out=e)
 
@@ -264,7 +272,7 @@ def particle_sl_run(
     dw = _noise_increments(noise, grid, base.dim)[None]
     clouds, runs = [], _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
     for k, (points, u, e, log_total, log_mass) in enumerate(runs):
-        ess = math.exp(2.0 * log_total[0]) / float(np.sum(e[0] ** 2))
+        ess = math.exp(2.0 * log_total[0]) / float(np.add.reduce(e[0] * e[0]))
         if k and ess < ess_floor:
             raise WeightCollapseError(ess, ess_floor, float(grid.times[k]))
         clouds.append(ParticleCloud(points[0], u[0] - log_total[0], float(log_mass[0])))
@@ -285,10 +293,12 @@ def particle_ensemble(
     Runs step in blocks of about 2^15 weights: a block's ``(R, n)`` arrays of
     256 KiB (its weights, log-weights and each plane) stay in a core's cache,
     and only its last cloud is normalized.  Rows never mix, so the blocks
-    change no bit.  Like ``particle_sl_run`` it needs at least two particles.
+    change no bit.  Like ``particle_sl_run`` it needs at least two particles,
+    and it needs ``n_runs >= 1``.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
+    _check_count(n_runs, "n_runs")
     points, log_w = np.empty((n_runs, n_particles, base.dim)), np.empty((n_runs, n_particles))
     log_mass, rows = np.empty(n_runs), max(1, 2**15 // n_particles)
     for lo in range(0, n_runs, rows):

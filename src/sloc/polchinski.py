@@ -31,6 +31,7 @@ from .sde import (
     SamplePath,
     TimeGrid,
     _affine_step,
+    _check_count,
     _estimates,
     _integrate,
     _noise_increments,
@@ -168,7 +169,9 @@ def polchinski_ensemble(
     chunk: int = 4096,
     workers: int = 1,
 ) -> dict[float, np.ndarray]:
-    """Flow states at requested grid times across an ensemble (closed-form bases)."""
+    """Flow states at requested grid times across an ensemble (closed-form
+    bases); raises ``ValueError`` for ``n_paths < 1``."""
+    _check_count(n_paths, "n_paths")
     step = _flow_step(base, tau_grid)
     noise = partial(wiener_increment_array, tau_grid, base.dim, seed)
     return _integrate(tau_grid, np.zeros((n_paths, base.dim)), step, noise, snapshot_times, chunk, workers)

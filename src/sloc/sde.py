@@ -87,6 +87,12 @@ def generator(seed: int, stream_id: int, salt: int = SALT_NOISE) -> np.random.Ge
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream_id), counter=counter))
 
 
+def _check_count(n: int, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless an ensemble's count ``n`` is at least 1."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+
+
 def map_chunks(run_chunk, n: int, chunk: int, workers: int = 1) -> None:
     """Apply ``run_chunk(lo, hi)`` over consecutive index ranges.
 
@@ -320,9 +326,14 @@ def _integrate(
     time, or, when that is None, the states at every grid point as one array
     ``(steps + 1, n, w)``.  A kept state that is not finite raises
     ``NonFiniteStateError``; a non-finite state stays so under every drift
-    here, so keeping every point finds the exact step.
+    here, so keeping every point finds the exact step.  Snapshot runs check
+    each kept state as it is stored.  A full-trajectory run, as every
+    single-path driver makes, checks its chunk's states once, after the loop,
+    or when a step raises, as far as it got; either way it raises at the first
+    non-finite step, as a check at every step would.
     """
-    if snapshot_times is None:
+    every = snapshot_times is None
+    if every:
         kept = range(len(grid))
     else:
         times = sorted(set(float(s) for s in snapshot_times) | {float(grid.times[-1])})
@@ -338,16 +349,33 @@ def _integrate(
         x = x0[lo:hi].T.copy()
         if slot[0] is not None:
             states[slot[0], lo:hi] = x.T
-        for k in range(grid.steps):
-            x = step(k, x, dw[:, k].T)
-            i = slot[k + 1]
-            if i is not None:
-                if not np.isfinite(x).all():
-                    raise NonFiniteStateError(k + 1, float(grid.times[k + 1]))
-                states[i, lo:hi] = x.T
+        try:
+            for k in range(grid.steps):
+                x = step(k, x, dw[:, k].T)
+                i = slot[k + 1]
+                if i is not None:
+                    if not every and not np.isfinite(x).all():
+                        raise NonFiniteStateError(k + 1, float(grid.times[k + 1]))
+                    states[i, lo:hi] = x.T
+        except Exception as exc:
+            if every:
+                _check_finite(states[1 : k + 1, lo:hi], grid, exc)
+            raise
+        if every:
+            _check_finite(states[1:, lo:hi], grid)
 
     map_chunks(run_chunk, x0.shape[0], chunk, workers)
-    return states if snapshot_times is None else {s: states[slot[k]] for s, k in index.items()}
+    return states if every else {s: states[slot[k]] for s, k in index.items()}
+
+
+def _check_finite(states: np.ndarray, grid: TimeGrid, cause: Exception | None = None) -> None:
+    """Raise ``NonFiniteStateError``, from ``cause`` if given, at the first
+    state ``(rows, w)`` of ``states`` that is not finite; state ``i`` is that of
+    grid point ``i + 1``."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        first = int(finite.argmin()) + 1
+        raise NonFiniteStateError(first, float(grid.times[first])) from cause
 
 
 def _fmt(x: float) -> str:

@@ -403,8 +403,9 @@ def _reg_times(reg: Union[float, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def _tilted_potential(base: GenericPotential, c: np.ndarray, reg, x: np.ndarray) -> np.ndarray:
-    """``V(x) - <c, x> + x' R x / 2`` at rows ``x (n, d)``, tilts ``c`` ``(n, d)`` or ``(d,)``."""
-    return base.potential_rows(x) - np.sum(c * x, axis=-1) + 0.5 * np.sum(x * _reg_times(reg, x), axis=-1)
+    """``V(x) - <c, x> + x' R x / 2`` at rows ``x (n, d)``, tilts ``c`` ``(n, d)`` or ``(d,)``;
+    the row sums go through ``np.add.reduce``, the bits of ``np.sum`` without its wrapper."""
+    return base.potential_rows(x) - np.add.reduce(c * x, axis=-1) + 0.5 * np.add.reduce(x * _reg_times(reg, x), axis=-1)
 
 
 def _tilted_gradient(base: GenericPotential, c: np.ndarray, reg, x: np.ndarray) -> np.ndarray:
@@ -608,20 +609,14 @@ def sample(m: TiltedMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _log_normalize(log_w: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Max-shifted log-sum-exp along ``axis`` and the weights ``exp(log_w - max) / sum``."""
-    top, total, e = _softmax(log_w, axis)
-    return np.squeeze(top + np.log(total), axis=axis), e
-
-
-def _softmax(log_w: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``max``, ``sum`` (both with ``axis`` kept) and the weights
-    ``exp(log_w - max) / sum`` along ``axis``, through the ufuncs directly."""
+    """Max-shifted log-sum-exp along ``axis`` and the weights ``exp(log_w - max) / sum``,
+    through the ufuncs directly."""
     top = np.maximum.reduce(log_w, axis=axis, keepdims=True)
     e = np.subtract(log_w, top)
     np.exp(e, out=e)
     total = np.add.reduce(e, axis=axis, keepdims=True)
     e *= 1.0 / total
-    return top, total, e
+    return np.squeeze(top + np.log(total), axis=axis), e
 
 
 class TiltStep(NamedTuple):
@@ -634,10 +629,25 @@ class TiltStep(NamedTuple):
     is ``P mu`` and ``const[j]`` is ``log w - mu' P mu / 2 - logdet(I + R S) / 2``,
     each with a trailing unit axis that broadcasts over a batch laid out as (d, n).
     Callers pass tilt rows ``(n, d)``; the stepping engine passes the row view
-    ``c.T`` of its column state ``c (d, n)``, whose transpose ``_means`` then
+    ``c.T`` of its column state ``c (d, n)``, whose transpose the kernel then
     reads as contiguous columns.  A scalar ``t``, or a matrix exactly equal to
     ``t I``, reads them elementwise off the base's cached eigendecomposition
     ``S = V diag(s) V'``; any other matrix goes through ``inv`` and ``slogdet``.
+
+    The kernel, ``_components``, is one straight run of elementwise ufunc
+    calls on the columns ``c_e`` of the tilts, in a fixed order and never
+    through BLAS, so no row depends on another and a single row (n = 1) gets
+    the bits it gets in any batch:
+
+    1. means ``m = c_0 inv[:, :, 0] + offset``, then ``m += c_e inv[:, :, e]``
+       for e = 1, .., d - 1;
+    2. log-masses ``l = (c + shift) m`` summed over e in order, ``l *= 0.5``
+       and ``l += const`` (skipped when J = 1 and no log-partition is asked);
+    3. ``top``, the maximum of the ``l_j`` taken over j in order; ``l - top``
+       and its ``exp``; ``total``, the sum over j in order; the weights
+       ``exp(l - top) * (1 / total)`` and the log-partitions ``top + log(total)``.
+
+    ``posterior_mean_batch`` then sums ``w_j m_j`` over j in order.
     """
 
     reg: Union[float, np.ndarray]
@@ -646,10 +656,12 @@ class TiltStep(NamedTuple):
     shift: np.ndarray
     const: np.ndarray
 
-    def _means(self, tilts) -> tuple[np.ndarray, np.ndarray]:
-        """Tilt rows as columns ``ct`` ``(d, n)``, checked against the base
-        dimension, and the component posterior means ``(J, d, n)``.  A 2-D
-        float64 array is read as it is, without a conversion call."""
+    def _components(self, tilts, partition: bool = True) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Component posterior means ``(J, d, n)``, log-partitions ``(n,)`` and
+        component weights ``(J, n)`` for the rows of ``tilts``, in the order
+        the class gives.  Without ``partition`` the log-partitions are None,
+        and so are the weights when J = 1.  A 2-D float64 array is read as it
+        is, without a conversion call."""
         if type(tilts) is not np.ndarray or tilts.ndim != 2 or tilts.dtype != np.float64:
             tilts = np.atleast_2d(np.asarray(tilts, dtype=float))
         ct, inv = tilts.T, self.inv
@@ -659,21 +671,25 @@ class TiltStep(NamedTuple):
         means = ct[0] * inv[:, :, 0] + self.offset
         for e in range(1, d):
             means += ct[e] * inv[:, :, e]
-        return ct, means
-
-    def _log_masses(self, ct: np.ndarray, means: np.ndarray) -> np.ndarray:
-        """Unnormalized component log-masses ``(J, ...)``, ``const + (c + P mu)' m / 2``."""
-        prod = (ct + self.shift) * means
-        log_w = prod[:, 0]
-        for e in range(1, ct.shape[0]):
-            log_w = log_w + prod[:, e]
-        return 0.5 * log_w + self.const
-
-    def _components(self, tilts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Component posterior means ``(J, d, n)``, log-partitions ``(n,)`` and
-        component weights ``(J, n)`` for the rows of ``tilts``."""
-        ct, means = self._means(tilts)
-        return (means, *_log_normalize(self._log_masses(ct, means), axis=0))
+        if len(means) == 1 and not partition:
+            return means, None, None
+        prod = ct + self.shift
+        prod *= means
+        w = prod[:, 0]
+        for e in range(1, d):
+            w = w + prod[:, e]
+        w *= 0.5
+        w += self.const
+        top = w[0]
+        for j in range(1, len(w)):
+            top = np.maximum(top, w[j])
+        w = w - top  # a new array: for J = 1, top is a view of w
+        np.exp(w, out=w)
+        total = w[0]
+        for j in range(1, len(w)):
+            total = total + w[j]
+        w *= 1.0 / total
+        return means, top + np.log(total) if partition else None, w
 
     def mean_and_log_partition(self, tilts) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, d)`` and log-partitions ``(n,)`` for the rows of
@@ -683,12 +699,9 @@ class TiltStep(NamedTuple):
 
     def posterior(self, tilts) -> tuple[np.ndarray, np.ndarray | None]:
         """Component posterior means ``(J, d, n)`` and weights ``(J, n)``, or
-        ``None`` when J = 1, for the rows of ``tilts``.  Sums run elementwise
-        in a fixed order, never through BLAS, so no row depends on another."""
-        ct, means = self._means(tilts)
-        if means.shape[0] == 1:
-            return means, None
-        return means, _softmax(self._log_masses(ct, means), 0)[2]
+        ``None`` when J = 1, for the rows of ``tilts``."""
+        means, _, w = self._components(tilts, False)
+        return means, w
 
 
 def _plan_step(base: GaussianMixture, reg) -> TiltStep:

@@ -3,8 +3,10 @@
 Every ensemble path is a pure function of ``(seed, stream id)``: neither the
 chunk size nor the worker count may change a single bit, for a one-dimensional
 Gaussian base or for a three-dimensional mixture with unequal covariances.
-A single-path run is a row of its ensemble, and both fail on a non-finite state;
-so does the control-matrix run, which with ``C = I`` is the tilt run bit for bit.
+A single-path run is a row of its ensemble, and both fail on a non-finite state,
+on a closed-form or a generic base, at the first non-finite step; so does the
+control-matrix run, which with ``C = I`` is the tilt run bit for bit.  An
+ensemble of fewer than one path is refused.
 """
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from sloc.localize import (
 )
 from sloc.polchinski import polchinski_ensemble, polchinski_run
 from sloc.sde import NonFiniteStateError, TimeGrid, wiener_increments
-from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential
+from sloc.targets import GaussianMeasure, GaussianMixture, gaussian_potential, quartic_potential
 
 N_PATHS = 64
 
@@ -207,6 +209,56 @@ def test_non_finite_state_raises(monkeypatch, name, base_name):
             single_run(name, base, grid, wiener_increments(grid, base.dim, 32, BAD_STREAM))
     assert err.value.step == BAD_STEP + 1
     assert err.value.t == grid.times[BAD_STEP + 1]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("name", sorted(SINGLE_GRIDS))
+def test_non_finite_state_raises_on_a_generic_base(monkeypatch, name, dim):
+    # A full-trajectory run checks its states once, after the loop, and still
+    # names the first non-finite step, with no other exception on the way.
+    patch_noise(monkeypatch, inf_in_one_stream)
+    grid = SINGLE_GRIDS[name][0]
+    noise = wiener_increments(grid, dim, 32, BAD_STREAM)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+        single_run(name, quartic_potential(dim), grid, noise, budget=256)
+    assert type(err.value) is NonFiniteStateError
+    assert err.value.step == BAD_STEP + 1
+    assert err.value.t == grid.times[BAD_STEP + 1]
+
+
+def test_a_step_that_refuses_a_non_finite_state_reports_that_state():
+    grid = TimeGrid.uniform(0.0, 1.0, 10)
+    dw = np.zeros((grid.steps, 1))
+    dw[BAD_STEP, 0] = np.inf
+
+    def step(k, x, dw_k):
+        if not np.isfinite(x).all():
+            raise ZeroDivisionError("refused")
+        return x + dw_k
+
+    with pytest.raises(NonFiniteStateError) as err:
+        sde._integrate(grid, np.zeros((1, 1)), step, dw)
+    assert err.value.step == BAD_STEP + 1 and isinstance(err.value.__cause__, ZeroDivisionError)
+    # A step that raises before any state is non-finite raises its own error.
+    with pytest.raises(ZeroDivisionError):
+        sde._integrate(grid, np.full((1, 1), np.nan), step, dw)
+
+
+ZERO_PATH_DRIVERS = {
+    "tilt": lambda base, n: tilt_sde_ensemble(base, TimeGrid.uniform(0.0, 1.0, 4), 1, n),
+    "channel": lambda base, n: channel_ensemble(base, (0.5, 1.0), 1, n),
+    "backward": lambda base, n: backward_sde_ensemble(base, TimeGrid.geometric(1e-3, 1.0, 4), 1, n),
+    "flow": lambda base, n: polchinski_ensemble(base, TimeGrid.uniform(0.0, 0.5, 4), 1, n),
+    "particle": lambda base, n: particle_ensemble(base, 8, TimeGrid.uniform(0.0, 0.5, 4), 1, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(ZERO_PATH_DRIVERS))
+def test_ensembles_refuse_fewer_than_one_path(name, n):
+    count = "n_runs" if name == "particle" else "n_paths"
+    with pytest.raises(ValueError, match=f"{count} must be at least 1, got {n}"):
+        ZERO_PATH_DRIVERS[name](BASES["std-normal"], n)
 
 
 @pytest.mark.parametrize("base_name", sorted(BASES))

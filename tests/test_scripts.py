@@ -197,3 +197,29 @@ def test_compare_outputs_says_how_far_a_csv_moved():
         "report.csv differs (largest relative change 0.75; passed flipped: b: 0 -> 1)")
     assert compare.describe("report.json", outputs, moved) == "report.json differs"
     assert compare.describe("x.csv", {}, {"x.csv": b"1\n"}) == "x.csv differs"
+
+
+def test_compare_outputs_also_compares_the_benchmark_pass_digests(monkeypatch, tmp_path, capsys):
+    compare = load_script("compare_outputs.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    monkeypatch.setattr(compare, "run_outputs", lambda checkout, command, seed: {"<exit code>": b"0"})
+    runs = []
+
+    def fake_bench(cmd, cwd, **kwargs):
+        runs.append((cmd[1:], cwd))
+        workload = cmd[cmd.index("--workload") + 1]
+        digest = "moved" if cwd == change and workload == "pointwise" else "same"
+        detail = {"passes": [{"digest": digest}] * 3}
+        return types.SimpleNamespace(stdout=json.dumps({"detail": detail}) + "\n{}\n")
+
+    monkeypatch.setattr(compare.subprocess, "run", fake_bench)
+    assert compare.main([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == ["slocbench ensemble --seed 42: pass digests identical",
+                        "slocbench pointwise --seed 42: pass digests differ",
+                        "slocbench transport --seed 42: pass digests identical",
+                        "1 differing outputs"]
+    assert sorted(runs) == sorted(
+        (["slocbench/run.py", "--workload", w, "--seed", "42", "--seconds", "0.01"], side)
+        for w in ("ensemble", "pointwise", "transport") for side in (parent, change))
+    assert compare.pass_digests({"passes": [{"digest": "b"}, {"digest": "a"}, {"digest": "b"}]}) == ["a", "b"]

@@ -639,6 +639,71 @@ def test_plan_kernel_matches_solve_reference(d, j, t, seed):
             assert abs(log_partition(m) - ref_log_z[i]) <= 1e-10 * max(1.0, abs(ref_log_z[i]))
 
 
+def elementwise_kernel(step, tilts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Component means ``(J, d, n)``, weights ``(J, n)``, mean rows ``(n, d)``
+    and log-partitions ``(n,)`` of ``step`` at the rows of ``tilts``, written
+    out one component and coordinate at a time in the kernel's fixed order:
+    means ``c_0 inv_0 + offset``, then ``+ c_e inv_e``; log-masses
+    ``sum_e (c_e + shift_e) m_e``, halved, plus ``const``; the softmax shift
+    by the componentwise maximum, ``exp``, the sum over components in order
+    and the product with ``1 / sum``; the mean ``sum_j w_j m_j`` in order."""
+    inv, offset, shift, const = step.inv[..., 0], step.offset[..., 0], step.shift[..., 0], step.const[..., 0]
+    (n_comp, d), ct = offset.shape, np.ascontiguousarray(tilts.T)
+    means = np.empty((n_comp, d, ct.shape[1]))
+    log_w = np.empty((n_comp, ct.shape[1]))
+    for j in range(n_comp):
+        for a in range(d):
+            means[j, a] = ct[0] * inv[j, a, 0] + offset[j, a]
+            for e in range(1, d):
+                means[j, a] = means[j, a] + ct[e] * inv[j, a, e]
+        mass = (ct[0] + shift[j, 0]) * means[j, 0]
+        for e in range(1, d):
+            mass = mass + (ct[e] + shift[j, e]) * means[j, e]
+        log_w[j] = 0.5 * mass + const[j]
+    top = log_w[0]
+    for j in range(1, n_comp):
+        top = np.maximum(top, log_w[j])
+    e = np.exp(log_w - top)
+    total = e[0]
+    for j in range(1, n_comp):
+        total = total + e[j]
+    w = e * (1.0 / total)
+    mean = w[0] * means[0]
+    for j in range(1, n_comp):
+        mean = mean + w[j] * means[j]
+    return means, w, mean.T, top + np.log(total)
+
+
+def _kernel_case(n_comp: int, d: int, matrix: bool):
+    g = np.random.default_rng(100 * n_comp + 10 * d + matrix)
+    a = g.standard_normal((n_comp, d, d))
+    weights = g.uniform(0.2, 1.0, n_comp)
+    base = GaussianMixture(weights / weights.sum(), 2.0 * g.standard_normal((n_comp, d)),
+                           a @ a.transpose(0, 2, 1) + 0.3 * np.eye(d))
+    r = g.standard_normal((d, d))
+    regs = [0.2 * np.eye(d), r @ r.T + 0.1 * np.eye(d)] if matrix else [0.2, 0.7]
+    return base, targets.tilt_plan(base, regs)(1), g
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n_comp", [1, 2, 3])
+def test_tilt_kernel_is_bitwise_its_elementwise_order(n_comp, d, matrix):
+    # Tolerance tests would pass a reordered sum; this one fixes every bit.
+    base, step, g = _kernel_case(n_comp, d, matrix)
+    for n in (1, 7, 1000):
+        rows = 3.0 * g.standard_normal((n, d))
+        ref_means, ref_w, ref_mean, ref_log_z = elementwise_kernel(step, rows)
+        # Callers pass rows; the stepping engine passes the row view of its columns.
+        for tilts in (rows, np.ascontiguousarray(rows.T).T):
+            means, w = step.posterior(tilts)
+            assert means.tobytes() == ref_means.tobytes()
+            assert w is None if n_comp == 1 else w.tobytes() == ref_w.tobytes()
+            assert targets.posterior_mean_batch(base, tilts, step).tobytes() == ref_mean.tobytes()
+            mean, log_z = step.mean_and_log_partition(tilts)
+            assert mean.tobytes() == ref_mean.tobytes() and log_z.tobytes() == ref_log_z.tobytes()
+
+
 def test_scalar_regularizers_reach_no_inverse_or_determinant(monkeypatch):
     # Scalars, and matrices equal to t I, read the cached eigenbasis only.
     def banned(*args, **kwargs):
