@@ -23,10 +23,11 @@ subcommand of ``COMMANDS`` as ``sloc <command> --seed 42`` at the default
 budgets (through ``compare_outputs.run_outputs``), with a sha256 of every file
 it writes (``report.json`` without its checks' runtimes), and every acceptance
 criterion of ``CRITERIA`` as one ``pytest`` run of ``tests/test_acceptance.py``.
-The ``end_to_end`` block holds these runs, the summary of their wall times
-``wall_s`` by the same pair rule and ``verdict_s``'s regression bound, and the
-pairs whose output digests match and differ.  A criterion's time includes
-pytest's start-up.
+A criterion's wall time includes pytest's start-up, so its run also records
+``check_s``, the test's own call phase as pytest's ``--durations=0`` report
+gives it (to 10 ms).  The ``end_to_end`` block holds these runs, the summary of
+their ``wall_s`` and ``check_s`` by the same pair rule and ``verdict_s``'s
+regression bound, and the pairs whose output digests match and differ.
 
 ``CHANGE_DIR/BENCH_<pr>.json``, the file to commit, holds the machine block,
 every workload run's final JSON line (traced runs' included), the digests and
@@ -79,7 +80,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     ``runs`` are records ``{"workload", "side", "pair", "result"}`` with the
     run's final line as ``result``; ``metrics`` are ``BENCHMARK.json``'s
     ``end_to_end`` entries (``name``, ``better``, ``bound``).  Only pairs
-    with both sides count.
+    with both sides count, and a metric only where every such pair has it.
     """
     by_pair: dict = defaultdict(dict)
     for run in runs:
@@ -92,6 +93,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         out[workload] = {}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
+            if not all(name in p[side] for p in pairs for side in SIDES):
+                continue
             parent = [p["parent"][name]["value"] for p in pairs]
             change = [p["change"][name]["value"] for p in pairs]
             sign = 1.0 if lower else -1.0
@@ -195,15 +198,28 @@ def output_digests(outputs: dict[str, bytes]) -> dict[str, str]:
     return digests
 
 
+def call_seconds(report: str) -> float | None:
+    """Seconds of the call phase of the first test in pytest output ``report``
+    run with ``--durations=0``, or None if it lists none."""
+    for line in report.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[1] == "call" and fields[0].endswith("s"):
+            return float(fields[0][:-1])
+    return None
+
+
 def end_to_end_runs(checkout: Path) -> list[dict]:
     """Every subcommand and acceptance criterion of ``checkout``, each in a
     fresh process, as records ``{"workload", "exit", "result", "digests"}``
-    whose result holds the wall time ``wall_s``."""
+    whose result holds the wall time ``wall_s`` and, for a criterion whose
+    report gives it, the test's own ``check_s``."""
     runs = []
 
-    def add(name, seconds, code, digests):
-        runs.append({"workload": name, "exit": code, "digests": digests,
-                     "result": {"metrics": {"wall_s": {"value": seconds, "unit": "s"}}}})
+    def add(name, seconds, code, digests, check_s=None):
+        metrics = {"wall_s": {"value": seconds, "unit": "s"}}
+        if check_s is not None:
+            metrics["check_s"] = {"value": check_s, "unit": "s"}
+        runs.append({"workload": name, "exit": code, "digests": digests, "result": {"metrics": metrics}})
 
     for command in COMMANDS:
         started = time.perf_counter()
@@ -212,11 +228,11 @@ def end_to_end_runs(checkout: Path) -> list[dict]:
     env = {k: v for k, v in os.environ.items() if k != "SLOC_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     for k in CRITERIA:
-        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py",
-               "-k", f"test_criterion_{k}_"]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0", "--durations-min=0",
+               "tests/test_acceptance.py", "-k", f"test_criterion_{k}_"]
         started = time.perf_counter()
-        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
-        add(f"criterion {k}", time.perf_counter() - started, done.returncode, {})
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        add(f"criterion {k}", time.perf_counter() - started, done.returncode, {}, call_seconds(done.stdout))
     return runs
 
 
@@ -244,13 +260,15 @@ def main(argv=None) -> int:
                         f"at seed {TRACED_SEED} with per-pass span calls and raw self seconds; per workload, "
                         f"the pairs whose pass digests match and differ; end_to_end: in the same "
                         f"alternating pairs, the wall time of every subcommand at --seed {TRACED_SEED} "
-                        f"and every acceptance criterion, each in a fresh process, with the "
+                        f"and every acceptance criterion, each in a fresh process (a criterion's check_s "
+                        f"is its test's call phase from pytest --durations=0), with the "
                         f"sha256 of each output file; the traced span tables and the end-to-end "
                         f"per-run records are kept in .slocbench_out/BENCH_{args.pr}.raw.json"),
         "machine": None, "runs": [], "traced": [], "summary": {}, "digests": {},
         "end_to_end": {"runs": [], "summary": {}, "digests": {}},
     }
     wall = dict(next(m for m in metrics if m["name"] == "verdict_s"), name="wall_s")
+    e2e_metrics = [wall, dict(wall, name="check_s")]
 
     def write():
         raw.write_text(json.dumps(bench, indent=1) + "\n")
@@ -288,7 +306,7 @@ def main(argv=None) -> int:
                 e2e["runs"].append(dict(run, side=side, pair=pair))
                 print(f"{run['workload']} {side} pair {pair}: exit {run['exit']} "
                       f"wall_s={run['result']['metrics']['wall_s']['value']:.3f}", flush=True)
-            e2e["summary"] = summarize(e2e["runs"], [wall])
+            e2e["summary"] = summarize(e2e["runs"], e2e_metrics)
             e2e["digests"] = digest_matches(e2e["runs"])
             write()
     for workload in WORKLOADS:

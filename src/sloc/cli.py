@@ -59,10 +59,10 @@ def _validate_fields(raw: dict, errors: list[str]) -> None:
         v = raw[name]
         if not (_is_number(v) and math.isfinite(v) and v > 0):
             errors.append(f"{name} must be a positive number, got {v!r}")
-    for name in ("paths", "particles", "samples", "workers"):
+    for name, least in (("paths", 1), ("particles", 2), ("samples", 1), ("workers", 1)):
         v = raw[name]
-        if not (isinstance(v, int) and not isinstance(v, bool) and v > 0):
-            errors.append(f"{name} must be a positive integer, got {v!r}")
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+            errors.append(f"{name} must be an integer of at least {least}, got {v!r}")
     for name in ("tau", "eps_clip", "level"):
         v = raw[name]
         if not (_is_number(v) and 0.0 < v < 1.0):

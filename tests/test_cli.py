@@ -196,6 +196,14 @@ class TestCliRuns:
         assert main(["bridge", "--paths", "10", "--out", str(tmp_path / "bridge")]) in (0, 1)
         assert "config error" not in capsys.readouterr().err
 
+    def test_a_single_particle_is_one_config_error(self, tmp_path, capsys):
+        # A particle run needs two particles; the check would raise a ValueError.
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"particles": 1})
+        assert main(["equiv", "--paths", "100", "--dt", "0.05", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: particles must be an integer of at least 2, got 1\n"
+        assert not out.exists()
+
     def test_lsi_subcommand_tabulates(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["lsi", "--seed", "7", "--out", str(out)])

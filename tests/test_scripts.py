@@ -99,17 +99,29 @@ def test_bench_pairs_end_to_end_times_every_subcommand_and_criterion(monkeypatch
         return {"<exit code>": b"1", "<stdout>": b"FAIL", "report.json": report(len(command)), "out.csv": b"x\n"}
 
     criteria = []
+
+    def fake_pytest(cmd, cwd, env, **kw):
+        # pytest's --durations=0 report of the one test the run selects: its call
+        # phase takes as many tenths of a second as the criterion's number.
+        criteria.append((cmd[-1], cwd, env["PYTHONPATH"], "--durations=0" in cmd))
+        k = int(cmd[-1].split("_")[2])
+        test = f"tests/test_acceptance.py::{cmd[-1]}x"
+        report = f"=== slowest durations ===\n0.00s setup    {test}\n{k / 10:.2f}s call     {test}\n1 passed in 2s\n"
+        return types.SimpleNamespace(returncode=0, stdout=report)
+
     monkeypatch.setattr(bench, "run_outputs", fake_outputs)
-    monkeypatch.setattr(bench.subprocess, "run",
-                        lambda cmd, cwd, env, **kw: criteria.append((cmd[-1], cwd, env["PYTHONPATH"]))
-                        or types.SimpleNamespace(returncode=0))
+    monkeypatch.setattr(bench.subprocess, "run", fake_pytest)
     runs = bench.end_to_end_runs(tmp_path)
 
     assert [r["workload"] for r in runs] == (["sloc simulate", "sloc equiv", "sloc rgd", "sloc bridge", "sloc lsi"]
                                              + [f"criterion {k}" for k in range(1, 11)])
-    assert criteria == [(f"test_criterion_{k}_", tmp_path, str(tmp_path / "src")) for k in range(1, 11)]
+    assert criteria == [(f"test_criterion_{k}_", tmp_path, str(tmp_path / "src"), True) for k in range(1, 11)]
     assert [r["exit"] for r in runs] == [1] * 5 + [0] * 10
     assert all(r["result"]["metrics"]["wall_s"]["value"] >= 0.0 for r in runs)
+    # A criterion also records its test's call phase; a subcommand has no such report.
+    check_s = [r["result"]["metrics"].get("check_s", {}).get("value") for r in runs]
+    assert check_s == [None] * 5 + [k / 10 for k in range(1, 11)]
+    assert bench.call_seconds("no durations here\n") is None
     # Every written file is digested; a report is digested without its runtimes.
     digests = {r["workload"]: r["digests"] for r in runs}
     assert digests["sloc equiv"].keys() == {"report.json", "out.csv"}
@@ -121,8 +133,10 @@ def test_bench_pairs_end_to_end_times_every_subcommand_and_criterion(monkeypatch
              for r in runs]
     records = [dict(r, side="parent", pair=1) for r in runs] + moved
     wall = dict(METRICS[0], name="wall_s")
-    summary = bench.summarize(records, [wall])
+    summary = bench.summarize(records, [wall, dict(wall, name="check_s")])
     assert summary.keys() == {r["workload"] for r in runs} and summary["criterion 10"]["wall_s"]["pairs"] == 1
+    assert summary["criterion 3"]["check_s"]["parent_q1_med_q3"] == [0.3] * 3
+    assert "check_s" not in summary["sloc equiv"]
     matches = bench.digest_matches(records)
     assert matches["sloc rgd"] == {"match": [], "differ": [1]} and matches["sloc equiv"]["match"] == [1]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sloc import localize, polchinski, rgd, suites, targets
+from sloc import diffusion, localize, polchinski, rgd, suites, targets
 from sloc.sde import NonFiniteStateError
 
 # Small enough that every check runs in well under a second.
@@ -164,3 +164,49 @@ def test_a_library_run_time_error_is_one_failed_result(error):
     assert first.passed and first.name == "something/first"
     assert failed.name == "something-run/run-error" and failed.passed is False
     assert math.isnan(failed.observed) and failed.detail == f"{type(error).__name__}: {error}"
+
+
+# The law checks of criteria 1, 3 and 4 read the table of constructions.
+
+
+@pytest.mark.parametrize(
+    "name, check, paths",
+    [("backward", suites.check_backward_diffusion, 2000), ("flow", suites.check_renormalization_flow, 4000)],
+)
+def test_an_identity_map_to_tilt_coordinates_fails_its_rows_ks_results(monkeypatch, name, check, paths):
+    budget = suites.SuiteBudget(seed=7, paths=paths, dt=0.02)
+    prefix = {"backward": "backward-vs-tilt/ks-", "flow": "flow-vs-tilt/ks-"}[name]
+
+    def ks_results(results):
+        return {r.name: r.passed for r in results if r.name.startswith(prefix)}
+
+    assert ks_results(check(budget)) == {prefix + "gaussian": True, prefix + "mixture": True}
+    row = suites._CONSTRUCTIONS[name]
+    monkeypatch.setitem(suites._CONSTRUCTIONS, name, row._replace(to_tilt=lambda s, x: (s, x)))
+    assert ks_results(check(budget)) == {prefix + "gaussian": False, prefix + "mixture": False}
+
+
+def test_a_patched_backward_ensemble_reaches_the_backward_check(monkeypatch):
+    real = diffusion.backward_sde_ensemble
+    bases = []
+
+    def ensemble(base, *args, **kwargs):
+        bases.append(base)
+        return {u: x * math.nan for u, x in real(base, *args, **kwargs).items()}
+
+    monkeypatch.setattr(diffusion, "backward_sde_ensemble", ensemble)
+    results = suites.check_backward_diffusion(_TINY)
+    assert len(bases) == 2
+    _assert_failed_with_nan(
+        results, "backward-vs-tilt/ks-gaussian", "backward-vs-tilt/rescaled-variance", "backward-vs-tilt/ks-mixture"
+    )
+
+
+def test_equiv_grids_follow_a_budget_off_the_defaults():
+    # Every grid and snapshot time moves with horizon, tau and eps_clip; the
+    # suite gives the default budget's rows, none of them a run error.
+    small = dict(seed=7, paths=200, dt=0.004)
+    rows = [c.name for c in suites.run_suite("equiv", suites.SuiteBudget(**small)).checks]
+    moved = suites.SuiteBudget(horizon=0.5, tau=0.25, eps_clip=0.01, **small)
+    assert [c.name for c in suites.run_suite("equiv", moved).checks] == rows
+    assert len(rows) == 13 and not any(name.endswith("/run-error") for name in rows)
