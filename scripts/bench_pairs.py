@@ -22,7 +22,9 @@ runs a user makes, each in a fresh process so that its imports count: every
 subcommand of ``COMMANDS`` as ``sloc <command> --seed 42`` at the default
 budgets (through ``compare_outputs.run_outputs``), with a sha256 of every file
 it writes (``report.json`` without its checks' runtimes), and every acceptance
-criterion of ``CRITERIA`` as one ``pytest`` run of ``tests/test_acceptance.py``.
+criterion of ``CRITERIA`` as one ``pytest`` run of ``tests/test_acceptance.py``
+without hypothesis's pytest plugin (``-p no:hypothesispytest``), which the file
+does not use and whose import took most of a short criterion's wall time.
 A criterion's wall time includes pytest's start-up, so its run also records
 ``check_s``, the test's own call phase as pytest's ``--durations=0`` report
 gives it (to 10 ms).  The ``end_to_end`` block holds these runs, the summary of
@@ -228,8 +230,8 @@ def end_to_end_runs(checkout: Path) -> list[dict]:
     env = {k: v for k, v in os.environ.items() if k != "SLOC_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     for k in CRITERIA:
-        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0", "--durations-min=0",
-               "tests/test_acceptance.py", "-k", f"test_criterion_{k}_"]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+               "--durations=0", "--durations-min=0", "tests/test_acceptance.py", "-k", f"test_criterion_{k}_"]
         started = time.perf_counter()
         done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
         add(f"criterion {k}", time.perf_counter() - started, done.returncode, {}, call_seconds(done.stdout))
@@ -260,7 +262,8 @@ def main(argv=None) -> int:
                         f"at seed {TRACED_SEED} with per-pass span calls and raw self seconds; per workload, "
                         f"the pairs whose pass digests match and differ; end_to_end: in the same "
                         f"alternating pairs, the wall time of every subcommand at --seed {TRACED_SEED} "
-                        f"and every acceptance criterion, each in a fresh process (a criterion's check_s "
+                        f"and every acceptance criterion, each in a fresh process (a criterion without "
+                        f"hypothesis's pytest plugin; its check_s "
                         f"is its test's call phase from pytest --durations=0), with the "
                         f"sha256 of each output file; the traced span tables and the end-to-end "
                         f"per-run records are kept in .slocbench_out/BENCH_{args.pr}.raw.json"),

@@ -122,7 +122,7 @@ def backward_sde_run(
     dw = _noise_increments(noise, u_grid, base.dim)
     x0 = _starts(lambda g: g.standard_normal(base.dim), noise.seed, [noise.stream_id])
     states = _integrate(u_grid, x0, _backward_step(base, u_grid, budget, _estimates(noise, rng)), dw)
-    return [BackwardState(u, x[0]) for u, x in zip(u_grid.times.tolist(), states)]
+    return [BackwardState(u, x) for u, x in zip(u_grid.times.tolist(), states[:, 0])]
 
 
 def backward_sde_ensemble(

@@ -36,6 +36,13 @@ from .sde import (
 from .targets import TargetMeasure, posterior_moments  # noqa: F401
 
 DEFAULT_ESS_FLOOR = 10.0
+#: ``particle_ensemble`` steps its runs in blocks of about this many weights.
+_RUN_BLOCK = 2**15
+#: ``_particle_runs`` forms its log-masses in blocks of about this many step
+#: records (steps times runs): a whole single run of up to 1 024 steps, and a
+#: few steps at the hundreds of runs of an ensemble block, whose records and
+#: temporaries then stay a few KiB each.
+_RECORD_BLOCK = 2**10
 
 
 class WeightCollapseError(RuntimeError):
@@ -131,8 +138,8 @@ def tilt_sde_run(
     d = base.dim
     dw = _noise_increments(noise, grid, d)
     t, _, x0, step = _tilt_step(base, grid, budget, _estimates(noise, rng))
-    states = _integrate(grid, x0, step, dw)
-    return [SLState(float(tk), x[0, :d], float(tk), x[0, d:]) for tk, x in zip(t, states)]
+    states = _integrate(grid, x0, step, dw)[:, 0]
+    return [SLState(tk, c, tk, m) for tk, c, m in zip(t.tolist(), states[:, :d], states[:, d:])]
 
 
 def tilt_sde_ensemble(
@@ -203,57 +210,91 @@ def channel_ensemble(
 
 def _particle_runs(base: TargetMeasure, n_particles: int, seed: int, streams, dw: np.ndarray, dts: np.ndarray):
     """Particle clouds of the streams, drawn from their ``sde.SALT_INIT`` blocks and
-    reweighted along ``dw (R, steps, d)``: yields the fixed points ``(R, n, d)``,
-    the log-weights ``u - u_top`` and unnormalized weights ``e = exp(u - u_top)``
-    ``(R, n)``, relative to each run's top particle, and the log-totals
-    ``log sum e`` and log-masses ``(R,)``, at the start and after each step.
-    The normalized cloud is ``u - u_top - log_total``, or ``e / total``; the
-    yielded arrays are rewritten in place by the next step.
+    reweighted along ``dw (R, steps, d)``: yields, at the start and after each
+    step, the fixed points ``(R, n, d)``, the log-weights ``u - u_top`` and
+    unnormalized weights ``e = exp(u - u_top)`` ``(R, n)``, relative to each
+    run's top particle, the log-totals ``log sum e`` ``(R,)``, and either None
+    or, at the last step of a block, the log-masses ``(b, R)`` of the block's
+    states not yielded with an earlier block.  The normalized cloud is
+    ``u - u_top - log_total``, or ``e / total``; the yielded arrays are
+    rewritten in place by the next step.
 
     The centred Ito step ``<x - m, dW> - dt |x - m|^2 / 2`` at the cloud mean m is
     ``<x, dW + m dt> - dt |x|^2 / 2 - kappa`` with ``kappa = <m, dW> + dt |m|^2 / 2``
     the same for all particles, so the log-weights are formed afresh each step
     from ``u = <x, C> - T |x|^2 / 2``, ``C = sum (dW + m dt)``, ``T = sum dt``.
-    The run keeps the planes ``(1, x_1, .., x_d, |x|^2)``.  A step makes five
-    passes over its ``(R, n)`` arrays: one contraction of ``e`` with the planes
-    ``(1, x)`` gives each cloud's total and weighted sum, whose ratio is the mean;
-    one contracts the planes ``(x, |x|^2)`` with ``(C, -T/2)`` into ``u``; then
-    the argmax, the shift by ``u_top`` and the exponential.  No sum goes through
-    BLAS, so a run is bitwise a row of any ensemble.
+    The run keeps the planes ``(1, x_1, .., x_d, |x|^2)``.  The step loop
+    carries only this recurrence and makes five passes over its ``(R, n)``
+    arrays: one contraction of ``e`` with the planes ``(1, x)`` gives each
+    cloud's total and weighted sum, whose ratio is the mean; one contracts the
+    planes ``(x, |x|^2)`` with ``(C, -T/2)`` into ``u``; then the argmax, the
+    shift by ``u_top`` and the exponential.  No sum goes through BLAS, so a run
+    is bitwise a row of any ensemble.
 
     The log-mass ``lse(u) - log n - sum kappa`` would cancel two sums that grow
     like T.  Each run instead carries ``a = u_top - sum kappa``, the centred
     log-weight of its top particle: the centred step at that particle, plus
     ``u_new - u_old = <x_new - x_old, C - T (x_new + x_old) / 2>`` when the top
     particle changes.  The log-mass is ``a - log n + log sum exp(u - u_top)``,
-    a sum of terms of order one."""
+    a sum of terms of order one.  The step loop forms none of it.  Each step
+    writes its log-total, mean, ``(C, -T/2)`` and top index into records of
+    ``b + 1`` rows, ``b = max(1, 2^10 // R)`` steps and the state before them,
+    so a block's records take about ``2^10 (2d + 3)`` doubles, 8 KiB times
+    ``2d + 3``.  When a block is full, and after the last step, one
+    vectorized pass over its ``(b, R, d)`` records forms the block's
+    increments of ``a`` and log-masses, with temporaries of that size.  The
+    pass carries ``a`` from block to block through ``np.add.accumulate``,
+    which sums in step order, so every bit is the one a per-step update
+    gives.  A single run of up to 2^10 steps is one block."""
     points = _starts(partial(targets.sample_base, base, n_particles), seed, streams)
+    runs, d = points.shape[0], points.shape[-1]
     coords = list(np.moveaxis(points, -1, 0))
     planes = np.stack([np.ones(points.shape[:2])] + coords + [sum(x * x for x in coords)])
-    flat_points, offsets = points.reshape(-1, points.shape[-1]), np.arange(len(points)) * n_particles
-    coef, log_top, log_n = np.zeros((len(points), len(planes) - 1)), np.zeros(len(points)), math.log(n_particles)
-    c, half_t = coef[:, :-1], coef[:, -1:]
-    u, e, x_top = np.zeros(points.shape[:2]), np.ones(points.shape[:2]), points[:, 0]
-    dts = dts.tolist()  # Python floats index faster per step than numpy scalars
-    for k in range(len(dts) + 1):
-        sums = np.einsum("rn,jrn->rj", e, planes[:-1])
-        log_total = np.log(sums[:, 0])
-        yield points, u, e, log_total, log_top - log_n + log_total
-        if k == len(dts):
+    mean_planes, tilt_planes = planes[:-1], planes[1:]
+    flat_points, offsets, log_n = points.reshape(-1, d), np.arange(runs) * n_particles, math.log(n_particles)
+    u, e = np.zeros(points.shape[:2]), np.ones(points.shape[:2])
+    steps = len(dts)
+    # Row 0 of the records holds the state before the block's first step.
+    rows = min(max(1, _RECORD_BLOCK // runs), steps) + 1
+    sums, means, coefs = np.empty((runs, d + 1)), np.empty((rows, runs, d)), np.zeros((rows, runs, d + 1))
+    log_totals, tops = np.empty((rows, runs)), np.empty((rows, runs), dtype=np.intp)
+    # The first block also yields the start's log-mass, at row 0; later
+    # blocks start at row 1.
+    tops[0], log_top, fresh = offsets, np.zeros((1, runs)), 0
+
+    def log_masses(j: int, k: int) -> np.ndarray:
+        # The block's steps k - j .. k - 1, from the records of rows 0..j.
+        nonlocal log_top
+        m, c, half_t = means[:j], coefs[1:j + 1, :, :-1], coefs[1:j + 1, :, -1:]
+        dw_b, dt_b = dw[:, k - j:k].swapaxes(0, 1), dts[k - j:k, None, None]
+        x_top = flat_points.take(tops[:j + 1], axis=0)
+        x_old, x_top = x_top[:-1], x_top[1:]
+        dev = x_old - m
+        delta = dev * (dw_b - (0.5 * dt_b) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))
+        log_top = np.add.accumulate(np.concatenate([log_top[-1:], np.add.reduce(delta, axis=2)]))
+        return log_top[fresh:] - log_n + log_totals[fresh:j + 1]
+
+    dts_f = dts.tolist()  # Python floats index faster per step than numpy scalars
+    j = 0
+    for k in range(steps + 1):
+        np.einsum("rn,jrn->rj", e, mean_planes, out=sums)
+        log_total = np.log(sums[:, 0], out=log_totals[j])
+        masses = None
+        if j == rows - 1 or k == steps:
+            masses, fresh = log_masses(j, k), 1
+            coefs[0], tops[0], j = coefs[j], tops[j], 0
+        yield points, u, e, log_total, masses
+        if k == steps:
             return
-        dw_k, dt = dw[:, k], dts[k]
-        m = sums[:, 1:] / sums[:, :1]
-        dev = x_top - m
-        c += dw_k + dt * m
-        half_t -= 0.5 * dt
-        np.einsum("jrn,rj->rn", planes[1:], coef, out=u)
+        dt, coef, new = dts_f[k], coefs[j], coefs[j + 1]
+        m = np.divide(sums[:, 1:], sums[:, :1], out=means[j])
+        np.add(coef[:, :-1], dw[:, k] + dt * m, out=new[:, :-1])
+        np.subtract(coef[:, -1:], 0.5 * dt, out=new[:, -1:])
+        np.einsum("jrn,rj->rn", tilt_planes, new, out=u)
         # The shift of _log_normalize, at the top index it does not return.
-        top = offsets + u.argmax(axis=1)
-        x_old, x_top, u_top = x_top, flat_points.take(top, axis=0), u.take(top)
-        delta = dev * (dw_k - (0.5 * dt) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))
-        log_top += np.add.reduce(delta, axis=1)
-        u -= u_top[:, None]
+        u -= u.take(np.add(offsets, u.argmax(axis=1), out=tops[j + 1]))[:, None]
         np.exp(u, out=e)
+        j += 1
 
 
 def particle_sl_run(
@@ -266,17 +307,24 @@ def particle_sl_run(
     """Weighted-particle realization of the measure dynamics on one noise path:
     every cloud of the ``R = 1`` case of ``particle_ensemble`` on the path's
     increments, raising ``WeightCollapseError`` below the ESS floor.
+
+    The ESS check and the normalized log-weights are made at every step; the
+    log-masses are formed once per block of steps (all of a run of up to 2^10
+    steps at once), so the clouds are built when the run ends.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
     dw = _noise_increments(noise, grid, base.dim)[None]
-    clouds, runs = [], _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
-    for k, (points, u, e, log_total, log_mass) in enumerate(runs):
-        ess = math.exp(2.0 * log_total[0]) / float(np.add.reduce(e[0] * e[0]))
+    log_w, log_mass, runs = [], [], _particle_runs(base, n_particles, noise.seed, [noise.stream_id], dw, grid.dts)
+    for k, (points, u, e, log_total, masses) in enumerate(runs):
+        log_sum = log_total[0]
+        ess = math.exp(2.0 * log_sum) / float(np.add.reduce(e[0] * e[0]))
         if k and ess < ess_floor:
             raise WeightCollapseError(ess, ess_floor, float(grid.times[k]))
-        clouds.append(ParticleCloud(points[0], u[0] - log_total[0], float(log_mass[0])))
-    return clouds
+        log_w.append(u[0] - log_sum)
+        if masses is not None:
+            log_mass += masses[:, 0].tolist()
+    return [ParticleCloud(points[0], w, m) for w, m in zip(log_w, log_mass)]
 
 
 def particle_ensemble(
@@ -292,20 +340,23 @@ def particle_ensemble(
     grid's final time.  Run r uses stream id r, matching ``particle_sl_run``.
     Runs step in blocks of about 2^15 weights: a block's ``(R, n)`` arrays of
     256 KiB (its weights, log-weights and each plane) stay in a core's cache,
-    and only its last cloud is normalized.  Rows never mix, so the blocks
-    change no bit.  Like ``particle_sl_run`` it needs at least two particles,
-    and it needs ``n_runs >= 1``.
+    and only its last cloud is normalized.  Its log-masses are formed once per
+    block of about 2^10 step records, and only the last block's last row is
+    kept.  Rows never mix, so the blocks change no bit.  Like
+    ``particle_sl_run`` it needs at least two particles, and it needs
+    ``n_runs >= 1``.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
     _check_count(n_runs, "n_runs")
     points, log_w = np.empty((n_runs, n_particles, base.dim)), np.empty((n_runs, n_particles))
-    log_mass, rows = np.empty(n_runs), max(1, 2**15 // n_particles)
+    log_mass, rows = np.empty(n_runs), max(1, _RUN_BLOCK // n_particles)
     for lo in range(0, n_runs, rows):
         streams = range(lo, min(lo + rows, n_runs))
         dw = _gather(partial(wiener_increment_array, grid, base.dim, seed), streams)
         clouds = _particle_runs(base, n_particles, seed, streams, dw, grid.dts)
-        points[lo:streams.stop], u, _, log_total, log_mass[lo:streams.stop] = deque(clouds, 1)[0]
+        points[lo:streams.stop], u, _, log_total, masses = deque(clouds, 1)[0]
+        log_mass[lo:streams.stop] = masses[-1]
         np.subtract(u, log_total[:, None], out=log_w[lo:streams.stop])
     return points, log_w, log_mass
 
@@ -326,8 +377,8 @@ def anisotropic_run(base: TargetMeasure, grid: TimeGrid, noise: SamplePath, cont
     if control.shape != (d, d):
         raise ValueError(f"control matrix shape {control.shape} does not match dimension {d}")
     t, regs, x0, step = _tilt_step(base, grid, control=control)
-    states = _integrate(grid, x0, step, dw)
-    return [SLState(float(tk), x[0, :d], reg, x[0, d:]) for tk, reg, x in zip(t, regs, states)]
+    states = _integrate(grid, x0, step, dw)[:, 0]
+    return [SLState(tk, c, reg, m) for tk, reg, c, m in zip(t.tolist(), regs, states[:, :d], states[:, d:])]
 
 
 def write_trajectory_csv(

@@ -359,6 +359,15 @@ def tweedie_probe_residuals(seed: int) -> np.ndarray:
 
 @_recorded
 def check_backward_diffusion(budget: SuiteBudget, base: TargetMeasure | None = None) -> Iterator[_Verdict]:
+    """Criterion 3 on ``base`` (the standard normal by default) and on
+    ``test_mixture()``: KS rows of the backward diffusion against the tilt
+    process, the rescaled variance on ``base``, and the Tweedie score.
+
+    Each ``backward-vs-tilt/ks-*`` row tests both snapshots, u = 0.5 and 1,
+    and fails when the smaller of the two p-values is at or below
+    ``budget.level``.  The minimum is not corrected for, so on correct code a
+    row fails up to ``2 * level`` of the time.  The Gaussian and mixture rows
+    draw from the same subseeds 5 and 6, so their failures are correlated."""
     gauss = base if base is not None else std_gaussian()
     for label, b in (("gaussian", gauss), ("mixture", test_mixture())):
         pairs = _against_tilt("backward", b, budget)

@@ -1,10 +1,12 @@
 import io
 import math
+from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sloc import bridge, localize, targets
+from sloc import bridge, localize, sde, targets
 from sloc.bridge import FollmerDrift, girsanov_energy
 from sloc.diagnostics import ks_two_sample
 from sloc.localize import (
@@ -352,6 +354,111 @@ class TestParticles:
         mass = np.exp(logm)
         se = mass.std(ddof=1) / math.sqrt(mass.size)
         assert abs(mass.mean() - 1.0) <= 4.0 * se
+
+
+def per_step_particle_runs(base, n_particles, seed, streams, dw, dts):
+    """Reference particle loop that forms every log-mass at its own step: the
+    top particle's centred step and change of top, summed into ``a`` per step.
+    Yields ``(points, u, e, log_total, log_mass)`` at the start and after each
+    step, for a bitwise comparison with ``localize``'s block bookkeeping."""
+    points = sde._starts(partial(targets.sample_base, base, n_particles), seed, streams)
+    coords = list(np.moveaxis(points, -1, 0))
+    planes = np.stack([np.ones(points.shape[:2])] + coords + [sum(x * x for x in coords)])
+    flat_points, offsets = points.reshape(-1, points.shape[-1]), np.arange(len(points)) * n_particles
+    coef, log_top, log_n = np.zeros((len(points), len(planes) - 1)), np.zeros(len(points)), math.log(n_particles)
+    c, half_t = coef[:, :-1], coef[:, -1:]
+    u, e, x_top = np.zeros(points.shape[:2]), np.ones(points.shape[:2]), points[:, 0]
+    dts = dts.tolist()
+    for k in range(len(dts) + 1):
+        sums = np.einsum("rn,jrn->rj", e, planes[:-1])
+        log_total = np.log(sums[:, 0])
+        yield points, u, e, log_total, log_top - log_n + log_total
+        if k == len(dts):
+            return
+        dw_k, dt = dw[:, k], dts[k]
+        m = sums[:, 1:] / sums[:, :1]
+        dev = x_top - m
+        c += dw_k + dt * m
+        half_t -= 0.5 * dt
+        np.einsum("jrn,rj->rn", planes[1:], coef, out=u)
+        top = offsets + u.argmax(axis=1)
+        x_old, x_top, u_top = x_top, flat_points.take(top, axis=0), u.take(top)
+        delta = dev * (dw_k - (0.5 * dt) * dev) + (x_top - x_old) * (c + half_t * (x_top + x_old))
+        log_top += np.add.reduce(delta, axis=1)
+        u -= u_top[:, None]
+        np.exp(u, out=e)
+
+
+PM1 = GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]])
+
+
+class TestParticleBookkeeping:
+    """Every cloud of ``particle_sl_run`` and every output of
+    ``particle_ensemble`` is byte for byte the per-step reference loop's, at
+    the default block sizes and at sizes small enough that runs cross several
+    blocks of step records and of runs, in step counts that are not multiples
+    of the block length.  The block sizes are patched with ``raising=False``
+    so that the same tests also run against a loop without blocks."""
+
+    BASES = {
+        # Its top particle changes often, between the two modes.
+        "pm1-mixture": PM1,
+        "mixture-d3": GaussianMixture([0.35, 0.65], [[0.8, -1.2, 0.3], [-1.5, 0.4, 1.1]],
+                                      [np.eye(3), 0.4 * np.eye(3)]),
+    }
+
+    @staticmethod
+    def grid(steps, horizon=1.0):
+        # Uneven steps, so that no two step sizes round alike.
+        dts = np.random.default_rng(steps).uniform(0.5, 1.5, steps) * (horizon / max(steps, 1))
+        return TimeGrid(np.concatenate([[0.0], np.cumsum(dts)]))
+
+    @staticmethod
+    def ensemble_reference(base, n_particles, grid, seed, n_runs):
+        dw = np.stack([wiener_increment_array(grid, base.dim, seed, r) for r in range(n_runs)])
+        points, u, _, log_total, log_mass = deque(
+            per_step_particle_runs(base, n_particles, seed, range(n_runs), dw, grid.dts), 1)[0]
+        return points, u - log_total[:, None], log_mass
+
+    @pytest.mark.parametrize("blocks", [(2**15, 2**10), (2**10, 2**7)], ids=["default", "small"])
+    @pytest.mark.parametrize("steps", [0, 1, 250])
+    @pytest.mark.parametrize("n_runs", [1, 5, 300])
+    @pytest.mark.parametrize("name", BASES)
+    def test_ensemble_is_bitwise_the_per_step_loop(self, monkeypatch, name, n_runs, steps, blocks):
+        monkeypatch.setattr(localize, "_RUN_BLOCK", blocks[0], raising=False)
+        monkeypatch.setattr(localize, "_RECORD_BLOCK", blocks[1], raising=False)
+        base = self.BASES[name]
+        grid = self.grid(steps)
+        got = localize.particle_ensemble(base, 32, grid, 21, n_runs)
+        want = self.ensemble_reference(base, 32, grid, 21, n_runs)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("records", [2**10, 2**7, 3])
+    @pytest.mark.parametrize("steps", [0, 1, 250])
+    @pytest.mark.parametrize("name", BASES)
+    def test_single_run_clouds_are_bitwise_the_per_step_loop(self, monkeypatch, name, steps, records):
+        monkeypatch.setattr(localize, "_RECORD_BLOCK", records, raising=False)
+        base = self.BASES[name]
+        grid = self.grid(steps)
+        noise = wiener_increments(grid, base.dim, seed=22, stream_id=3)
+        clouds = particle_sl_run(base, 32, grid, noise, ess_floor=0.0)
+        dw = sde._noise_increments(noise, grid, base.dim)[None]
+        want = per_step_particle_runs(base, 32, 22, [3], dw, grid.dts)
+        assert len(clouds) == len(grid)
+        for cloud, (points, u, _, log_total, log_mass) in zip(clouds, want):
+            assert cloud.points.tobytes() == points[0].tobytes()
+            assert cloud.log_weights.tobytes() == (u[0] - log_total[0]).tobytes()
+            assert cloud.log_mass == float(log_mass[0])
+
+    @pytest.mark.parametrize("records", [2**10, 2**7])
+    def test_near_tie_is_bitwise_the_per_step_loop(self, monkeypatch, records):
+        # Two particles stay nearly tied for the top over a long horizon, the
+        # case where the log-mass is most sensitive to its rounding.
+        monkeypatch.setattr(localize, "_RECORD_BLOCK", records, raising=False)
+        grid = self.grid(2000, horizon=2000.0)
+        got = localize.particle_ensemble(PM1, 16, grid, 17, 16)
+        want = self.ensemble_reference(PM1, 16, grid, 17, 16)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestAnisotropic:

@@ -103,7 +103,7 @@ def test_bench_pairs_end_to_end_times_every_subcommand_and_criterion(monkeypatch
     def fake_pytest(cmd, cwd, env, **kw):
         # pytest's --durations=0 report of the one test the run selects: its call
         # phase takes as many tenths of a second as the criterion's number.
-        criteria.append((cmd[-1], cwd, env["PYTHONPATH"], "--durations=0" in cmd))
+        criteria.append((cmd[-1], cwd, env["PYTHONPATH"], cmd[:-1]))
         k = int(cmd[-1].split("_")[2])
         test = f"tests/test_acceptance.py::{cmd[-1]}x"
         report = f"=== slowest durations ===\n0.00s setup    {test}\n{k / 10:.2f}s call     {test}\n1 passed in 2s\n"
@@ -115,7 +115,11 @@ def test_bench_pairs_end_to_end_times_every_subcommand_and_criterion(monkeypatch
 
     assert [r["workload"] for r in runs] == (["sloc simulate", "sloc equiv", "sloc rgd", "sloc bridge", "sloc lsi"]
                                              + [f"criterion {k}" for k in range(1, 11)])
-    assert criteria == [(f"test_criterion_{k}_", tmp_path, str(tmp_path / "src"), True) for k in range(1, 11)]
+    # Each criterion runs alone, with its call phase reported and without
+    # hypothesis's pytest plugin, which test_acceptance.py does not use.
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+           "--durations=0", "--durations-min=0", "tests/test_acceptance.py", "-k"]
+    assert criteria == [(f"test_criterion_{k}_", tmp_path, str(tmp_path / "src"), cmd) for k in range(1, 11)]
     assert [r["exit"] for r in runs] == [1] * 5 + [0] * 10
     assert all(r["result"]["metrics"]["wall_s"]["value"] >= 0.0 for r in runs)
     # A criterion also records its test's call phase; a subcommand has no such report.
